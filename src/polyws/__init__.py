@@ -10,9 +10,8 @@ from .errors import (BudgetExceededError, InternalInvariantError,
                      PolygonInputError, UsageError)
 from .geodesic import Cone, GeodesicCursor, first_link
 from .geom import (CLOCKWISE, COLLINEAR, COORD_LIMIT, COUNTERCLOCKWISE,
-                   DerivedPoint, Point, is_visible,
-                   max_angle_reflex_in_triangle, orient, ray_shoot,
-                   segments_properly_intersect)
+                   is_visible, max_angle_reflex_in_triangle, orient,
+                   ray_shoot, segments_properly_intersect)
 from .partition import balanced_cut_filter, partition, piece_vertex_lists
 from .spt import (CollectingSptSink, SptSink, spt, spt_constant_workspace,
                   spt_in_memory)
@@ -23,19 +22,18 @@ from .triangulate import (AdjacencySink, CollectingSink, NullSink,
                           triangulate_polygon)
 from .workspace import (BasePolygon, CutVertex, MeterMode, RunStats,
                         SubpolygonView, VertexType, WorkspaceMeter, classify,
-                        component_sizes, is_alternating, make_view,
-                        null_meter, separates)
+                        component_sizes, is_alternating, null_meter,
+                        separates)
 
 __all__ = [
     "AdjacencySink", "BasePolygon", "BudgetExceededError", "CLOCKWISE",
     "COLLINEAR", "COORD_LIMIT", "COUNTERCLOCKWISE", "CollectingSink",
-    "CollectingSptSink", "Cone", "CutVertex", "DerivedPoint",
-    "GeodesicCursor", "InternalInvariantError", "MeterMode", "NullSink",
-    "PendingAdjacency", "Point", "PolygonInputError", "RunStats",
-    "SptSink", "SubpolygonView", "TriangulationSink", "UsageError",
-    "VertexType", "WorkspaceMeter", "balanced_cut_filter", "classify",
-    "component_sizes", "find_alternating_diagonal", "first_link",
-    "is_alternating", "is_visible", "make_view",
+    "CollectingSptSink", "Cone", "CutVertex", "GeodesicCursor",
+    "InternalInvariantError", "MeterMode", "NullSink", "PendingAdjacency",
+    "PolygonInputError", "RunStats", "SptSink", "SubpolygonView",
+    "TriangulationSink", "UsageError", "VertexType", "WorkspaceMeter",
+    "balanced_cut_filter", "classify", "component_sizes",
+    "find_alternating_diagonal", "first_link", "is_alternating", "is_visible",
     "max_angle_reflex_in_triangle", "null_meter", "orient", "partition",
     "piece_vertex_lists", "ray_shoot", "required_budget",
     "segments_properly_intersect", "separates", "spt",

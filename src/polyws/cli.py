@@ -21,9 +21,7 @@ from .partition import partition, piece_vertex_lists
 from .spt import spt
 from .triangulate import (AdjacencySink, CollectingSink, KAPPA_DEFAULT,
                           required_budget, triangulate_polygon)
-from .workspace import BasePolygon, MeterMode, RunStats
-
-L_DEFAULT = 64
+from .workspace import L_DEFAULT, BasePolygon, MeterMode, RunStats
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +236,30 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _pair(path: str, line: str) -> Tuple[int, int]:
+    try:
+        a, b = line.split()
+        return int(a), int(b)
+    except ValueError:
+        raise PolygonInputError(f"{path}: malformed line {line!r}")
+
+
 def cmd_verify(args) -> int:
     poly = load_polygon(args.input)
     what = args.what
-    with open(args.against) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
-        lines = [ln for ln in lines if ln]
+    path = args.against
+    try:
+        with open(path) as fh:
+            lines = [ln.split("#", 1)[0].strip() for ln in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PolygonInputError(f"cannot read {path}: {exc}")
+    lines = [ln for ln in lines if ln]
     if what == "triangulation":
-        diagonals = []
-        for ln in lines:
-            if ln.startswith(("T ", "P ")):
-                continue
-            a, b = ln.split()
-            diagonals.append((int(a), int(b)))
+        diagonals = [_pair(path, ln) for ln in lines
+                     if not ln.startswith(("T ", "P "))]
         rep = oracle.validate_triangulation(poly, diagonals)
     elif what == "spt":
-        edges = set()
-        for ln in lines:
-            a, b = ln.split()
-            edges.add((int(a), int(b)))
+        edges = {_pair(path, ln) for ln in lines}
         r = int(args.root) if args.root is not None else None
         if r is None:
             # infer the root: the vertex that never appears as a child
@@ -273,10 +276,12 @@ def cmd_verify(args) -> int:
         pieces = []
         for ln in lines:
             if ln.startswith("P "):
-                pieces.append([int(x) for x in ln.split()[1:]])
+                try:
+                    pieces.append([int(x) for x in ln.split()[1:]])
+                except ValueError:
+                    raise PolygonInputError(f"{path}: malformed line {ln!r}")
             else:
-                a, b = ln.split()
-                diagonals.append((int(a), int(b)))
+                diagonals.append(_pair(path, ln))
         rep = oracle.validate_partition(poly, diagonals, pieces, args.s)
     else:
         raise PolygonInputError(f"unknown verification target {what!r}")

@@ -84,26 +84,6 @@ Coord = Union[int, Fraction]
 Pt = Tuple[Coord, Coord]
 
 
-class Point(NamedTuple):
-    x: Coord
-    y: Coord
-
-
-class DerivedPoint(NamedTuple):
-    """A boundary point in the interior of an edge, kept exactly.
-
-    `edge` is the local edge index (edge k joins local vertices k and k+1) of
-    the view the point was created on; `t` is the exact parameter along that
-    edge with 0 < t < 1.  t = 0 or 1 is normalized away to a plain vertex by
-    the constructors in this module.
-    """
-
-    edge: int
-    t: Fraction
-    x: Fraction
-    y: Fraction
-
-
 class RayHit(NamedTuple):
     """First proper boundary crossing of a ray.
 
@@ -613,16 +593,16 @@ def _ray_scan_many(xs, ys, pts, origin: int, O: Pt, D: Pt):
 # ---------------------------------------------------------------------------
 # reflex search inside a triangle
 
-def max_angle_reflex_in_triangle(view, apex: int, p_n, hit_point: Pt) -> int:
+def max_angle_reflex_in_triangle(view, apex, p_n,
+                                 hit_point: Pt) -> Optional[int]:
     """Reflex vertex strictly inside triangle (apex, p_n, hit_point) whose
     angle at the apex, measured from the apex->p_n direction, is largest.
 
-    `p_n` is a local vertex index or an exact point.  Angles are compared with
-    exact cross-sign tests only.  Raises InternalInvariantError when the
-    triangle contains no reflex vertex, which contradicts blocked visibility
-    in a simple polygon.
+    `apex` and `p_n` are each a local vertex index or an exact point.  Angles
+    are compared with exact cross-sign tests only.  Returns None when the
+    triangle contains no reflex vertex.
     """
-    A = view.point(apex)
+    A = view.point(apex) if isinstance(apex, int) else apex
     P = view.point(p_n) if isinstance(p_n, int) else p_n
     H = hit_point
     ot = orient(A, P, H)
@@ -636,7 +616,7 @@ def max_angle_reflex_in_triangle(view, apex: int, p_n, hit_point: Pt) -> int:
     else:
         indices = range(1, m + 1)
     for k in indices:
-        if k == apex or (isinstance(p_n, int) and k == p_n):
+        if k == apex or k == p_n:
             continue
         X = view.point(k)
         if orient(A, P, X) != ot or orient(P, H, X) != ot \
@@ -652,9 +632,6 @@ def max_angle_reflex_in_triangle(view, apex: int, p_n, hit_point: Pt) -> int:
             c = cross(best_dir[0], best_dir[1], dx, dy)
             if (c > 0 and ot > 0) or (c < 0 and ot < 0):
                 best, best_dir = k, (dx, dy)
-    if best is None:
-        raise InternalInvariantError(
-            "no reflex vertex inside the blocking triangle")
     return best
 
 

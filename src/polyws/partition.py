@@ -14,8 +14,8 @@ from typing import List, Optional, Tuple
 from .errors import InternalInvariantError, PolygonInputError
 from .triangulate import (KAPPA_DEFAULT, TriangulationSink, required_budget,
                           triangulate)
-from .workspace import (BasePolygon, MeterMode, RunStats, SubpolygonView,
-                        WorkspaceMeter, component_sizes)
+from .workspace import (L_DEFAULT, BasePolygon, MeterMode, RunStats,
+                        SubpolygonView, WorkspaceMeter, component_sizes)
 
 
 class _CutFound(Exception):
@@ -80,7 +80,7 @@ def _find_cut(piece: SubpolygonView, s: int, meter, rng, stats,
     tau = max(s, required_budget(piece.m), 10)
     filt = BalancedCutFilter(piece)
     try:
-        triangulate(piece, 1, tau, filt, meter, rng=rng, stats=stats,
+        triangulate(piece, tau, filt, meter, rng=rng, stats=stats,
                     kappa=kappa)
     except _CutFound as found:
         return found.diagonal
@@ -101,7 +101,7 @@ def _split_piece(piece: SubpolygonView, diagonal) -> List[SubpolygonView]:
 def partition(polygon: BasePolygon, s: int,
               sink: Optional[TriangulationSink] = None, *,
               mode: MeterMode = MeterMode.PERMISSIVE,
-              L: int = 64, kappa: float = KAPPA_DEFAULT, seed: int = 0,
+              L: int = L_DEFAULT, kappa: float = KAPPA_DEFAULT, seed: int = 0,
               stats: Optional[RunStats] = None,
               meter: Optional[WorkspaceMeter] = None):
     """Split the polygon by non-crossing diagonals into pieces of between

@@ -1,11 +1,14 @@
 """Shortest-path trees under the same workspace regime as the triangulator.
 
-The driver reuses the geodesic walk, with two changes: after tau same-type
-steps the split diagonal comes from extending the last walked edge to the
-boundary (creating a virtual vertex that lives only inside the recursion and
-is filtered at the sink), and every subproblem is re-rooted at its cut vertex
-nearest the original source, so each piece's local tree is exactly the global
-tree restricted to it.
+The geodesic walk and its recursion are the triangulator's engine
+(triangulate.py: Run, solve, _walk_level); this module passes it the tree
+strategy, _Region, which differs from triangulation's in three ways.  After
+tau same-type steps the split diagonal comes from extending the last walked
+edge to the boundary (creating a virtual vertex that lives only inside the
+recursion and is filtered at the sink); walked edges are emitted as parent
+edges; and every subproblem is rooted at its cut vertex nearest the original
+source, so each piece's local tree is exactly the global tree restricted to
+it.
 
 Pieces store their shared vertices as explicit cut entries of the descriptor;
 a piece emits parent edges only for its chain vertices, because every cut
@@ -24,16 +27,14 @@ from typing import List, Optional, Set, Tuple
 
 from . import geom
 from .errors import InternalInvariantError, PolygonInputError
-from .geodesic import GeodesicCursor, first_link
-from .triangulate import (IN_MEMORY_FACTOR, KAPPA_DEFAULT, TAU_FLOOR,
-                          WALK_SCALARS, ear_clip, required_budget)
-from .workspace import (BasePolygon, CutVertex, MeterMode, RunStats,
-                        SubpolygonView, WorkspaceMeter, is_alternating,
-                        null_meter)
+from .geodesic import first_link
+from .triangulate import (AUDIT_MAX_M, KAPPA_DEFAULT, Run, ear_clip,
+                          in_interval, pick_side, rooted_piece, segs_size,
+                          setup_budget, solve, walk_pockets)
+from .workspace import (L_DEFAULT, BasePolygon, CutVertex, MeterMode,
+                        RunStats, SubpolygonView, WorkspaceMeter)
 
 ROOT = 0   # parent reference used when the tree root is not a polygon vertex
-
-AUDIT_MAX_M = 4096
 
 
 class SptSink:
@@ -57,24 +58,7 @@ class CollectingSptSink(SptSink):
         return set(self.edges)
 
 
-class _SptRun:
-    __slots__ = ("sink", "meter", "stats", "rng", "kappa", "audit")
-
-    def __init__(self, sink, meter, stats, rng, kappa, audit):
-        self.sink = sink
-        self.meter = meter
-        self.stats = stats
-        self.rng = rng
-        self.kappa = kappa
-        self.audit = audit
-
-
-def _default_run(sink, rng=None, stats=None) -> _SptRun:
-    return _SptRun(sink, null_meter(), stats or RunStats(),
-                   rng or random.Random(0), KAPPA_DEFAULT, True)
-
-
-def _emit_for(run: _SptRun, view, parent_local: int, child_local: int) -> None:
+def _emit_for(run: Run, view, parent_local: int, child_local: int) -> None:
     """Report the parent edge of a chain vertex; cut and virtual vertices were
     handled by whoever created them."""
     if view.is_cut(child_local):
@@ -93,10 +77,11 @@ def _emit_for(run: _SptRun, view, parent_local: int, child_local: int) -> None:
 def spt_constant_workspace(view, root_local: int, sink, *,
                            rng: Optional[random.Random] = None,
                            stats: Optional[RunStats] = None,
-                           _run: Optional[_SptRun] = None) -> None:
+                           _run: Optional[Run] = None) -> None:
     """Emit (first-link-toward-root, q) for every chain vertex q of the view;
     each link is recomputed by the cone search with O(1) retained words."""
-    run = _run if _run is not None else _default_run(sink, rng, stats)
+    run = _run if _run is not None \
+        else Run(_Region, sink, stats=stats, rng=rng)
     link_rng = random.Random(run.rng.getrandbits(64))
     for q in range(1, view.m + 1):
         if q == root_local or view.is_cut(q):
@@ -106,9 +91,9 @@ def spt_constant_workspace(view, root_local: int, sink, *,
 
 
 def spt_in_memory(view, root_local: int, sink, *,
-                  _run: Optional[_SptRun] = None) -> None:
+                  _run: Optional[Run] = None) -> None:
     """Funnel propagation over the dual tree of an ear-clipped triangulation."""
-    run = _run if _run is not None else _default_run(sink)
+    run = _run if _run is not None else Run(_Region, sink)
     parent = funnel_parents(view, root_local)
     for q in range(1, view.m + 1):
         if q == root_local:
@@ -200,55 +185,23 @@ def funnel_parents(view, root: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# the walk recursion
+# the walk strategy (the engine is triangulate._walk_level)
 
 def _funnel_words(m: int) -> int:
     return 10 * m + 32
 
 
-def _spt_base(view, root_local: int, run: _SptRun) -> None:
-    meter = run.meter
-    want = _funnel_words(view.m)
-    # prefer the funnel, but never at the price of blowing the budget: the
-    # constant-workspace pass is the compliant (slower) alternative
-    fits = meter.current_words + want <= meter.budget_words
-    if fits:
-        with meter.scoped(want):
-            spt_in_memory(view, root_local, None, _run=run)
-    else:
-        with meter.scoped(32):
-            spt_constant_workspace(view, root_local, None, _run=run)
-
-
-def _spt_rec(view, root_local: int, tau: float, run: _SptRun,
-             level: int) -> None:
-    if view.m < 3:
-        return
-    run.stats.depth = max(run.stats.depth, level)
-    meter = run.meter
-    with meter.frame():
-        if IN_MEMORY_FACTOR * tau >= view.m:
-            _spt_base(view, root_local, run)
-            return
-        if tau <= TAU_FLOOR:
-            if meter.mode is MeterMode.STRICT:
-                raise InternalInvariantError(
-                    f"recursion ran out of workspace (tau={tau:.1f}, m={view.m})")
-            meter.overage_flag = True
-            _spt_base(view, root_local, run)
-            return
-        _spt_walk(view, int(tau), run, level)
-
-
 class _Region:
-    """The still-unsolved part of the current level: a boundary arc [lo..hi]
-    plus an optional virtual vertex hanging at one end, closed by the current
-    alternating diagonal.  lo_cut/hi_cut record whether the end vertex's
-    parent edge is already handled elsewhere (walked vertices, the level
-    root), as opposed to plain vertices that merely border a split."""
+    """SPT strategy and one level's bookkeeping: the still-unsolved part of
+    the level, a boundary arc [lo..hi] plus an optional virtual vertex
+    hanging at one end, closed by the current alternating diagonal.
+    lo_cut/hi_cut record whether the end vertex's parent edge is already
+    handled elsewhere (walked vertices, the level root), as opposed to plain
+    vertices that merely border a split.  Every piece is rooted at its cut
+    vertex nearest the source, local vertex 1."""
 
     __slots__ = ("lo", "hi", "lo_cut", "hi_cut", "cut_side", "cut_v",
-                 "v_c", "u_other")
+                 "u_other")
 
     def __init__(self, m):
         self.lo = 1
@@ -257,148 +210,238 @@ class _Region:
         self.hi_cut = False       # an ordinary chain vertex
         self.cut_side = None      # 'lo' | 'hi' | None: virtual end vertex
         self.cut_v: Optional[CutVertex] = None
-        self.v_c = 1
         self.u_other: Optional[int] = None
 
+    @staticmethod
+    def base(view, run: Run) -> None:
+        meter = run.meter
+        want = _funnel_words(view.m)
+        # prefer the funnel, but never at the price of blowing the budget:
+        # the constant-workspace pass is the compliant (slower) alternative
+        if meter.current_words + want <= meter.budget_words:
+            with meter.scoped(want):
+                spt_in_memory(view, 1, None, _run=run)
+        else:
+            with meter.scoped(32):
+                spt_constant_workspace(view, 1, None, _run=run)
 
-def _spt_walk(view, tau: int, run: _SptRun, level: int) -> None:
-    m = view.m
-    mid = m // 2
-    meter = run.meter
-    stats = run.stats
-    reg = _Region(m)
-    cursor_rng = random.Random(run.rng.getrandbits(64))
-    with meter.scoped(GeodesicCursor.WORDS + WALK_SCALARS):
-        cursor = GeodesicCursor(view, 1, mid, cursor_rng, stats)
-        walked = 1
-        while walked != mid:
-            w = [reg.v_c]
-            meter.alloc(1)
-            i = 0
-            far = False
-            while True:
-                nxt = cursor.next_vertex()
-                w.append(nxt)
-                meter.alloc(1)
-                i += 1
-                if is_alternating(w[i - 1], w[i], m):
-                    break
-                if i == tau:
-                    far = True
-                    break
-            try:
-                for j in range(1, i + 1):
-                    if not view.is_virtual(w[j]):
-                        _emit_for(run, view, w[j - 1], w[j])
-                if far:
-                    stats.far_calls += 1
-                    u_new = _extend_last_edge(view, w, reg, run)
-                else:
-                    u_new = ("real", w[i - 1])
-                pieces = _spt_split(view, reg, w, i, far, u_new, run)
-                for child, child_root, words in pieces:
-                    stats.pieces += 1
-                    with meter.scoped(words):
-                        _spt_rec(child, child_root, tau * run.kappa, run,
-                                 level + 1)
-            finally:
-                meter.release(len(w))
-            walked = w[i]
-            reg.v_c = w[i]
-        # terminal piece: rooted at the region's cut vertex nearest the source
-        segs, size = _terminal_segs(view, reg)
-        if size >= 3:
-            child, child_root = _build_piece(view, segs, reg.u_other)
-            stats.pieces += 1
-            with meter.scoped(child.descriptor_words):
-                _spt_rec(child, child_root, tau * run.kappa, run, level + 1)
+    def emit_walked(self, view, w, run: Run) -> None:
+        for j in range(1, len(w)):
+            if not view.is_virtual(w[j]):
+                _emit_for(run, view, w[j - 1], w[j])
 
+    def far(self, view, w, run: Run):
+        """Extend the last walked edge beyond its endpoint until it meets
+        the boundary; the crossing becomes the split vertex (virtual unless
+        it lands exactly on a vertex)."""
+        a = view.point(w[-2])
+        b = view.point(w[-1])
+        toward = (2 * b[0] - a[0], 2 * b[1] - a[1])
+        hit = geom.ray_shoot(view, w[-1], toward)
+        if run.audit and self.u_other is not None \
+                and (self.hi - self.lo) % view.m + 1 < view.m:
+            # the split segment may end on the region's closing structure but
+            # must never cross its chord into already-handled territory
+            lo_pt = self.cut_v.point if self.cut_side == "lo" \
+                else view.point(self.lo)
+            hi_pt = self.cut_v.point if self.cut_side == "hi" \
+                else view.point(self.hi)
+            if geom.segments_properly_intersect(b, hit.point, hi_pt, lo_pt):
+                raise InternalInvariantError(
+                    "edge extension crossed the live alternating diagonal")
+        if hit.vertex is not None:
+            return ("real", hit.vertex)
+        return ("virt", hit.edge,
+                CutVertex(None, point=hit.point, virtual=True))
 
-def _terminal_segs(view, reg: _Region):
-    inner = []
-    if (reg.hi - reg.lo) % view.m + 1 > 2:
-        inner = [("range", (reg.lo % view.m) + 1, 1 + (reg.hi - 2) % view.m)]
-    segs = []
-    if reg.cut_side == "lo":
-        segs.append(("cut", reg.cut_v))
-    segs.append(("cutpos" if reg.lo_cut else "pos", reg.lo))
-    segs.extend(inner)
-    segs.append(("cutpos" if reg.hi_cut else "pos", reg.hi))
-    if reg.cut_side == "hi":
-        segs.append(("cut", reg.cut_v))
-    size = (reg.hi - reg.lo) % view.m + 1 + (1 if reg.cut_side else 0)
-    return segs, size
-
-
-def _build_piece(view, segs, root_local_in_view):
-    """Materialize a piece and rotate it so the designated root is local 1."""
-    child = view.subview(segs)
-    if root_local_in_view is None:
-        raise InternalInvariantError("piece without a designated root")
-    root_ref = view.base_ref(root_local_in_view)
-    root_pt = view.point(root_local_in_view)
-    k = None
-    for idx in range(1, child.m + 1):
-        if child.base_ref(idx) == root_ref and child.point(idx) == root_pt:
-            k = idx
-            break
-    if k is None:
-        raise InternalInvariantError("piece root missing from its ring")
-    if k != 1:
-        child = child.subview([("range", k, 1 + (k - 2) % child.m)])
-    return child, 1
-
-
-def _extend_last_edge(view, w, reg: _Region, run: _SptRun):
-    """Far case: extend the last walked edge beyond its endpoint until it
-    meets the boundary; the crossing becomes the split vertex (virtual unless
-    it lands exactly on a vertex)."""
-    a = view.point(w[-2])
-    b = view.point(w[-1])
-    toward = (2 * b[0] - a[0], 2 * b[1] - a[1])
-    hit = geom.ray_shoot(view, w[-1], toward)
-    if run.audit and reg.u_other is not None \
-            and (reg.hi - reg.lo) % view.m + 1 < view.m:
-        # the split segment may end on the region's closing structure but
-        # must never cross its chord into already-handled territory
-        lo_pt = reg.cut_v.point if reg.cut_side == "lo" else view.point(reg.lo)
-        hi_pt = reg.cut_v.point if reg.cut_side == "hi" else view.point(reg.hi)
-        if geom.segments_properly_intersect(b, hit.point, hi_pt, lo_pt):
-            raise InternalInvariantError(
-                "edge extension crossed the live alternating diagonal")
-    if hit.vertex is not None:
-        return ("real", hit.vertex)
-    return ("virt", hit.edge, CutVertex(None, point=hit.point, virtual=True))
-
-
-def _within(x, lo, hi, m):
-    return (x - lo) % m <= (hi - lo) % m
-
-
-def _pick_side(m, mid, e1, e2, lo, ulen, run):
-    """The side of diagonal (e1, e2) that keeps the midpoint, ordered along
-    the region; ties take the smaller side."""
-    off = lambda p: (p - lo) % m
-    x, y = (e1, e2) if off(e1) <= off(e2) else (e2, e1)
-    in_fwd = _within(mid, x, y, m)
-    in_bwd = _within(mid, y, x, m)
-    if in_fwd and in_bwd:
-        return (x, y) if (y - x) % m <= (x - y) % m else (y, x)
-    if in_fwd:
-        return (x, y)
-    if in_bwd:
+    def split(self, view, w, u_far, run: Run):
+        """Re-rooted pieces cut off by one stretch, R first, then the
+        pockets; advances the region."""
+        m = view.m
+        mid = m // 2
+        i = len(w) - 1
+        far = u_far is not None
+        u_new = u_far if far else ("real", w[i - 1])
+        lo, hi = self.lo, self.hi
+        off = lambda p: (p - lo) % m
+        ulen = (hi - lo) % m + 1
         if run.audit:
-            assert ulen == m, "midpoint outside the forward cut side"
-        return (y, x)
-    raise InternalInvariantError("midpoint vanished from both cut sides")
+            for v in w:
+                assert off(v) < ulen, "walked vertex left the region"
+
+        pockets = walk_pockets(w, far, lo, m)
+        cutset = set(w)
+        if self.lo_cut:
+            cutset.add(lo)
+        if self.hi_cut:
+            cutset.add(hi)
+
+        new_cut_side = None
+        new_cut_v = None
+        left = right = None    # R's arc parts around the split
+        extra_cuts = None      # closure hits order the old and new virtuals
+        wrap = False
+        if far and u_new[0] == "virt":
+            wt = w[i]
+            e1 = u_new[1]
+            e2 = 1 + e1 % m
+            cutv = u_new[2]
+            closing_lo_edge = 1 + (lo - 2) % m   # edge (lo-1, lo)
+            # a proper interior hit lands on an edge wholly inside the
+            # region's arc; the sole exception is a full-cycle region, whose
+            # closing edge is itself real boundary
+            edge_ok = off(e1) <= ulen - 2 or ulen == m
+            generic_a = edge_ok and off(wt) <= off(e1) \
+                and in_interval(mid, wt, e1, m)
+            generic_b = edge_ok and off(e2) <= off(wt) \
+                and in_interval(mid, e2, wt, m)
+            if self.cut_side == "lo" and e1 == closing_lo_edge and ulen < m:
+                # the extension reached the sub-edge between the old virtual
+                # vertex and the region's low end
+                if not geom.on_closed_segment(cutv.point, self.cut_v.point,
+                                              view.point(lo)):
+                    raise InternalInvariantError(
+                        "edge extension escaped past the closing virtual "
+                        "vertex")
+                nxt_lo, nxt_hi = lo, wt
+                nxt_kinds = (self.lo_cut, True)
+                new_cut_side, new_cut_v = "lo", cutv
+                extra_cuts = _part_segs(wt, hi, cutset, w, pockets, m)
+                extra_cuts.append(("cut", self.cut_v))
+                extra_cuts.append(("cut", cutv))
+            elif self.cut_side == "hi" and e1 == hi and ulen < m:
+                if not geom.on_closed_segment(cutv.point, view.point(hi),
+                                              self.cut_v.point):
+                    raise InternalInvariantError(
+                        "edge extension escaped past the closing virtual "
+                        "vertex")
+                nxt_lo, nxt_hi = wt, hi
+                nxt_kinds = (True, self.hi_cut)
+                new_cut_side, new_cut_v = "hi", cutv
+                extra_cuts = _part_segs(lo, wt, cutset, w, pockets, m)
+                extra_cuts.append(("cut", cutv))
+                extra_cuts.append(("cut", self.cut_v))
+            elif generic_a:
+                # next region [wt..e1] capped by the virtual vertex at its
+                # far end
+                nxt_lo, nxt_hi = wt, e1
+                nxt_kinds = (True, False)
+                new_cut_side, new_cut_v = "hi", cutv
+                left = (lo, wt)
+                if in_interval(e2, lo, hi, m) and off(e2) > off(e1):
+                    right = (e2, hi)
+            elif generic_b:
+                nxt_lo, nxt_hi = e2, wt
+                nxt_kinds = (False, True)
+                new_cut_side, new_cut_v = "lo", cutv
+                if in_interval(e1, lo, hi, m) and off(e1) < off(e2):
+                    left = (lo, e1)
+                right = (wt, hi)
+            else:
+                raise InternalInvariantError(
+                    "edge extension left the open region")
+        else:
+            other = u_new[1]
+            if {w[i], other} == {lo, hi} and self.u_other is not None:
+                # the walk stepped onto the far endpoint of the current
+                # diagonal: nothing splits off, the diagonal's path endpoint
+                # swaps roles
+                if run.audit:
+                    assert i == 1
+                self.u_other = w[i - 1]
+                self.lo_cut = self.hi_cut = True
+                return []
+            nxt_lo, nxt_hi = pick_side(m, w[i], other, lo, ulen, run)
+            # both diagonal endpoints are handled: walked now, or (for an
+            # exact extension hit) owned by R's subtree below
+            nxt_kinds = (True, True)
+            if off(nxt_lo) > off(nxt_hi):
+                wrap = True   # first split of a full-cycle region
+            else:
+                left = (lo, nxt_lo)
+                right = (nxt_hi, hi)
+
+        # R ring: [old lo-side cut] left part [new cut_v?] right part
+        # [old hi-side cut], pockets jumped, closed by the old diagonal
+        segs = []
+        if extra_cuts is not None:
+            segs = extra_cuts
+        elif wrap:
+            if run.audit:
+                assert ulen == m and self.cut_side is None \
+                    and new_cut_v is None
+            segs.extend(_part_segs(nxt_hi, nxt_lo, cutset, w, pockets, m))
+        else:
+            if self.cut_side == "lo":
+                segs.append(("cut", self.cut_v))
+            if left is not None:
+                segs.extend(_part_segs(left[0], left[1], cutset, w, pockets,
+                                       m))
+            if new_cut_v is not None:
+                segs.append(("cut", new_cut_v))
+            if right is not None:
+                segs.extend(_part_segs(right[0], right[1], cutset, w,
+                                       pockets, m))
+            if self.cut_side == "hi":
+                segs.append(("cut", self.cut_v))
+
+        pieces = []
+        r_root = self.u_other if self.u_other is not None else w[0]
+        if segs_size(segs, m) >= 3:
+            child = rooted_piece(view, segs, r_root)
+            if run.audit:
+                assert child.m <= -(-m // 2) + i + 2, \
+                    "R breaks the split bound"
+                assert child.m <= 0.6 * m + 3, "R breaks the 6/10 decay"
+            pieces.append(child)
+        for (pa, pb, s) in pockets:
+            if (pb - pa) % m + 1 >= 3:
+                psegs = [("cutpos", pa)]
+                if (pb - pa) % m > 1:
+                    psegs.append(("range", (pa % m) + 1, 1 + (pb - 2) % m))
+                psegs.append(("cutpos", pb))
+                child = rooted_piece(view, psegs, s)
+                if run.audit:
+                    assert child.m <= -(-m // 2) + 1, \
+                        "pocket breaks the half bound"
+                pieces.append(child)
+
+        self.lo, self.hi = nxt_lo, nxt_hi
+        self.lo_cut, self.hi_cut = nxt_kinds
+        self.cut_side, self.cut_v = new_cut_side, new_cut_v
+        # the region's cut vertex nearest the source: the previous walked
+        # vertex for a near split; for a far split the walked endpoint
+        # itself (the split vertex hangs beyond it on the extension, hence
+        # farther)
+        self.u_other = w[i] if far else w[i - 1]
+        return pieces
+
+    def terminal(self, view, run: Run):
+        """The region left at the midpoint, rooted at its cut vertex nearest
+        the source."""
+        m = view.m
+        inner = []
+        if (self.hi - self.lo) % m + 1 > 2:
+            inner = [("range", (self.lo % m) + 1, 1 + (self.hi - 2) % m)]
+        segs = []
+        if self.cut_side == "lo":
+            segs.append(("cut", self.cut_v))
+        segs.append(("cutpos" if self.lo_cut else "pos", self.lo))
+        segs.extend(inner)
+        segs.append(("cutpos" if self.hi_cut else "pos", self.hi))
+        if self.cut_side == "hi":
+            segs.append(("cut", self.cut_v))
+        if (self.hi - self.lo) % m + 1 + (1 if self.cut_side else 0) < 3:
+            return None
+        return rooted_piece(view, segs, self.u_other)
 
 
-def _part_segs(view, plo, phi, cutset, walked, pockets, m):
+def _part_segs(plo, phi, cutset, walked, pockets, m):
     """Ring segments for one R part [plo..phi]: walked vertices and endpoints
     listed in `cutset` become cut entries, pocket interiors are jumped,
     everything else stays chain."""
     stations = sorted({plo, phi} | {x for x in walked
-                                    if _within(x, plo, phi, m)},
+                                    if in_interval(x, plo, phi, m)},
                       key=lambda p: (p - plo) % m)
     jumps = {(a, b) for a, b, _s in pockets}
     segs = []
@@ -413,192 +456,11 @@ def _part_segs(view, plo, phi, cutset, walked, pockets, m):
     return segs
 
 
-def _spt_split(view, reg: _Region, w, i, far, u_new, run: _SptRun):
-    """Build the re-rooted recursion pieces for one iteration and advance the
-    region.  Returns (child, child_root_local, words) triples, R first."""
-    m = view.m
-    mid = m // 2
-    lo, hi = reg.lo, reg.hi
-    off = lambda p: (p - lo) % m
-    ulen = (hi - lo) % m + 1
-    if run.audit:
-        for v in w:
-            assert off(v) < ulen, "walked vertex left the region"
-
-    # every walked edge cuts off a pocket; in the near case the last edge is
-    # the new alternating diagonal itself, whose far side is the next region
-    pockets = []
-    for j in range(i if far else i - 1):
-        pa, pb = w[j], w[j + 1]
-        if off(pa) > off(pb):
-            pa, pb = pb, pa
-        if (pb - pa) % m >= 2:
-            pockets.append((pa, pb, w[j]))
-
-    cutset = set(w[:i + 1])
-    if reg.lo_cut:
-        cutset.add(lo)
-    if reg.hi_cut:
-        cutset.add(hi)
-
-    new_cut_side = None
-    new_cut_v = None
-    left = right = None    # R's arc parts around the split
-    extra_cuts = None      # closure hits order the old and new virtuals by hand
-    wrap = False
-    if far and u_new[0] == "virt":
-        wt = w[i]
-        e1 = u_new[1]
-        e2 = 1 + e1 % m
-        cutv = u_new[2]
-        closing_lo_edge = 1 + (lo - 2) % m   # edge (lo-1, lo)
-        # a proper interior hit lands on an edge wholly inside the region's
-        # arc; the sole exception is a full-cycle region, whose closing edge
-        # is itself real boundary
-        edge_ok = off(e1) <= ulen - 2 or ulen == m
-        generic_a = edge_ok and off(wt) <= off(e1) \
-            and _within(mid, wt, e1, m)
-        generic_b = edge_ok and off(e2) <= off(wt) \
-            and _within(mid, e2, wt, m)
-        if reg.cut_side == "lo" and e1 == closing_lo_edge and ulen < m:
-            # the extension reached the sub-edge between the old virtual
-            # vertex and the region's low end
-            if not geom.on_closed_segment(cutv.point, reg.cut_v.point,
-                                          view.point(lo)):
-                raise InternalInvariantError(
-                    "edge extension escaped past the closing virtual vertex")
-            nxt_lo, nxt_hi = lo, wt
-            nxt_kinds = (reg.lo_cut, True)
-            new_cut_side, new_cut_v = "lo", cutv
-            segs_override = _part_segs(view, wt, hi, cutset, w[:i + 1],
-                                       pockets, m)
-            segs_override.append(("cut", reg.cut_v))
-            segs_override.append(("cut", cutv))
-            extra_cuts = segs_override
-        elif reg.cut_side == "hi" and e1 == hi and ulen < m:
-            if not geom.on_closed_segment(cutv.point, view.point(hi),
-                                          reg.cut_v.point):
-                raise InternalInvariantError(
-                    "edge extension escaped past the closing virtual vertex")
-            nxt_lo, nxt_hi = wt, hi
-            nxt_kinds = (True, reg.hi_cut)
-            new_cut_side, new_cut_v = "hi", cutv
-            segs_override = _part_segs(view, lo, wt, cutset, w[:i + 1],
-                                       pockets, m)
-            segs_override.append(("cut", cutv))
-            segs_override.append(("cut", reg.cut_v))
-            extra_cuts = segs_override
-        elif generic_a:
-            # next region [wt..e1] capped by the virtual vertex at its far end
-            nxt_lo, nxt_hi = wt, e1
-            nxt_kinds = (True, False)
-            new_cut_side, new_cut_v = "hi", cutv
-            left = (lo, wt)
-            if _within(e2, lo, hi, m) and off(e2) > off(e1):
-                right = (e2, hi)
-        elif generic_b:
-            nxt_lo, nxt_hi = e2, wt
-            nxt_kinds = (False, True)
-            new_cut_side, new_cut_v = "lo", cutv
-            if _within(e1, lo, hi, m) and off(e1) < off(e2):
-                left = (lo, e1)
-            right = (wt, hi)
-        else:
-            raise InternalInvariantError(
-                "edge extension left the open region")
-    else:
-        other = u_new[1]
-        if {w[i], other} == {lo, hi} and reg.u_other is not None:
-            # the walk stepped onto the far endpoint of the current diagonal:
-            # nothing splits off, the diagonal's path endpoint swaps roles
-            if run.audit:
-                assert i == 1
-            reg.u_other = w[i - 1]
-            reg.lo_cut = reg.hi_cut = True
-            return []
-        nxt_lo, nxt_hi = _pick_side(m, mid, w[i], other, lo, ulen, run)
-        # both diagonal endpoints are handled: walked now, or (for an exact
-        # extension hit) owned by R's subtree below
-        nxt_kinds = (True, True)
-        if (nxt_lo - lo) % m > (nxt_hi - lo) % m:
-            wrap = True   # first split of a full-cycle region
-        else:
-            left = (lo, nxt_lo)
-            right = (nxt_hi, hi)
-
-    # R ring: [old lo-side cut] left part [new cut_v?] right part
-    # [old hi-side cut], pockets jumped, closed by the old diagonal
-    segs = []
-    if extra_cuts is not None:
-        segs = extra_cuts
-    elif wrap:
-        if run.audit:
-            assert ulen == m and reg.cut_side is None and new_cut_v is None
-        segs.extend(_part_segs(view, nxt_hi, nxt_lo, cutset, w[:i + 1],
-                               pockets, m))
-    else:
-        if reg.cut_side == "lo":
-            segs.append(("cut", reg.cut_v))
-        if left is not None:
-            segs.extend(_part_segs(view, left[0], left[1], cutset, w[:i + 1],
-                                   pockets, m))
-        if new_cut_v is not None:
-            segs.append(("cut", new_cut_v))
-        if right is not None:
-            segs.extend(_part_segs(view, right[0], right[1], cutset,
-                                   w[:i + 1], pockets, m))
-        if reg.cut_side == "hi":
-            segs.append(("cut", reg.cut_v))
-
-    pieces = []
-    r_root = reg.u_other if reg.u_other is not None else w[0]
-    r_size = _segs_size(segs, m)
-    if r_size >= 3:
-        child, child_root = _build_piece(view, segs, r_root)
-        if run.audit:
-            assert child.m <= -(-m // 2) + i + 2, "R breaks the split bound"
-            assert child.m <= 0.6 * m + 3, "R breaks the 6/10 decay"
-        pieces.append((child, child_root, child.descriptor_words))
-    for (pa, pb, s) in pockets:
-        if (pb - pa) % m + 1 >= 3:
-            psegs = [("cutpos", pa)]
-            if (pb - pa) % m > 1:
-                psegs.append(("range", (pa % m) + 1, 1 + (pb - 2) % m))
-            psegs.append(("cutpos", pb))
-            child, child_root = _build_piece(view, psegs, s)
-            if run.audit:
-                assert child.m <= -(-m // 2) + 1, "pocket breaks the half bound"
-            pieces.append((child, child_root, child.descriptor_words))
-
-    reg.lo, reg.hi = nxt_lo, nxt_hi
-    reg.lo_cut, reg.hi_cut = nxt_kinds
-    reg.cut_side, reg.cut_v = new_cut_side, new_cut_v
-    reg.u_other = _closer_cut_after(reg, w, i, far, u_new)
-    return pieces
-
-
-def _closer_cut_after(reg: _Region, w, i, far, u_new):
-    """The region's cut vertex nearest the source: the previous walked vertex
-    for a near split; for a far split the walked endpoint itself (the split
-    vertex hangs beyond it on the extension, hence farther)."""
-    return w[i] if far else w[i - 1]
-
-
-def _segs_size(segs, m):
-    total = 0
-    for s in segs:
-        if s[0] == "range":
-            total += (s[2] - s[1]) % m + 1
-        else:
-            total += 1
-    return total
-
-
 # ---------------------------------------------------------------------------
 # placement handling and the public wrapper
 
 def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
-        mode: MeterMode = MeterMode.STRICT, L: int = 64,
+        mode: MeterMode = MeterMode.STRICT, L: int = L_DEFAULT,
         kappa: float = KAPPA_DEFAULT, seed: int = 0,
         stats: Optional[RunStats] = None,
         meter: Optional[WorkspaceMeter] = None,
@@ -607,29 +469,17 @@ def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
     the closed polygon).  Emits (parent, child) base-reference pairs; a
     non-vertex root appears as parent 0.  Returns (sink, meter, stats)."""
     n = polygon.n
-    if s > n:
-        s = n
-    if mode is MeterMode.STRICT and s < required_budget(n) \
-            and IN_MEMORY_FACTOR * s < n:
-        raise PolygonInputError(
-            f"strict mode requires s >= {required_budget(n)} for n={n}")
+    tau, meter, stats = setup_budget(n, s, mode, L, meter, stats)
     if sink is None:
         sink = CollectingSptSink()
-    if meter is None:
-        meter = WorkspaceMeter(L * s, mode)
-    if stats is None:
-        stats = RunStats()
     if audit is None:
         audit = n <= AUDIT_MAX_M
-    run = _SptRun(sink, meter, stats, random.Random(seed), kappa, audit)
-    tau = max(s, TAU_FLOOR)
+    run = Run(_Region, sink, meter, stats, random.Random(seed), kappa, audit)
 
     if isinstance(p, int):
         if not 1 <= p <= n:
             raise PolygonInputError(f"root vertex {p} out of range")
-        view = SubpolygonView.whole(polygon, start=p)
-        with meter.scoped(view.descriptor_words):
-            _spt_rec(view, 1, tau, run, 0)
+        solve(SubpolygonView.whole(polygon, start=p), tau, run)
         sink.finish()
         return sink, meter, stats
 
@@ -684,8 +534,7 @@ def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
             continue  # a degenerate sliver with fewer than 3 vertices
         if child.m < 3:
             continue
-        with meter.scoped(child.descriptor_words):
-            _spt_rec(child, 1, tau, run, 0)
+        solve(child, tau, run)
     sink.finish()
     return sink, meter, stats
 
@@ -745,33 +594,14 @@ class _PointOrigin:
 
 
 def _reflex_repair_from_point(view, p, hit) -> Optional[int]:
-    """Widest-angle reflex vertex inside the triangle (p, p_n, hit point), or
-    None when the triangle holds no visible reflex vertex (possible when p is
-    collinear with two polygon vertices; the caller then scans directly)."""
+    """Widest-angle reflex vertex inside the triangle (p, p_n, hit point),
+    for either endpoint p_n of the hit edge, or None when no such triangle
+    holds a visible reflex vertex (possible when p is collinear with two
+    polygon vertices; the caller then scans directly)."""
     for p_n in (hit.edge, 1 + hit.edge % view.m):
-        P = view.point(p_n)
-        ot = geom.orient(p, P, hit.point)
-        if ot == geom.COLLINEAR:
+        if geom.orient(p, view.point(p_n), hit.point) == geom.COLLINEAR:
             continue
-        best = None
-        best_dir = None
-        for k in range(1, view.m + 1):
-            if k == p_n:
-                continue
-            X = view.point(k)
-            if geom.orient(p, P, X) != ot \
-                    or geom.orient(P, hit.point, X) != ot \
-                    or geom.orient(hit.point, p, X) != ot:
-                continue
-            if not geom.is_reflex(view, k):
-                continue
-            d = (X[0] - p[0], X[1] - p[1])
-            if best is None:
-                best, best_dir = k, d
-            else:
-                c = geom.cross(best_dir[0], best_dir[1], d[0], d[1])
-                if c != 0 and (c > 0) == (ot > 0):
-                    best, best_dir = k, d
+        best = geom.max_angle_reflex_in_triangle(view, p, p_n, hit.point)
         if best is not None and geom.point_sees_vertex(view, p, best):
             return best
     return None

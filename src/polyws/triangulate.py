@@ -5,6 +5,10 @@ vertex, cutting the polygon at alternating diagonals as they appear (or are
 manufactured after tau steps), recursing on the pieces with a geometrically
 shrinking workspace allowance, and streaming every diagonal to a write-only
 sink exactly once.  Small pieces are triangulated in memory by ear clipping.
+
+The walk and its recursion (Run, solve, _walk_level) are the one engine of
+the package: shortest-path trees (spt.py) run it with their own strategy in
+place of WalkState, the triangulation strategy defined here.
 """
 from __future__ import annotations
 
@@ -16,8 +20,9 @@ import numpy as np
 from . import geom
 from .errors import InternalInvariantError, PolygonInputError
 from .geodesic import GeodesicCursor
-from .workspace import (BasePolygon, MeterMode, RunStats, SubpolygonView,
-                        WorkspaceMeter, is_alternating, null_meter)
+from .workspace import (L_DEFAULT, BasePolygon, MeterMode, RunStats,
+                        SubpolygonView, WorkspaceMeter, is_alternating,
+                        null_meter)
 
 KAPPA_DEFAULT = 0.9          # workspace decay per recursion level
 IN_MEMORY_FACTOR = 10        # fits in memory when 10*tau >= m
@@ -448,6 +453,9 @@ def find_alternating_diagonal(view, u_prime: Optional[int], w: Sequence[int],
     else:
         scans += 1
         u = geom.max_angle_reflex_in_triangle(view, wt, p_n, hit.point)
+        if u is None:
+            raise InternalInvariantError(
+                "no reflex vertex inside the blocking triangle")
         if audit and not geom.is_visible(view, wt, u):
             raise InternalInvariantError("reflex repair produced a hidden vertex")
     if stats is not None:
@@ -459,46 +467,323 @@ def find_alternating_diagonal(view, u_prime: Optional[int], w: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# the recursion
+# the walk engine, shared with shortest-path trees (spt.py)
 
-class WalkState:
-    """Per-level walk bookkeeping: the current alternating diagonal (possibly
-    degenerate), its endpoint on the walked path, and the stored path buffer."""
+class Run:
+    """Shared configuration of one run of the walk engine.
 
-    __slots__ = ("v_c", "u_other", "reg_lo", "reg_hi", "walked", "w")
+    `strategy` is a class whose instances hold one walk level's region
+    bookkeeping (WalkState here, spt._Region for trees).  The engine calls
+    strategy.base(view, run) on pieces that fit in memory, strategy(m) at
+    the start of each walk level, and on that instance, per stretch of
+    walked vertices w (w[0] the current vertex, w[-1] the last one pulled):
+    emit_walked(view, w, run), then far(view, w, run) when the stretch ran
+    tau same-type steps, then split(view, w, u_far, run) -> pieces (u_far
+    is far()'s result, None after an alternating step); after the midpoint,
+    terminal(view, run) -> piece or None.
+    """
 
-    def __init__(self, m: int):
-        self.v_c = 1
-        self.u_other: Optional[int] = None   # degenerate start diagonal
-        self.reg_lo = 1                      # untriangulated region lo..hi
-        self.reg_hi = m
-        self.walked = 1
-        self.w: List[int] = []
+    __slots__ = ("strategy", "sink", "meter", "stats", "rng", "kappa", "audit")
+
+    def __init__(self, strategy, sink, meter=None, stats=None, rng=None,
+                 kappa=KAPPA_DEFAULT, audit=True):
+        self.strategy = strategy
+        self.sink = sink
+        self.meter = meter if meter is not None else null_meter()
+        self.stats = stats if stats is not None else RunStats()
+        self.rng = rng if rng is not None else random.Random(0)
+        self.kappa = kappa
+        self.audit = audit
 
 
-def _interval_len(lo, hi, m):
+def setup_budget(n: int, s: int, mode: MeterMode, L: int,
+                 meter: Optional[WorkspaceMeter],
+                 stats: Optional[RunStats]):
+    """Clamp s to n, enforce the strict-mode precondition s >= 8*ceil(log2 n)
+    (waived when the polygon fits in memory), and make the meter (L*s words)
+    and counters the caller did not pass.  Returns (tau, meter, stats)."""
+    if s > n:
+        s = n
+    if mode is MeterMode.STRICT and s < required_budget(n) \
+            and IN_MEMORY_FACTOR * s < n:
+        raise PolygonInputError(
+            f"strict mode requires s >= {required_budget(n)} for n={n}")
+    if meter is None:
+        meter = WorkspaceMeter(L * s, mode)
+    if stats is None:
+        stats = RunStats()
+    return max(s, TAU_FLOOR), meter, stats
+
+
+def solve(root, tau: float, run: Run) -> None:
+    """Run the engine on a top-level view, charging its descriptor."""
+    with run.meter.scoped(root.descriptor_words):
+        _recurse(root, tau, run, 0)
+
+
+def _recurse(view, tau: float, run: Run, level: int) -> None:
+    m = view.m
+    if m < 3:
+        return
+    run.stats.depth = max(run.stats.depth, level)
+    meter = run.meter
+    with meter.frame():
+        if IN_MEMORY_FACTOR * tau >= m:
+            run.strategy.base(view, run)
+        elif tau > TAU_FLOOR:
+            _walk_level(view, int(tau), run, level)
+        elif meter.mode is MeterMode.STRICT:
+            # unreachable when s >= 8*ceil(log2 n)
+            raise InternalInvariantError(
+                f"recursion ran out of workspace (tau={tau:.1f}, m={m})")
+        else:
+            meter.overage_flag = True   # permissive runs fall back
+            run.strategy.base(view, run)
+
+
+def _walk_level(view, tau: int, run: Run, level: int) -> None:
+    """Walk the geodesic from local vertex 1 to the midpoint in stretches
+    that end at an alternating diagonal (or, after tau same-type steps, at
+    one the far case supplies), recursing on the pieces each stretch cuts
+    off, then on the terminal piece."""
+    m = view.m
+    mid = m // 2
+    meter = run.meter
+    stats = run.stats
+    region = run.strategy(m)
+    cursor_rng = random.Random(run.rng.getrandbits(64))
+    with meter.scoped(GeodesicCursor.WORDS + WALK_SCALARS):
+        cursor = GeodesicCursor(view, 1, mid, cursor_rng, stats)
+        v_c = 1
+        while v_c != mid:
+            w = []    # the walk buffer: one charged word per entry
+            try:
+                meter.alloc(1)
+                w.append(v_c)
+                far = False
+                while True:
+                    nxt = cursor.next_vertex()
+                    meter.alloc(1)
+                    w.append(nxt)
+                    if is_alternating(w[-2], nxt, m):
+                        break
+                    if len(w) > tau:
+                        far = True
+                        break
+                region.emit_walked(view, w, run)
+                u_far = None
+                if far:
+                    stats.far_calls += 1
+                    u_far = region.far(view, w, run)
+                for child in region.split(view, w, u_far, run):
+                    stats.pieces += 1
+                    with meter.scoped(child.descriptor_words):
+                        _recurse(child, tau * run.kappa, run, level + 1)
+            finally:
+                meter.release(len(w))
+            v_c = w[-1]
+        child = region.terminal(view, run)
+        if child is not None:
+            stats.pieces += 1
+            with meter.scoped(child.descriptor_words):
+                _recurse(child, tau * run.kappa, run, level + 1)
+
+
+def interval_len(lo, hi, m):
     return (hi - lo) % m + 1
 
 
-def _in_interval(x, lo, hi, m):
+def in_interval(x, lo, hi, m):
     return (x - lo) % m <= (hi - lo) % m
 
 
-def _piece_from_segs(view, segs, start):
+def segs_size(segs, m):
+    """Vertex count of a piece built from these boundary segments."""
+    return sum(interval_len(s[1], s[2], m) if s[0] == "range" else 1
+               for s in segs)
+
+
+def rooted_piece(view, segs, root: int):
+    """Child view over `segs`, rotated so that the parent's local vertex
+    `root` is its local vertex 1, where the child's walk starts."""
     child = view.subview(segs)
-    if start != 1:
-        # rotate so the designated start vertex is local 1
-        k = None
-        for i in range(1, child.m + 1):
-            if child.base_ref(i) == view.base_ref(start) \
-                    and child.point(i) == view.point(start):
-                k = i
-                break
-        if k is None:
-            raise InternalInvariantError("start vertex missing from piece")
-        if k != 1:
-            child = child.subview([("range", k, 1 + (k - 2) % child.m)])
-    return child
+    root_ref = view.base_ref(root)
+    root_pt = view.point(root)
+    for k in range(1, child.m + 1):
+        if child.base_ref(k) == root_ref and child.point(k) == root_pt:
+            if k == 1:
+                return child
+            return child.subview([("range", k, 1 + (k - 2) % child.m)])
+    raise InternalInvariantError("piece root missing from its ring")
+
+
+def pick_side(m, e1, e2, lo, ulen, run):
+    """The side of diagonal (e1, e2) that keeps the midpoint, as (lo, hi) of
+    the next region, with the endpoints ordered along the region that starts
+    at lo.  A tie (a cut incident to the midpoint) takes the smaller side, so
+    that the terminal piece obeys the half bound."""
+    mid = m // 2
+    x, y = (e1, e2) if (e1 - lo) % m <= (e2 - lo) % m else (e2, e1)
+    in_fwd = in_interval(mid, x, y, m)
+    in_bwd = in_interval(mid, y, x, m)
+    if in_fwd and in_bwd:
+        return (x, y) if (y - x) % m <= (x - y) % m else (y, x)
+    if in_fwd:
+        return (x, y)
+    if in_bwd:
+        if run.audit:
+            assert ulen == m, "midpoint outside the forward side of the cut"
+        return (y, x)
+    raise InternalInvariantError("midpoint vanished from both cut sides")
+
+
+def walk_pockets(w, far, lo, m):
+    """(pa, pb, root) per walked edge that cuts off a pocket, its endpoints
+    ordered along the region that starts at lo.  In the near case the last
+    edge is the new alternating diagonal itself, whose far side is the next
+    region."""
+    pockets = []
+    for j in range(len(w) - 1 if far else len(w) - 2):
+        pa, pb = w[j], w[j + 1]
+        if (pa - lo) % m > (pb - lo) % m:
+            pa, pb = pb, pa
+        if (pb - pa) % m >= 2:
+            pockets.append((pa, pb, w[j]))
+    return pockets
+
+
+# ---------------------------------------------------------------------------
+# the triangulation strategy
+
+class WalkState:
+    """Triangulation strategy and one level's bookkeeping: the far endpoint
+    of the current alternating diagonal (None while it is degenerate) and
+    the untriangulated region lo..hi that the diagonal closes."""
+
+    __slots__ = ("u_other", "reg_lo", "reg_hi")
+
+    def __init__(self, m: int):
+        self.u_other: Optional[int] = None
+        self.reg_lo = 1
+        self.reg_hi = m
+
+    @staticmethod
+    def base(view, run: Run) -> None:
+        triangulate_in_memory(view, run.sink, run.meter)
+
+    def _current_diagonal(self, w):
+        return (w[0], self.u_other) if self.u_other is not None else None
+
+    def emit_walked(self, view, w, run: Run) -> None:
+        a_c = self._current_diagonal(w)
+        for j in range(1, len(w)):
+            _maybe_emit(view, w[j - 1], w[j], a_c, run)
+
+    def far(self, view, w, run: Run) -> int:
+        """Manufacture an alternating diagonal (w[-1], u) and emit it."""
+        u = find_alternating_diagonal(view, self.u_other, w, run.stats,
+                                      audit=run.audit)
+        _maybe_emit(view, u, w[-1], self._current_diagonal(w), run)
+        return u
+
+    def split(self, view, w, u_far, run: Run):
+        """Pieces cut off by one stretch, R first, then the pockets; advances
+        the region to the side of the new diagonal that keeps the midpoint."""
+        m = view.m
+        i = len(w) - 1
+        far = u_far is not None
+        u_new = u_far if far else w[i - 1]
+        lo, hi = self.reg_lo, self.reg_hi
+        ulen = interval_len(lo, hi, m)
+        if run.audit:
+            for v in w:
+                assert (v - lo) % m < ulen, \
+                    "walked vertex left the open region"
+
+        x, y = u_new, w[i]
+        if {x, y} == {lo, hi} and self.u_other is not None:
+            # the walk stepped onto the far endpoint of the current diagonal:
+            # nothing is split off, the region merely re-anchors
+            if run.audit:
+                assert i == 1
+            self.u_other = u_new
+            return []
+        nxt_lo, nxt_hi = pick_side(m, x, y, lo, ulen, run)
+        if (nxt_lo - lo) % m <= (nxt_hi - lo) % m:
+            # both cut endpoints stay on R's ring even when they coincide
+            # with the region endpoints (then the part is a single vertex)
+            r_parts = [(lo, nxt_lo), (nxt_hi, hi)]
+        else:
+            r_parts = [(nxt_hi, nxt_lo)]
+
+        pockets = walk_pockets(w, far, lo, m)
+        segs = []
+        for (plo, phi) in r_parts:
+            if plo == phi:
+                segs.append(("pos", plo))
+                continue
+            skips = sorted(((a, b) for a, b, _s in pockets
+                            if in_interval(a, plo, phi, m)
+                            and in_interval(b, plo, phi, m)),
+                           key=lambda p: (p[0] - plo) % m)
+            segs.extend(_segs_with_skips(plo, phi, m, skips))
+
+        pieces = []
+        if segs_size(segs, m) >= 3:
+            child = rooted_piece(view, segs, u_new)
+            if run.audit:
+                # a boundary-edge cut splits off nothing, so only the 6/10
+                # decay binds; a proper alternating diagonal obeys the
+                # half+k bound (+2 because closed components share the
+                # diagonal endpoints)
+                if (y - x) % m not in (1, m - 1):
+                    bound = -(-m // 2) + i + 2
+                    assert child.m <= bound, \
+                        f"R size {child.m} breaks the split bound {bound}"
+                assert child.m <= 0.6 * m + 3, "R size breaks the 6/10 decay"
+            pieces.append(child)
+        for (pa, pb, s) in pockets:
+            if interval_len(pa, pb, m) >= 3:
+                child = rooted_piece(view, [("range", pa, pb)], s)
+                if run.audit:
+                    assert child.m <= -(-m // 2) + 1, \
+                        "pocket breaks the half bound"
+                    assert child.m <= 0.6 * m + 2, \
+                        "pocket breaks the 6/10 decay"
+                pieces.append(child)
+        self.reg_lo, self.reg_hi = nxt_lo, nxt_hi
+        self.u_other = u_new
+        return pieces
+
+    def terminal(self, view, run: Run):
+        """The region left when the walk reaches the midpoint, rooted there."""
+        m = view.m
+        lo, hi = self.reg_lo, self.reg_hi
+        if interval_len(lo, hi, m) < 3:
+            return None
+        child = rooted_piece(view, [("range", lo, hi)], m // 2)
+        if run.audit:
+            assert child.m <= -(-m // 2) + 1, "terminal piece too large"
+        return child
+
+
+def _maybe_emit(view, a, b, a_c, run: Run):
+    m = view.m
+    if (b - a) % m in (1, m - 1):
+        return  # boundary element of the view: polygon edge or parent cut
+    if a_c is not None and {a, b} == {a_c[0], a_c[1]}:
+        return  # the current alternating diagonal was emitted previously
+    ra = view.base_ref(a)
+    rb = view.base_ref(b)
+    if ra is None or rb is None:
+        raise InternalInvariantError("virtual vertex in emitted diagonal")
+    if run.audit:
+        n = view.base.n
+        if (rb - ra) % n in (1, n - 1):
+            raise InternalInvariantError("emitted diagonal is a base edge")
+        if not geom.is_visible(view, a, b):
+            raise InternalInvariantError("emitted diagonal leaves the polygon")
+    run.sink.emit_diagonal(ra, rb)
 
 
 def _segs_with_skips(lo, hi, m, skips):
@@ -519,27 +804,13 @@ def _segs_with_skips(lo, hi, m, skips):
     return segs
 
 
-class _Run:
-    """Shared immutable configuration of one triangulation run."""
-
-    __slots__ = ("sink", "meter", "stats", "rng", "kappa", "audit")
-
-    def __init__(self, sink, meter, stats, rng, kappa, audit):
-        self.sink = sink
-        self.meter = meter
-        self.stats = stats
-        self.rng = rng
-        self.kappa = kappa
-        self.audit = audit
-
-
-def triangulate(view, start: int, tau: float, sink: TriangulationSink,
+def triangulate(view, tau: float, sink: TriangulationSink,
                 meter: Optional[WorkspaceMeter] = None, *,
                 rng: Optional[random.Random] = None,
                 stats: Optional[RunStats] = None,
                 kappa: float = KAPPA_DEFAULT,
                 audit: Optional[bool] = None) -> RunStats:
-    """Triangulate a view, starting the geodesic walk at local vertex `start`.
+    """Triangulate a view, starting the geodesic walk at its local vertex 1.
 
     Emits exactly m-3 interior diagonals to the sink (plus triangles with
     adjacency when the sink collects them).  `tau` is the workspace parameter
@@ -549,220 +820,12 @@ def triangulate(view, start: int, tau: float, sink: TriangulationSink,
         raise PolygonInputError("kappa must lie in (0.6, 1)")
     if tau < TAU_FLOOR:
         raise PolygonInputError(f"tau must be at least {TAU_FLOOR}")
-    meter = meter if meter is not None else null_meter()
-    stats = stats if stats is not None else RunStats()
-    rng = rng if rng is not None else random.Random(0)
-    audit = (view.m <= AUDIT_MAX_M) if audit is None else audit
-    run = _Run(sink, meter, stats, rng, kappa, audit)
-    root = view if start == 1 else _piece_from_segs(
-        view, [("range", start, 1 + (start - 2) % view.m)], 1)
-    with meter.scoped(root.descriptor_words):
-        _triangulate_rec(root, tau, run, 0)
+    if audit is None:
+        audit = view.m <= AUDIT_MAX_M
+    run = Run(WalkState, sink, meter, stats, rng, kappa, audit)
+    solve(view, tau, run)
     sink.finish()
-    return stats
-
-
-def _triangulate_rec(view, tau: float, run: _Run, level: int) -> None:
-    m = view.m
-    if m < 3:
-        return
-    run.stats.depth = max(run.stats.depth, level)
-    meter = run.meter
-    with meter.frame():
-        if IN_MEMORY_FACTOR * tau >= m:
-            with meter.scoped(_in_memory_words(m)):
-                tris = ear_clip(view)
-                _emit_base_case(view, tris, run.sink)
-            return
-        if tau <= TAU_FLOOR:
-            # unreachable when s >= 8*ceil(log2 n); permissive runs fall back
-            if meter.mode is MeterMode.STRICT:
-                raise InternalInvariantError(
-                    f"recursion ran out of workspace (tau={tau:.1f}, m={m})")
-            meter.overage_flag = True
-            with meter.scoped(_in_memory_words(m)):
-                tris = ear_clip(view)
-                _emit_base_case(view, tris, run.sink)
-            return
-        _walk_level(view, int(tau), run, level)
-
-
-def _walk_level(view, tau: int, run: _Run, level: int) -> None:
-    m = view.m
-    mid = m // 2
-    meter = run.meter
-    stats = run.stats
-    st = WalkState(m)
-    cursor_rng = random.Random(run.rng.getrandbits(64))
-    with meter.scoped(GeodesicCursor.WORDS + WALK_SCALARS):
-        cursor = GeodesicCursor(view, 1, mid, cursor_rng, stats)
-        while st.walked != mid:
-            w = [st.v_c]
-            meter.alloc(1)
-            i = 0
-            far = False
-            while True:
-                nxt = cursor.next_vertex()
-                w.append(nxt)
-                meter.alloc(1)
-                i += 1
-                if is_alternating(w[i - 1], w[i], m):
-                    break
-                if i == tau:
-                    far = True
-                    break
-            try:
-                if far:
-                    stats.far_calls += 1
-                    u_new = find_alternating_diagonal(
-                        view, st.u_other, w, stats, audit=run.audit)
-                    a_new = (w[i], u_new)
-                else:
-                    u_new = w[i - 1]
-                    a_new = (w[i - 1], w[i])
-                _emit_walk_diagonals(view, w, i, far, a_new, st, run)
-                pieces = _split_iteration(view, st, w, i, far, a_new, run)
-                for child, words in pieces:
-                    stats.pieces += 1
-                    with meter.scoped(words):
-                        _triangulate_rec(child, tau * run.kappa, run, level + 1)
-            finally:
-                meter.release(len(w))
-            st.u_other = a_new[1] if a_new[0] == w[i] else a_new[0]
-            st.v_c = w[i]
-            st.walked = w[i]
-        # the walk reached the midpoint: the remaining region is one piece
-        lo, hi = st.reg_lo, st.reg_hi
-        if _interval_len(lo, hi, m) >= 3:
-            segs = [("range", lo, hi)]
-            child = _piece_from_segs(view, segs, st.walked)
-            if run.audit:
-                assert child.m <= -(-m // 2) + 1, "terminal piece too large"
-            stats.pieces += 1
-            with meter.scoped(child.descriptor_words):
-                _triangulate_rec(child, tau * run.kappa, run, level + 1)
-
-
-def _emit_walk_diagonals(view, w, i, far, a_new, st: WalkState, run: _Run):
-    a_c = (st.v_c, st.u_other) if st.u_other is not None else None
-    for j in range(1, i + 1):
-        _maybe_emit(view, w[j - 1], w[j], a_c, run)
-    if far:
-        _maybe_emit(view, a_new[1], a_new[0], a_c, run)
-
-
-def _maybe_emit(view, a, b, a_c, run: _Run):
-    m = view.m
-    if (b - a) % m in (1, m - 1):
-        return  # boundary element of the view: polygon edge or parent cut
-    if a_c is not None and {a, b} == {a_c[0], a_c[1]}:
-        return  # the current alternating diagonal was emitted previously
-    ra = view.base_ref(a)
-    rb = view.base_ref(b)
-    if ra is None or rb is None:
-        raise InternalInvariantError("virtual vertex in emitted diagonal")
-    if run.audit:
-        n = view.base.n
-        if (rb - ra) % n in (1, n - 1):
-            raise InternalInvariantError("emitted diagonal is a base edge")
-        if not geom.is_visible(view, a, b):
-            raise InternalInvariantError("emitted diagonal leaves the polygon")
-    run.sink.emit_diagonal(ra, rb)
-
-
-def _split_iteration(view, st: WalkState, w, i, far, a_new, run: _Run):
-    """Build the recursion pieces for one walk iteration and advance the
-    untriangulated-region interval.  Returns (child, start, words) triples in
-    recursion order (R first, then the pockets)."""
-    m = view.m
-    mid = m // 2
-    lo, hi = st.reg_lo, st.reg_hi
-    off = lambda p: (p - lo) % m
-    ulen = _interval_len(lo, hi, m)
-    if run.audit:
-        for v in w:
-            assert off(v) < ulen, "walked vertex left the open region"
-
-    x, y = a_new
-    if {x, y} == {lo, hi} and st.u_other is not None:
-        # the walk stepped onto the far endpoint of the current diagonal:
-        # nothing is split off, the region merely re-anchors
-        st.reg_lo, st.reg_hi = lo, hi
-        if run.audit:
-            assert i == 1
-        return []
-    # order the cut endpoints along the region, then pick the side of the cut
-    # that keeps the midpoint; a tie (cut incident to the midpoint) takes the
-    # smaller side so the terminal piece obeys the half bound
-    if off(x) > off(y):
-        x, y = y, x
-    in_fwd = _in_interval(mid, x, y, m)
-    in_bwd = _in_interval(mid, y, x, m)
-    if in_fwd and in_bwd:
-        take_fwd = _interval_len(x, y, m) <= _interval_len(y, x, m)
-    elif in_fwd:
-        take_fwd = True
-    elif in_bwd:
-        take_fwd = False
-        if run.audit:
-            assert ulen == m, "midpoint outside the forward side of the cut"
-    else:
-        raise InternalInvariantError("midpoint vanished from both cut sides")
-    if take_fwd:
-        nxt_lo, nxt_hi = x, y
-        # both cut endpoints stay on R's ring even when they coincide with
-        # the region endpoints (then the part is a single vertex)
-        r_parts = [(lo, x), (y, hi)]
-    else:
-        nxt_lo, nxt_hi = y, x
-        r_parts = [(x, y)]
-
-    # every walked edge cuts off a pocket; in the near case the last edge is
-    # the new alternating diagonal itself, whose far side is the next region
-    pockets = []
-    for j in range(i if far else i - 1):
-        pa, pb = w[j], w[j + 1]
-        if off(pa) > off(pb):
-            pa, pb = pb, pa
-        if (pb - pa) % m >= 2:
-            pockets.append((pa, pb, w[j]))
-    segs = []
-    for (plo, phi) in r_parts:
-        if plo == phi:
-            segs.append(("pos", plo))
-            continue
-        skips = sorted(((a, b) for a, b, _s in pockets
-                        if _in_interval(a, plo, phi, m)
-                        and _in_interval(b, plo, phi, m)),
-                       key=lambda p: (p[0] - plo) % m)
-        segs.extend(_segs_with_skips(plo, phi, m, skips))
-
-    pieces = []
-    r_start = a_new[1] if far else w[i - 1]
-    r_size = sum((_interval_len(s[1], s[2], m) if s[0] == "range" else 1)
-                 for s in segs)
-    if r_size >= 3:
-        child = _piece_from_segs(view, segs, r_start)
-        if run.audit:
-            # a boundary-edge cut splits off nothing, so only the 6/10 decay
-            # binds; a proper alternating diagonal obeys the half+k bound
-            # (+2 because closed components share the diagonal endpoints)
-            if (a_new[1] - a_new[0]) % m not in (1, m - 1):
-                bound = -(-m // 2) + i + 2
-                assert child.m <= bound, \
-                    f"R size {child.m} breaks the split bound {bound}"
-            assert child.m <= 0.6 * m + 3, "R size breaks the 6/10 decay"
-        pieces.append((child, child.descriptor_words))
-    for (pa, pb, s) in pockets:
-        psize = _interval_len(pa, pb, m)
-        if psize >= 3:
-            child = _piece_from_segs(view, [("range", pa, pb)], s)
-            if run.audit:
-                assert child.m <= -(-m // 2) + 1, "pocket breaks the half bound"
-                assert child.m <= 0.6 * m + 2, "pocket breaks the 6/10 decay"
-            pieces.append((child, child.descriptor_words))
-    st.reg_lo, st.reg_hi = nxt_lo, nxt_hi
-    return pieces
+    return run.stats
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +833,8 @@ def _split_iteration(view, st: WalkState, w, i, far, a_new, run: _Run):
 
 def triangulate_polygon(polygon: BasePolygon, s: int,
                         sink: Optional[TriangulationSink] = None, *,
-                        start: int = 1,
                         mode: MeterMode = MeterMode.STRICT,
-                        L: int = 64,
+                        L: int = L_DEFAULT,
                         kappa: float = KAPPA_DEFAULT,
                         seed: int = 0,
                         stats: Optional[RunStats] = None,
@@ -783,20 +845,9 @@ def triangulate_polygon(polygon: BasePolygon, s: int,
     Returns (sink, meter, stats).  In strict mode s must satisfy
     s >= 8*ceil(log2 n) so the recursion cannot run out of space.
     """
-    n = polygon.n
-    if s > n:
-        s = n
-    if mode is MeterMode.STRICT and s < required_budget(n) \
-            and IN_MEMORY_FACTOR * s < n:
-        raise PolygonInputError(
-            f"strict mode requires s >= {required_budget(n)} for n={n}")
+    tau, meter, stats = setup_budget(polygon.n, s, mode, L, meter, stats)
     if sink is None:
         sink = CollectingSink()
-    if meter is None:
-        meter = WorkspaceMeter(L * s, mode)
-    if stats is None:
-        stats = RunStats()
-    view = SubpolygonView.whole(polygon, start=start)
-    triangulate(view, 1, max(s, TAU_FLOOR), sink, meter,
+    triangulate(SubpolygonView.whole(polygon), tau, sink, meter,
                 rng=random.Random(seed), stats=stats, kappa=kappa, audit=audit)
     return sink, meter, stats

@@ -27,7 +27,6 @@ from .errors import (BudgetExceededError, InternalInvariantError,
                      PolygonInputError, UsageError)
 
 FRAME_WORDS = 8       # implicit cost of one live recursion frame
-CURSOR_WORDS = 16     # a geodesic cursor's whole state
 L_DEFAULT = 64        # budget_words = L * s
 
 
@@ -186,11 +185,19 @@ class WorkspaceMeter:
 
     @contextmanager
     def frame(self):
-        self.enter_frame()
+        """One recursion level.  A normal exit checks that the level
+        released everything it charged; an exception drops whatever the
+        level still holds and propagates unchanged (also a strict budget
+        refusing the frame's own words)."""
         try:
+            self.enter_frame()
             yield self._level
-        finally:
-            self.exit_frame()
+        except BaseException:
+            self.current_words -= self.level_current[self._level]
+            self.level_current[self._level] = 0
+            self._level -= 1
+            raise
+        self.exit_frame()
 
 
 def null_meter() -> WorkspaceMeter:
@@ -481,95 +488,3 @@ class SubpolygonView:
             else:
                 raise UsageError(f"unknown segment kind {seg[0]!r}")
         return SubpolygonView(self.base, items)
-
-
-def make_view(parent: SubpolygonView, diagonals, selector) -> SubpolygonView:
-    """Component of `parent` split by pairwise non-crossing diagonals.
-
-    `diagonals` is an iterable of local index pairs.  `selector` is
-    ('vertex', v) naming a component by a contained local vertex, or
-    ('excludes', (a, b)) asking for the component whose vertex list contains
-    neither.  Raises UsageError when the selector matches zero or several
-    components.
-    """
-    m = parent.m
-    diags = []
-    for i, j in diagonals:
-        if i == j or (j - i) % m in (1, m - 1):
-            raise UsageError("degenerate diagonal")
-        diags.append((i, j))
-    regions = split_regions(m, diags)
-    if selector[0] == "vertex":
-        matches = [r for r in regions if selector[1] in r]
-    elif selector[0] == "excludes":
-        a, b = selector[1]
-        matches = [r for r in regions if a not in r and b not in r]
-    else:
-        raise UsageError(f"unknown selector {selector[0]!r}")
-    if len(matches) != 1:
-        raise UsageError(
-            f"selector {selector!r} matched {len(matches)} components")
-    segs = _positions_to_segs(matches[0], m)
-    return parent.subview(segs)
-
-
-def _positions_to_segs(positions: List[int], m: int):
-    segs = []
-    k = 0
-    while k < len(positions):
-        j = k
-        while j + 1 < len(positions) \
-                and positions[j + 1] == positions[j] % m + 1:
-            j += 1
-        segs.append(("range", positions[k], positions[j]))
-        k = j + 1
-    return segs
-
-
-def split_regions(m: int, diags) -> List[List[int]]:
-    """All components of a cycle 1..m cut by pairwise non-crossing chords,
-    each as a list of local indices in boundary order.
-
-    Chords normalized to intervals [a, b] with a < b are pairwise nested or
-    disjoint (interleaved endpoints would force the chords to cross inside any
-    simple polygon), so a laminar sweep recovers every face.
-    """
-    intervals = sorted(set((min(i, j), max(i, j)) for i, j in diags))
-    for x in range(len(intervals)):
-        a1, b1 = intervals[x]
-        for y in range(x + 1, len(intervals)):
-            a2, b2 = intervals[y]
-            if a1 < a2 < b1 < b2:
-                raise UsageError("diagonals cross")
-
-    def maximal_within(lo, hi, pool):
-        """Maximal intervals of `pool` inside [lo, hi], excluding [lo, hi]."""
-        inside = sorted((iv for iv in pool
-                         if lo <= iv[0] and iv[1] <= hi and iv != (lo, hi)),
-                        key=lambda iv: (iv[0], -iv[1]))
-        out: List[Tuple[int, int]] = []
-        for iv in inside:
-            if out and iv[0] >= out[-1][0] and iv[1] <= out[-1][1]:
-                continue
-            out.append(iv)
-        return out
-
-    regions: List[List[int]] = []
-
-    def emit(lo, hi, pool):
-        kids = maximal_within(lo, hi, pool)
-        face = []
-        pos = lo
-        for (a, b) in kids:
-            face.extend(range(pos, a + 1))
-            pos = b
-        face.extend(range(pos, hi + 1))
-        regions.append(face)
-        for (a, b) in kids:
-            emit(a, b, [iv for iv in pool
-                        if a <= iv[0] and iv[1] <= b and iv != (a, b)])
-
-    # outer face spans the whole cycle once, jumping over maximal chords;
-    # a chord (1, m) cannot occur (adjacent on the cycle, rejected earlier)
-    emit(1, m, intervals)
-    return regions

@@ -60,6 +60,22 @@ def test_verify_cli(square, tmp_path):
     assert main(["verify", square, "--against", bad]) == 1
 
 
+def test_verify_missing_against_file(square, tmp_path, capsys):
+    missing = str(tmp_path / "nope.out")
+    assert main(["verify", square, "--against", missing]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_verify_malformed_against_line(square, tmp_path, capsys):
+    bad = tmp_path / "bad.out"
+    for what, body in (("triangulation", "1 3 5\n"), ("spt", "1 x\n"),
+                       ("partition", "P 1 2 x\n")):
+        bad.write_text(body)
+        assert main(["verify", square, "--against", str(bad), "--what",
+                     what, "--root", "1", "--s", "2"]) == 1, what
+        assert "malformed line" in capsys.readouterr().err
+
+
 def test_generate_and_pipeline(tmp_path):
     poly_path = str(tmp_path / "g.poly")
     assert main(["generate", "--kind", "comb", "--n", "42", "--seed", "5",
@@ -153,3 +169,95 @@ def test_console_entrypoint_runs():
                         capture_output=True, text=True)
     assert rc.returncode == 0
     assert rc.stdout.splitlines()[0].strip() == "8"
+
+
+# A fixed corpus whose CLI outputs must stay byte-identical: each polygon is
+# (kind, n, generator seed); every command runs at s = 16, permissive, with
+# run seed 11.  The interior root on random-120 reaches the reflex repair of
+# the root placement.
+GOLDEN_POLYGONS = [("random", 120, 5), ("random", 300, 6), ("comb", 200, 7),
+                   ("comb", 300, 8), ("spiral", 150, 9), ("spiral", 300, 10)]
+GOLDEN_RUNS = [
+    ("triangulate", ["--format", "edges"]),
+    ("triangulate", ["--format", "triangles-adjacency"]),
+    ("spt", ["--root", "1"]),
+    ("partition", []),
+]
+GOLDEN_EXTRA = [("random-120", "spt", ["--root", "26983,128353"])]
+GOLDEN_SHA256 = {
+    "random-120 triangulate --format edges":
+        "81ecd0b0d53b50a36cef31a255975db106f96dff16046c029774b8348d95bb8d",
+    "random-120 triangulate --format triangles-adjacency":
+        "4abfea4399358d55ff8b60d1537239b4082ae00d6761c7881bbed9e3683cca9f",
+    "random-120 spt --root 1":
+        "deda737ba3a057dceccd7c272671e3be7b239e4ddecc972a59a765e7594fc9fd",
+    "random-120 partition":
+        "00da28729db44e07611380ba465d0a4554412899466acc87c3ec268fa3f81936",
+    "random-300 triangulate --format edges":
+        "5f5ee43471e55eee321519c7cdae8ac99873d9f3342e0c260d8ee4e03197a545",
+    "random-300 triangulate --format triangles-adjacency":
+        "4812ad098e132436440c33ae1bb6a8773a149391f97cb2e34ee906033648613e",
+    "random-300 spt --root 1":
+        "3a5cadec8d4dce75147d1b3c71f3a8394e1ca3288c4d73c1f46696281e397c51",
+    "random-300 partition":
+        "710d0ad25bc43d720e6918cf80a01ae1b1a015ddb8f878477fc763ec7d105143",
+    "comb-200 triangulate --format edges":
+        "56f412e4189ec23f86b2aae7954415a7347bc0d93cb43fb2757cb28c28636b64",
+    "comb-200 triangulate --format triangles-adjacency":
+        "366a33a3999cad9bd95700bbfd9b3a115fb6394a19f0946fd107764045a87e9c",
+    "comb-200 spt --root 1":
+        "00036614e40dda91ce46668fa68b731e6da44d38f4e41de009b65658d7e8138e",
+    "comb-200 partition":
+        "93113fa95f0835973310e5d034def40c9d57c2cef74a493403dc6888aa6ebe8f",
+    "comb-300 triangulate --format edges":
+        "c4c5c7e45f160a6ea73879a8d08a1d10a2a782b2d28886993cb1ff06fa512192",
+    "comb-300 triangulate --format triangles-adjacency":
+        "8862243f4c1a2f516ca84165dfa832df7dedd3954a181a4279853a8d4cbe8378",
+    "comb-300 spt --root 1":
+        "7c7be764323770f70c4e1cb52e0e967e5c801ed0d16f3f8ab2e2f900f7b4bb49",
+    "comb-300 partition":
+        "a8b59ac2a66e0c406a0a969a59db3ed94a78b77adb7e07d431fd6705a688560b",
+    "spiral-150 triangulate --format edges":
+        "a115831e8b09e6abab331d559126292445fe3a50b1ffad1f3abd3a8d18d72b34",
+    "spiral-150 triangulate --format triangles-adjacency":
+        "325d1d68b8fa496704a0bcea74510d36038c8e02170146ca328f1f30f2457531",
+    "spiral-150 spt --root 1":
+        "ef7179040b84bf4824e0b47f491642b5910e9f2cb34d1219a51c96867bae69aa",
+    "spiral-150 partition":
+        "876661a6b8c108dbf2e26bc509e326eae9ceca85d6a923f7dfc488680337b1eb",
+    "spiral-300 triangulate --format edges":
+        "95b4ff6bb0b82a29a5646239784226bd0f681e46d46981687042db64e9e227bb",
+    "spiral-300 triangulate --format triangles-adjacency":
+        "b9f55e70a10f98fb5db4279fe9d3887a9460307065957b6c2738dff2fb66c7c7",
+    "spiral-300 spt --root 1":
+        "49c489fc8c324c49bb38bf00eb5abcd0ded9ff1e3111b2709de8eeb2f30b5b96",
+    "spiral-300 partition":
+        "09e08b6d072d92da25e54aec0300ec620ef8a1ce7abc59028eda427d97799ef9",
+    "random-120 spt --root 26983,128353":
+        "bb233d4a04141c728e7c5a83d7cb5ac400e04935657bd68e2807047a8b1e7547",
+}
+
+
+def _golden_outputs(tmp_path):
+    import hashlib
+    jobs = []
+    for kind, n, seed in GOLDEN_POLYGONS:
+        name = f"{kind}-{n}"
+        assert main(["generate", "--kind", kind, "--n", str(n), "--seed",
+                     str(seed), "--out", str(tmp_path / f"{name}.poly")]) == 0
+        for cmd, extra in GOLDEN_RUNS:
+            jobs.append((name, cmd, extra))
+    jobs += GOLDEN_EXTRA
+    got = {}
+    for name, cmd, extra in jobs:
+        key = " ".join([name, cmd] + extra)
+        out = tmp_path / "out"
+        assert main([cmd, str(tmp_path / f"{name}.poly"), "--s", "16",
+                     "--mode", "permissive", "--seed", "11",
+                     "--out", str(out)] + extra) == 0, key
+        got[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return got
+
+
+def test_golden_outputs_byte_identical(tmp_path):
+    assert _golden_outputs(tmp_path) == GOLDEN_SHA256

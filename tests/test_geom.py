@@ -207,6 +207,22 @@ def test_max_angle_reflex_randomized_instances():
                     assert geom.orient(P, H, X) == ot
                     assert geom.orient(H, A, X) == ot
                     assert geom.is_reflex(v, r)
+                    # a point apex: the vertex's own point gives the same
+                    # answer; from the midpoint M of the clear segment A-H
+                    # the answer (or p_n when the smaller triangle holds no
+                    # reflex vertex) is visible, reflex and inside
+                    assert geom.max_angle_reflex_in_triangle(v, A, pn, H) == r
+                    M = (Fraction(A[0] + H[0], 2), Fraction(A[1] + H[1], 2))
+                    rm = geom.max_angle_reflex_in_triangle(v, M, pn, H)
+                    if rm is None:
+                        assert geom.point_sees_vertex(v, M, pn)
+                    else:
+                        assert geom.point_sees_vertex(v, M, rm)
+                        assert geom.is_reflex(v, rm)
+                        X = v.point(rm)
+                        assert geom.orient(M, P, X) == ot
+                        assert geom.orient(P, H, X) == ot
+                        assert geom.orient(H, M, X) == ot
                     checked += 1
         if checked >= 100:
             break
@@ -313,6 +329,7 @@ def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
                 if pn != q and not geom.is_visible(v, q, pn) and geom.orient(
                         vq, pts[pn - 1], hit.point) != geom.COLLINEAR:
                     blocked.append((q, pn, hit.point))
+                    blocked.append((vq, pn, hit.point))
         got = []
         for cutover in (0, 1 << 30):
             for kernel in ("point", "visible", "reflex"):

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from polyws import geom
-from polyws.errors import PolygonInputError
+from polyws.errors import InternalInvariantError, PolygonInputError
 from polyws.oracle import generate, validate_triangulation
 from polyws.triangulate import (AdjacencySink, CollectingSink, ear_clip,
                                 find_alternating_diagonal, required_budget,
                                 triangulate_in_memory, triangulate_polygon)
 from polyws.workspace import (BasePolygon, MeterMode, RunStats,
-                              SubpolygonView)
+                              SubpolygonView, WorkspaceMeter)
 
 SQUARE = [(0, 0), (0, 2), (2, 2), (2, 0)]
 
@@ -206,6 +206,33 @@ def test_kappa_range():
         assert meter.current_words == 0
     with pytest.raises(PolygonInputError):
         triangulate_polygon(poly, 14, mode=MeterMode.PERMISSIVE, kappa=0.5)
+
+
+def test_walk_error_surfaces_and_unwinds_meter(monkeypatch):
+    # an exception raised mid-walk reaches the caller unchanged, and the
+    # meter holds no words afterwards
+    from polyws.geodesic import GeodesicCursor
+    from polyws.spt import spt
+    next_vertex = GeodesicCursor.next_vertex
+    calls = []
+
+    def failing(cursor):
+        calls.append(cursor)
+        if len(calls) == 5:
+            raise InternalInvariantError("cursor failed mid-walk")
+        return next_vertex(cursor)
+
+    monkeypatch.setattr(GeodesicCursor, "next_vertex", failing)
+    poly = generate("spiral", 300, 10)
+    perm = MeterMode.PERMISSIVE
+    for solve in (lambda m: triangulate_polygon(poly, 16, mode=perm, meter=m),
+                  lambda m: spt(poly, 1, 16, mode=perm, meter=m)):
+        calls.clear()
+        meter = WorkspaceMeter(64 * 16, perm)
+        with pytest.raises(InternalInvariantError,
+                           match="cursor failed mid-walk"):
+            solve(meter)
+        assert meter.current_words == 0
 
 
 def test_fuzz_all_kinds_triangulate_and_spt():

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from polyws.errors import (BudgetExceededError, InternalInvariantError,
-                           PolygonInputError, UsageError)
+                           PolygonInputError)
 from polyws.workspace import (BasePolygon, CutVertex, MeterMode,
                               SubpolygonView, VertexType, WorkspaceMeter,
                               classify, component_sizes, is_alternating,
-                              make_view, separates, split_regions)
+                              separates)
 
 OCTAGON = [(0, 0), (-1, 3), (0, 6), (3, 7), (6, 6), (7, 3), (6, 0), (3, -1)]
 
@@ -89,6 +89,25 @@ def test_meter_frames_and_levels():
     assert m.current_words == 0
     assert m.level_peaks[1] >= 10
     assert m.level_peaks[2] >= 5
+    # an exception drops what its level still holds and propagates unchanged
+    with pytest.raises(RuntimeError, match="first fault"):
+        with m.frame():
+            m.alloc(10)
+            with m.frame():
+                m.alloc(5)
+                raise RuntimeError("first fault")
+    assert m.current_words == 0 and m.level == 0
+    strict = WorkspaceMeter(20)
+    with pytest.raises(BudgetExceededError):
+        with strict.frame():
+            strict.alloc(5)
+            with strict.frame():
+                pass
+    assert strict.current_words == 0 and strict.level == 0
+    # a normal exit still refuses a level that kept words
+    with pytest.raises(InternalInvariantError, match="still charged"):
+        with m.frame():
+            m.alloc(3)
 
 
 def test_meter_release_guard():
@@ -112,45 +131,6 @@ def test_whole_view_rotated_start():
     assert v.point(1) == OCTAGON[3]
     assert v.base_ref(1) == 4
     assert v.base_ref(8) == 3
-
-
-def test_make_view_example_m8():
-    poly = BasePolygon(OCTAGON)
-    whole = SubpolygonView.whole(poly)
-    child = make_view(whole, [(2, 6)], ("vertex", 4))
-    assert child.m == 5
-    assert [child.base_ref(i) for i in range(1, 6)] == [2, 3, 4, 5, 6]
-
-
-def test_make_view_identity():
-    poly = BasePolygon(OCTAGON)
-    whole = SubpolygonView.whole(poly)
-    same = make_view(whole, [], ("vertex", 3))
-    assert same.m == 8
-    assert same.materialize() == whole.materialize()
-
-
-def test_make_view_selector_errors():
-    poly = BasePolygon(OCTAGON)
-    whole = SubpolygonView.whole(poly)
-    with pytest.raises(UsageError):
-        make_view(whole, [(2, 6)], ("vertex", 2))   # endpoint: two components
-    with pytest.raises(UsageError):
-        make_view(whole, [(2, 6), (3, 5)], ("excludes", (1, 7)))
-
-
-def test_split_regions_nested():
-    regs = split_regions(10, [(2, 8), (3, 6)])
-    # outer face 1,2,8,9,10; ring between the chords 2,3,6,7,8; inner 3,4,5,6
-    assert sorted(len(r) for r in regs) == [4, 5, 5]
-    assert sum(len(r) for r in regs) == 10 + 2 * 2
-    flat = [v for r in regs for v in r]
-    assert sorted(set(flat)) == list(range(1, 11))
-
-
-def test_split_regions_crossing_rejected():
-    with pytest.raises(UsageError):
-        split_regions(8, [(1, 5), (3, 7)])
 
 
 def test_nested_views_oracle_comparison():
