@@ -116,11 +116,18 @@ def _mode(args) -> MeterMode:
     return MeterMode.STRICT if args.mode == "strict" else MeterMode.PERMISSIVE
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PolygonInputError(f"{what} must be an integer, not {text!r}")
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("POLYWS_SEED")
-    return int(env) if env else 0
+    return _int(env, "POLYWS_SEED") if env else 0
 
 
 def cmd_generate(args) -> int:
@@ -176,11 +183,10 @@ def cmd_triangulate(args) -> int:
 def cmd_spt(args) -> int:
     poly = load_polygon(args.input, validate=not args.no_validate)
     s = args.s if args.s else required_budget(poly.n)
-    if "," in args.root:
-        x, y = args.root.split(",")
-        root = (int(x), int(y))
-    else:
-        root = int(args.root)
+    root = tuple(_int(c, "--root") for c in args.root.split(","))
+    if len(root) > 2:
+        raise PolygonInputError(f"--root wants a vertex or x,y: {args.root!r}")
+    root = root if len(root) == 2 else root[0]
     t0 = time.perf_counter()
     sink, meter, stats = spt(poly, root, s, mode=_mode(args), L=args.L,
                              kappa=args.kappa, seed=_seed(args))
@@ -260,7 +266,7 @@ def cmd_verify(args) -> int:
         rep = oracle.validate_triangulation(poly, diagonals)
     elif what == "spt":
         edges = {_pair(path, ln) for ln in lines}
-        r = int(args.root) if args.root is not None else None
+        r = _int(args.root, "--root") if args.root is not None else None
         if r is None:
             # infer the root: the vertex that never appears as a child
             children = {b for _a, b in edges}
@@ -298,7 +304,7 @@ def cmd_bench(args) -> int:
     try:
         out.write("kind,n,s,ms,peak_words,depth,links,farcases\n")
         for s_str in args.s.split(","):
-            s = int(s_str)
+            s = _int(s_str, "--s")
             poly = oracle.generate(args.kind, args.n, _seed(args))
             stats = RunStats()
             t0 = time.perf_counter()

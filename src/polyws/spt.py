@@ -106,7 +106,7 @@ def funnel_parents(view, root: int) -> List[int]:
     triangulation's dual tree with funnel splitting.  Strict turn tests make
     straight vertices pass-through points, never parents."""
     m = view.m
-    pts = [None] + [view.point(i) for i in range(1, m + 1)]
+    pts = (None,) + view.scan_points()
     tris = ear_clip(view)
     by_side = {}
     for t, tri in enumerate(tris):

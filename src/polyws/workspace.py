@@ -92,7 +92,7 @@ class RunStats:
     """Instrumentation counters for one run (not charged to the meter)."""
 
     __slots__ = ("links", "rounds", "far_calls", "far_scan_max", "depth",
-                 "pieces", "wall_ms")
+                 "pieces")
 
     def __init__(self):
         self.links = 0          # geodesic vertices pulled from cursors
@@ -101,10 +101,6 @@ class RunStats:
         self.far_scan_max = 0   # worst boundary-scan count in one search
         self.depth = 0          # deepest recursion level reached
         self.pieces = 0         # recursive subproblems created
-        self.wall_ms = 0.0
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in self.__slots__}
 
 
 class WorkspaceMeter:
@@ -358,9 +354,6 @@ class SubpolygonView:
         piece or created by a split); chain vertices return False."""
         slot, _ = self._locate(i)
         return self.items[slot][0] == _CUT
-
-    def cut_count(self) -> int:
-        return sum(1 for it in self.items if it[0] == _CUT)
 
     @property
     def descriptor_words(self) -> int:

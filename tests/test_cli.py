@@ -76,6 +76,24 @@ def test_verify_malformed_against_line(square, tmp_path, capsys):
         assert "malformed line" in capsys.readouterr().err
 
 
+def test_malformed_root_and_seed(square, tmp_path, capsys, monkeypatch):
+    tree = tmp_path / "tree.out"
+    tree.write_text("1 2\n1 3\n1 4\n")
+    runs = [["spt", square, "--root", "1,x"],
+            ["spt", square, "--root", "1,2,3"],
+            ["verify", square, "--against", str(tree), "--what", "spt",
+             "--root", "abc"]]
+    for argv in runs:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: --root"), argv
+    assert main(["verify", square, "--against", str(tree), "--what", "spt",
+                 "--root", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("POLYWS_SEED", "seven")
+    assert main(["generate", "--kind", "convex", "--n", "8"]) == 1
+    assert capsys.readouterr().err.startswith("error: POLYWS_SEED")
+
+
 def test_generate_and_pipeline(tmp_path):
     poly_path = str(tmp_path / "g.poly")
     assert main(["generate", "--kind", "comb", "--n", "42", "--seed", "5",

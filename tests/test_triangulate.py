@@ -1,4 +1,5 @@
 """Triangulation: base case, far case, full recursion vs. the validator."""
+import importlib
 import math
 import random
 
@@ -44,12 +45,157 @@ def test_ear_clip_random_views_valid():
         assert rep.ok, (seed, rep.errors)
 
 
-def test_ear_clip_bulk_path_valid():
-    poly = generate("comb", 402, 3)   # above the bulk cutoff
-    view = SubpolygonView.whole(poly)
-    sink = CollectingSink()
-    triangulate_in_memory(view, sink)
-    assert validate_triangulation(poly, sink.diagonals).ok
+def _ear_clip_reference(view):
+    """Brute-force ear clipping, the oracle for ear_clip: the same pop order,
+    but each ear test scans every blocking (reflex or straight) vertex."""
+    m = view.m
+    if m == 3:
+        return [(1, 2, 3)]
+    pts = [None] + [view.point(i) for i in range(1, m + 1)]
+    nxt = list(range(1, m + 2))
+    prv = list(range(-1, m))
+    nxt[m] = 1
+    prv[1] = m
+    dead = [False] * (m + 1)
+
+    def turn(i):
+        return geom.orient(pts[prv[i]], pts[i], pts[nxt[i]])
+
+    reflexish = {i for i in range(1, m + 1)
+                 if turn(i) != geom.CLOCKWISE}
+
+    def is_ear(v):
+        if v in reflexish:
+            return False
+        a, b, c = pts[prv[v]], pts[v], pts[nxt[v]]
+        for x in reflexish:
+            if x in (prv[v], nxt[v]):
+                continue
+            p = pts[x]
+            if geom.orient(a, b, p) <= 0 and geom.orient(b, c, p) <= 0 \
+                    and geom.orient(c, a, p) <= 0:
+                return False
+        return True
+
+    out = []
+    alive = m
+    stack = list(range(m, 0, -1))
+    alive_at_rescan = m + 1
+    while alive > 3:
+        if not stack:
+            if alive == alive_at_rescan:
+                raise InternalInvariantError("ear clipping stalled")
+            alive_at_rescan = alive
+            stack = [v for v in range(m, 0, -1) if not dead[v]]
+        v = stack.pop()
+        if dead[v] or not is_ear(v):
+            continue
+        p, n = prv[v], nxt[v]
+        out.append((p, v, n))
+        nxt[p] = n
+        prv[n] = p
+        dead[v] = True
+        reflexish.discard(v)
+        alive -= 1
+        for u in (p, n):
+            if turn(u) == geom.CLOCKWISE:
+                reflexish.discard(u)
+            else:
+                reflexish.add(u)
+            stack.append(u)
+    v = next(i for i in range(1, m + 1) if not dead[i])
+    out.append((prv[v], v, nxt[v]))
+    return out
+
+
+def test_ear_clip_matches_brute_force(monkeypatch):
+    # 40 vertices hold fewer blocking vertices than the cutover, 300 more
+    views = [SubpolygonView.whole(generate(kind, n, seed))
+             for kind in ("random", "comb", "spiral", "monotone")
+             for n, seed in ((40, 1), (300, 2))]
+    comb = generate("comb", 402, 3)
+    views.append(SubpolygonView.whole(comb))
+    views.append(SubpolygonView.whole(BasePolygon(      # rotated by 90 degrees
+        [(y, x) for x, y in reversed(comb.points())])))
+    views.append(SubpolygonView.whole(BasePolygon(      # by 45 degrees
+        [(x - y, x + y) for x, y in comb.points()])))
+    # straight vertices on an ear's bounding box, on rings and their mirror
+    # images; self-crossing rings (load_polygon's --no-validate lets them
+    # through), with a blocking vertex on an ear's edge, and with a convex
+    # vertex that clipping turns reflex, so the index is rebuilt
+    stars = [[(0, 4), (1, 4), (1, 5), (2, 5), (3, 5), (4, 4), (3, 3), (3, 2),
+              (2, 2), (1, 0)],
+             [(0, 3), (1, 3), (1, 5), (3, 3), (5, 3), (1, 0), (0, 0), (0, 1)],
+             [(0, 4), (1, 4), (5, 4), (4, 2), (5, 1), (2, 0), (1, 0), (1, 1),
+              (1, 2)]]
+    rings = stars + [[(y, x) for x, y in reversed(r)] for r in stars] + [
+        [(0, 1), (2, 3), (4, 1), (2, 4), (3, 2), (1, 2), (3, 0)],
+        [(3, 0), (1, 3), (2, 0), (0, 3), (3, 5), (4, 2), (2, 2), (3, 3)]]
+    views += [SubpolygonView.whole(BasePolygon(r)) for r in rings]
+    # SPT pieces holding a virtual vertex with rational coordinates
+    spt_mod = importlib.import_module("polyws.spt")
+    clip = spt_mod.ear_clip
+
+    def keep_rational(view, *args):
+        if not view.all_int:
+            views.append(view)
+        return clip(view, *args)
+    monkeypatch.setattr(spt_mod, "ear_clip", keep_rational)
+    spt_mod.spt(generate("spiral", 160, 0), 1, 12, mode=MeterMode.PERMISSIVE)
+    monkeypatch.undo()
+    assert any(not v.all_int for v in views)
+    tri_mod = importlib.import_module("polyws.triangulate")
+    # arrays for every candidate, two splits (one the measured), loop alone
+    splits = (0, 5, tri_mod._EAR_LOOP_MAX, 10 ** 9)
+    for view in views:
+        expect = _ear_clip_reference(view)
+        for loop_max in splits:
+            monkeypatch.setattr(tri_mod, "_EAR_LOOP_MAX", loop_max)
+            assert ear_clip(view) == expect, (view.m, loop_max)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stopping(sink_cls, k):
+    class Stopping(sink_cls):
+        def emit_diagonal(self, a, b):
+            super().emit_diagonal(a, b)
+            if len(self.diagonals) == k:
+                raise _Stop
+    return Stopping()
+
+
+def test_in_memory_stream_stops_at_raising_sink(monkeypatch):
+    tri_mod = importlib.import_module("polyws.triangulate")
+    clip = tri_mod.ear_clip
+    ears = []
+
+    def counting(view, on_ear):
+        def count(p, v, n):
+            ears.append((p, v, n))
+            on_ear(p, v, n)
+        return clip(view, count)
+    monkeypatch.setattr(tri_mod, "ear_clip", counting)
+    view = SubpolygonView.whole(generate("comb", 302, 4))
+    for sink_cls in (CollectingSink, AdjacencySink):
+        full = sink_cls()
+        triangulate_in_memory(view, full)
+        full_ears = list(ears)
+        assert len(full.diagonals) == len(full_ears) == view.m - 3
+        if sink_cls is AdjacencySink:
+            assert len(full.records) == view.m - 2
+        for k in (1, 17, view.m // 2, view.m - 3):
+            ears.clear()
+            sink = _stopping(sink_cls, k)
+            with pytest.raises(_Stop):
+                triangulate_in_memory(view, sink)
+            assert sink.diagonals == full.diagonals[:k]
+            assert ears == full_ears[:k]
+            if sink_cls is AdjacencySink:
+                assert sink.records == []
+        ears.clear()
 
 
 def test_square_any_tau():
