@@ -108,7 +108,8 @@ def write_svg(path: str, poly: BasePolygon, segments, seg_color="crimson"):
 
 def _metrics_line(name, poly, s, ms, meter, stats):
     print(f"{name}: n={poly.n} s={s} ms={ms:.1f} peak_words={meter.peak_words} "
-          f"depth={stats.depth} links={stats.links} farcases={stats.far_calls}",
+          f"depth={stats.depth} links={stats.links} scans={stats.scans} "
+          f"farcases={stats.far_calls}",
           file=sys.stderr)
 
 

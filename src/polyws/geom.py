@@ -322,18 +322,19 @@ def _visible_bulk(view, i: int, j: int) -> Optional[bool]:
 
 def point_sees_vertex(view, p: Pt, j: int) -> bool:
     """Closed-set visibility between an interior/boundary point p and vertex j."""
-    m = view.m
-    b = view.point(j)
+    pts = view.scan_points()
+    m = len(pts)
+    b = pts[j - 1]
     if p == b:
         return True
-    pv = view.point(m)
+    pv = pts[m - 1]
     for k in range(1, m + 1):
-        cv = view.point(k)
+        cv = pts[k - 1]
         if k != j and cv != p:
             if orient(p, b, cv) == COLLINEAR and on_closed_segment(cv, p, b) \
                     and cv != b:
-                kp = view.point(1 + (k - 2) % m)
-                kn = view.point(1 + k % m)
+                kp = pts[k - 2]
+                kn = pts[k % m]
                 if orient(p, b, kp) * orient(p, b, kn) < 0:
                     return False
         if segments_properly_intersect(p, b, pv, cv):
@@ -602,28 +603,32 @@ def max_angle_reflex_in_triangle(view, apex, p_n,
     are compared with exact cross-sign tests only.  Returns None when the
     triangle contains no reflex vertex.
     """
-    A = view.point(apex) if isinstance(apex, int) else apex
-    P = view.point(p_n) if isinstance(p_n, int) else p_n
+    m = view.m
+    bulk = uses_bulk("reflex", view)
+    if bulk:
+        at = view.point
+    else:
+        pts = view.scan_points()
+        at = lambda k: pts[k - 1]  # noqa: E731
+    A = at(apex) if isinstance(apex, int) else apex
+    P = at(p_n) if isinstance(p_n, int) else p_n
     H = hit_point
     ot = orient(A, P, H)
     if ot == COLLINEAR:
         raise PolygonInputError("degenerate reflex-search triangle")
     best = None
     best_dir = None
-    m = view.m
-    if uses_bulk("reflex", view):
-        indices = _triangle_candidates_prefilter(view, A, P, H)
-    else:
-        indices = range(1, m + 1)
+    indices = _triangle_candidates_prefilter(view, A, P, H) if bulk \
+        else range(1, m + 1)
     for k in indices:
         if k == apex or k == p_n:
             continue
-        X = view.point(k)
+        X = at(k)
         if orient(A, P, X) != ot or orient(P, H, X) != ot \
                 or orient(H, A, X) != ot:
             continue
-        if not is_reflex(view, k):
-            continue
+        if orient(at(1 + (k - 2) % m), X, at(1 + k % m)) != COUNTERCLOCKWISE:
+            continue  # not reflex
         dx = X[0] - A[0]
         dy = X[1] - A[1]
         if best is None:

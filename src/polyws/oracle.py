@@ -511,30 +511,68 @@ def _gen_random(n: int, seed: int):
     if _collinear_triple(xs, ys) is not None:
         return None
     order = np.arange(n)
+    row, moved = 0, ()
     for _ in range(50 * n * n):
-        pair = _first_crossing(xs[order], ys[order])
+        pair = _first_crossing(xs[order], ys[order], row, moved)
         if pair is None:
             return [pts[k] for k in order]
         i, j = pair
         order[i + 1:j + 1] = order[i + 1:j + 1][::-1]
+        # the move replaces edges i and j; the edges between them are the
+        # same segments reversed, and no edge before i crossed any of them
+        row, moved = i, (i, j)
     return None
 
 
-def _first_crossing(xs, ys) -> Optional[Tuple[int, int]]:
+_CROSSING_BLOCK = 1 << 16   # most array cells tested at once
+
+
+def _first_crossing(xs, ys, row: int = 0,
+                    moved=()) -> Optional[Tuple[int, int]]:
+    """First pair (k, j), k < j, in row-major order whose edges k -> k+1 and
+    j -> j+1 (cyclically) properly cross, or None.
+
+    Rows before `row` are tested only against the edges in `moved`: the
+    caller knows they cross nothing else.  The rest are tested in blocks of
+    rows as 2-D int64 arrays, growing from a few rows at a time, since the
+    first crossing is often near the start.
+    """
     n = len(xs)
-    ax, ay = xs, ys
     bx, by = np.roll(xs, -1), np.roll(ys, -1)
-    for k in range(n - 2):
-        o1 = np.sign((bx[k] - ax[k]) * (ys - ay[k]) - (by[k] - ay[k]) * (xs - ax[k]))
-        o2 = np.sign((bx[k] - ax[k]) * (by - ay[k]) - (by[k] - ay[k]) * (bx - ax[k]))
-        o3 = np.sign((bx - ax) * (ay[k] - ay) - (by - ay) * (ax[k] - ax))
-        o4 = np.sign((bx - ax) * (by[k] - ay) - (by - ay) * (bx[k] - ax))
-        crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
-        crossing[:k + 1] = False
-        hit = np.nonzero(crossing)[0]
-        if hit.size:
-            return k, int(hit[0])
+    if moved:
+        cols = np.array(moved)
+        ks = np.arange(row)
+        hit = _crossings(xs, ys, bx, by, ks, cols)
+        if hit.any():
+            flat = int(np.argmax(hit))
+            return int(ks[flat // len(cols)]), int(cols[flat % len(cols)])
+    cols = np.arange(n)
+    rows = max(1, 1024 // n)
+    k0 = row
+    while k0 < n - 2:
+        ks = np.arange(k0, min(n - 2, k0 + rows))
+        hit = _crossings(xs, ys, bx, by, ks, cols)
+        hit &= cols > ks[:, None]
+        if hit.any():
+            flat = int(np.argmax(hit))
+            return int(ks[flat // n]), flat % n
+        k0 += rows
+        rows = min(2 * rows, max(1, _CROSSING_BLOCK // n))
     return None
+
+
+def _crossings(xs, ys, bx, by, ks, cols):
+    """Boolean (rows, cols) array: edge ks[r] properly crosses edge cols[c].
+    Edge k runs from (xs[k], ys[k]) to (bx[k], by[k])."""
+    ax, ay = xs[ks, None], ys[ks, None]
+    kx, ky = bx[ks, None], by[ks, None]
+    cx, cy = xs[cols], ys[cols]
+    dx, dy = bx[cols], by[cols]
+    o1 = np.sign((kx - ax) * (cy - ay) - (ky - ay) * (cx - ax))
+    o2 = np.sign((kx - ax) * (dy - ay) - (ky - ay) * (dx - ax))
+    o3 = np.sign((dx - cx) * (ay - cy) - (dy - cy) * (ax - cx))
+    o4 = np.sign((dx - cx) * (ky - cy) - (dy - cy) * (kx - cx))
+    return (o1 * o2 < 0) & (o3 * o4 < 0)
 
 
 def _strict_chain(rng: random.Random, count: int, concave: bool) -> List[int]:

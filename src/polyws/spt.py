@@ -79,14 +79,15 @@ def spt_constant_workspace(view, root_local: int, sink, *,
                            stats: Optional[RunStats] = None,
                            _run: Optional[Run] = None) -> None:
     """Emit (first-link-toward-root, q) for every chain vertex q of the view;
-    each link is recomputed by the cone search with O(1) retained words."""
+    each link is recomputed by the cone search, whose candidate sample is
+    charged to the run's meter while the link runs."""
     run = _run if _run is not None \
         else Run(_Region, sink, stats=stats, rng=rng)
     link_rng = random.Random(run.rng.getrandbits(64))
     for q in range(1, view.m + 1):
         if q == root_local or view.is_cut(q):
             continue
-        hop = first_link(view, q, root_local, link_rng, run.stats)
+        hop = first_link(view, q, root_local, link_rng, run.stats, run.meter)
         _emit_for(run, view, hop, q)
 
 

@@ -551,7 +551,7 @@ def _walk_level(view, tau: int, run: Run, level: int) -> None:
     region = run.strategy(m)
     cursor_rng = random.Random(run.rng.getrandbits(64))
     with meter.scoped(GeodesicCursor.WORDS + WALK_SCALARS):
-        cursor = GeodesicCursor(view, 1, mid, cursor_rng, stats)
+        cursor = GeodesicCursor(view, 1, mid, cursor_rng, stats, meter)
         v_c = 1
         while v_c != mid:
             w = []    # the walk buffer: one charged word per entry

@@ -91,12 +91,14 @@ class MeterMode(enum.Enum):
 class RunStats:
     """Instrumentation counters for one run (not charged to the meter)."""
 
-    __slots__ = ("links", "rounds", "far_calls", "far_scan_max", "depth",
-                 "pieces")
+    __slots__ = ("links", "rounds", "scans", "far_calls", "far_scan_max",
+                 "depth", "pieces")
 
     def __init__(self):
         self.links = 0          # geodesic vertices pulled from cursors
-        self.rounds = 0         # cone-shrinking rounds across all links
+        self.rounds = 0         # cone-narrowing steps: ray shots, plus one
+                                # per link that ends on an empty cone
+        self.scans = 0          # cone candidate scans across all links
         self.far_calls = 0      # alternating-diagonal searches
         self.far_scan_max = 0   # worst boundary-scan count in one search
         self.depth = 0          # deepest recursion level reached

@@ -50,6 +50,19 @@ def test_triangulate_square_cli(square, tmp_path, capsys):
     assert body in (["1", "3"], ["2", "4"])
 
 
+def test_metrics_line_reports_candidate_scans(tmp_path, capsys):
+    # the stderr metrics line counts the cone search's candidate scans next
+    # to the geodesic links they served
+    path = str(tmp_path / "comb.poly")
+    save_polygon(generate("comb", 200, 1), path)
+    assert main(["triangulate", path, "--s", "16", "--mode", "permissive",
+                 "--out", str(tmp_path / "tri.out")]) == 0
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    fields = dict(f.split("=") for f in line.split()[1:])
+    assert int(fields["links"]) > 0
+    assert 0 < int(fields["scans"]) <= 4 * int(fields["links"])
+
+
 def test_verify_cli(square, tmp_path):
     out = str(tmp_path / "tri.out")
     assert main(["triangulate", square, "--s", "64", "--out", out,

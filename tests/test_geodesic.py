@@ -147,27 +147,140 @@ def _narrowed_cones(v, q, rng):
 
 
 def test_bulk_and_scalar_candidate_scans_agree(monkeypatch):
-    # both scans list the same candidates, and the pick first_link uses
-    # draws the same vertex from the same generator state on either path;
-    # sizes on both sides of the cutover, cones from first to late rounds
+    # both scans list the same candidates, and the sample of them that
+    # first_link keeps is the same from the same generator state on either
+    # path; sizes on both sides of the cutover, cones from first to late
+    # rounds
     from polyws import geom
     from polyws.geodesic import (_candidate_scan_bulk, _candidate_scan_scalar,
-                                 _pick_candidate)
+                                 _sample_candidates)
     cut = geom.BULK_CUTOVERS["pick"]
     for m in (cut - 9, cut, 150):
         for kind, seed in [("random", 0), ("random", 1), ("comb", 2),
                            ("spiral", 3)]:
             poly = generate(kind, m, seed)
             v = SubpolygonView.whole(poly)
+            pts = v.scan_points()
             for q in (1, 2, m // 3, m - 1, m):
                 for cone in _narrowed_cones(v, q, random.Random(q + seed)):
                     ns = _candidate_scan_scalar(v, q, cone)
                     assert ns == _candidate_scan_bulk(v, q, cone)
-                    picks = []
-                    for cutover in (0, 1 << 30):
-                        monkeypatch.setitem(geom.BULK_CUTOVERS, "pick",
-                                            cutover)
-                        picks.append(_pick_candidate(
-                            v, q, cone, random.Random(seed * 31 + q)))
-                    assert picks[0] == picks[1]
-                    assert (picks[0] is None) == (not ns)
+                    for k in (1, 3, m):
+                        draws = []
+                        for cutover in (0, 1 << 30):
+                            monkeypatch.setitem(geom.BULK_CUTOVERS, "pick",
+                                                cutover)
+                            draws.append(_sample_candidates(
+                                v, q, cone, k, random.Random(seed * 31 + q),
+                                pts))
+                        assert draws[0] == draws[1]
+                        kept, complete = draws[0]
+                        assert complete == (len(ns) <= k)
+                        assert kept == ns if complete else (
+                            len(kept) == k and set(kept) <= set(ns))
+
+
+def test_survivor_filter_equals_rescan():
+    # the kept candidates that stay in a narrowed cone are exactly the ones
+    # the candidate scan of that cone lists, for the whole candidate list and
+    # for random samples of it
+    from polyws.geodesic import _candidate_scan_scalar, _still_in_cone
+    checked = 0
+    for kind, n, seed in [("random", 60, 0), ("comb", 62, 1),
+                          ("spiral", 60, 2), ("monotone", 60, 3)]:
+        v = SubpolygonView.whole(generate(kind, n, seed))
+        pts = v.scan_points()
+        for q in range(1, n + 1, 3):
+            rng = random.Random(q * 7 + seed)
+            prev = None
+            for cone in _narrowed_cones(v, q, random.Random(q + seed)):
+                found = _candidate_scan_scalar(v, q, cone)
+                if prev is not None:
+                    assert _still_in_cone(pts, q, cone, prev) == found
+                    sample = rng.sample(prev, (len(prev) + 1) // 2)
+                    assert _still_in_cone(pts, q, cone, sample) == \
+                        [w for w in sample if w in found]
+                    checked += 1
+                prev = found
+    assert checked > 100
+
+
+@pytest.mark.parametrize("k", [1, 2, 10 ** 9])
+@pytest.mark.parametrize("cutover", [0, 1 << 30])
+def test_sampled_search_matches_oracle(monkeypatch, k, cutover):
+    # every pair of three polygon families, with one kept candidate per scan
+    # (the one-draw search), two, and all of them (one scan per link), on
+    # the int64 and the scalar scans
+    from polyws import geodesic
+    monkeypatch.setattr(geodesic, "SAMPLE_K", k)
+    for kernel in ("pick", "ray"):
+        monkeypatch.setitem(geom.BULK_CUTOVERS, kernel, cutover)
+    for kind, n, seed in [("random", 40, 5), ("comb", 42, 6),
+                          ("spiral", 40, 7)]:
+        poly = generate(kind, n, seed)
+        v = SubpolygonView.whole(poly)
+        rng = random.Random(seed)
+        stats = RunStats()
+        calls = 0
+        for q in range(1, n + 1):
+            for t in range(1, n + 1):
+                if q == t:
+                    continue
+                assert first_link(v, q, t, rng, stats) == \
+                    ref_geodesic(poly, q, t)[1], (kind, q, t)
+                calls += (t - q) % n not in (1, n - 1)
+        if k == 1:
+            # the one-draw search scans before every shot; rounds add at
+            # most one empty-cone check per call
+            assert stats.rounds - calls <= stats.scans <= stats.rounds
+        if k > n:
+            assert stats.scans == calls
+
+
+def test_sample_words_fit_a_strict_meter(monkeypatch):
+    # the sample's words take only the meter's slack, so a strict meter with
+    # less room than SAMPLE_K - 1 never refuses them; they are released on
+    # return and when first_link raises
+    from polyws import geodesic
+    from polyws.errors import InternalInvariantError
+    from polyws.workspace import MeterMode, WorkspaceMeter
+    poly = generate("comb", 120, 3)
+    v = SubpolygonView.whole(poly)
+    t = ref = None
+    for t in range(40, 80):
+        ref = ref_geodesic(poly, 1, t)
+        if len(ref) > 2:
+            break
+    seen = []
+    ray = geom.ray_scan_light
+
+    def spy(*args):
+        seen.append(meter.current_words)
+        return ray(*args)
+    monkeypatch.setattr(geom, "ray_scan_light", spy)
+    for slack in (0, 1, geodesic.SAMPLE_K - 2, geodesic.SAMPLE_K + 5):
+        for mode in (MeterMode.STRICT, MeterMode.PERMISSIVE):
+            meter = WorkspaceMeter(100, mode)
+            meter.alloc(100 - slack)
+            seen.clear()
+            assert first_link(v, 1, t, random.Random(slack), None,
+                              meter) == ref[1]
+            assert seen and set(seen) == {
+                100 - slack + min(slack, geodesic.SAMPLE_K - 1)}
+            assert meter.current_words == 100 - slack
+            assert not meter.overage_flag
+    # a permissive meter already over its budget lends no sample words
+    meter = WorkspaceMeter(100, MeterMode.PERMISSIVE)
+    meter.alloc(130)
+    seen.clear()
+    first_link(v, 1, t, random.Random(0), None, meter)
+    assert set(seen) == {130}
+
+    def broken(*args):
+        raise InternalInvariantError("injected")
+    monkeypatch.setattr(geom, "ray_scan_light", broken)
+    meter = WorkspaceMeter(100, MeterMode.STRICT)
+    meter.alloc(90)
+    with pytest.raises(InternalInvariantError):
+        first_link(v, 1, t, random.Random(0), None, meter)
+    assert meter.current_words == 90

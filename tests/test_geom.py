@@ -293,10 +293,28 @@ def test_bulk_and_scalar_ray_scans_agree(monkeypatch):
     assert most_hits > geom._RAY_LOOP_MAX   # the arrays-of-crossings branch
 
 
+def _rational_twin(v):
+    """View of the same ring as the integer view `v`, with every fifth vertex
+    stored as a free point of Fraction coordinates: a multi-item view that
+    always takes the exact scalar path."""
+    from polyws.workspace import _ARC, _CUT, CutVertex
+    items = []
+    for i, (x, y) in enumerate(v.scan_points(), 1):
+        if i % 5 == 3:
+            items.append((_CUT, CutVertex(None, (Fraction(x), Fraction(y)),
+                                          virtual=True)))
+        else:
+            items.append((_ARC, v.base_ref(i), 1))
+    twin = SubpolygonView(v.base, items)
+    assert not twin.all_int and len(twin.items) > 2
+    return twin
+
+
 def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
-    # is_visible, point_in_closed and the reflex search inside a blocking
-    # triangle give the same answers on the int64 and the scalar path,
-    # including points on edges and at vertices
+    # is_visible, point_in_closed, the reflex search inside a blocking
+    # triangle and point-to-vertex visibility give the same answers on the
+    # int64 and the scalar path, including points on edges and at vertices,
+    # and the same again on a rational twin of each view
     from polyws.oracle import generate
     views = [SubpolygonView.whole(generate(kind, 120, seed))
              for kind, seed in [("random", 4), ("comb", 5), ("spiral", 6)]]
@@ -330,15 +348,24 @@ def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
                         vq, pts[pn - 1], hit.point) != geom.COLLINEAR:
                     blocked.append((q, pn, hit.point))
                     blocked.append((vq, pn, hit.point))
+        inside = [p for p in points if geom.point_in_closed(v, p)]
+        sights = [(p, rng.randrange(1, v.m + 1)) for p in inside[:60]]
+        sights += [(p, j) for p in inside[:2] for j in range(1, v.m + 1)]
+
+        def answers(w):
+            return ([geom.is_visible(w, i, j) for i, j in pairs],
+                    [geom.point_in_closed(w, p) for p in points],
+                    [geom.max_angle_reflex_in_triangle(w, *b)
+                     for b in blocked],
+                    [geom.point_sees_vertex(w, p, j) for p, j in sights])
         got = []
         for cutover in (0, 1 << 30):
             for kernel in ("point", "visible", "reflex"):
                 monkeypatch.setitem(geom.BULK_CUTOVERS, kernel, cutover)
-            got.append(([geom.is_visible(v, i, j) for i, j in pairs],
-                        [geom.point_in_closed(v, p) for p in points],
-                        [geom.max_angle_reflex_in_triangle(v, *b)
-                         for b in blocked]))
-        assert got[0] == got[1]
+            got.append(answers(v))
+        got.append(answers(_rational_twin(v)))
+        assert got[0] == got[1] == got[2]
+        assert any(got[0][3]) and not all(got[0][3])
         assert any(got[0][0]) and not all(got[0][0])
         assert any(got[0][1]) and not all(got[0][1])
         searches += len(blocked)

@@ -129,3 +129,57 @@ def test_validate_partition_catches_bad_sizes():
     pieces = [[1, 2, 3], [1] + list(range(3, 13))]
     rep = validate_partition(pts, diagonals, pieces, s=2)
     assert not rep.ok
+
+
+def _first_crossing_rows(xs, ys):
+    """Row-by-row reference for oracle._first_crossing: edge k against every
+    later edge, first crossing pair in row-major order."""
+    import numpy as np
+    n = len(xs)
+    ax, ay = xs, ys
+    bx, by = np.roll(xs, -1), np.roll(ys, -1)
+    for k in range(n - 2):
+        o1 = np.sign((bx[k] - ax[k]) * (ys - ay[k])
+                     - (by[k] - ay[k]) * (xs - ax[k]))
+        o2 = np.sign((bx[k] - ax[k]) * (by - ay[k])
+                     - (by[k] - ay[k]) * (bx - ax[k]))
+        o3 = np.sign((bx - ax) * (ay[k] - ay) - (by - ay) * (ax[k] - ax))
+        o4 = np.sign((bx - ax) * (by[k] - ay) - (by - ay) * (bx[k] - ax))
+        crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
+        crossing[:k + 1] = False
+        hit = np.nonzero(crossing)[0]
+        if hit.size:
+            return k, int(hit[0])
+    return None
+
+
+def test_blocked_crossing_scan_matches_row_scan():
+    # the blocked scan finds the same first pair as the row-by-row scan, on
+    # grids full of collinear and touching edges and along whole 2-opt
+    # untangling runs, where rows before the last move's first edge are
+    # tested against the two edges it replaced only
+    import numpy as np
+    from polyws.oracle import _first_crossing
+    rng = random.Random(11)
+    for trial in range(150):
+        n = rng.randrange(4, 90)
+        span = rng.choice((6, 40, 1000))
+        xs = np.array([rng.randrange(span) for _ in range(n)], dtype=np.int64)
+        ys = np.array([rng.randrange(span) for _ in range(n)], dtype=np.int64)
+        assert _first_crossing(xs, ys) == _first_crossing_rows(xs, ys)
+    for trial in range(6):
+        n = rng.randrange(10, 70)
+        pts = list({(rng.randrange(10 ** 6), rng.randrange(10 ** 6))
+                    for _ in range(n)})
+        xs = np.array([p[0] for p in pts], dtype=np.int64)
+        ys = np.array([p[1] for p in pts], dtype=np.int64)
+        order = np.arange(len(pts))
+        row, moved = 0, ()
+        while True:
+            want = _first_crossing_rows(xs[order], ys[order])
+            assert _first_crossing(xs[order], ys[order], row, moved) == want
+            if want is None:
+                break
+            i, j = want
+            order[i + 1:j + 1] = order[i + 1:j + 1][::-1]
+            row, moved = i, (i, j)
