@@ -334,76 +334,170 @@ def validate_partition(polygon: BasePolygon, diagonals, pieces, s: int) -> Repor
 def check_simple(points: Sequence[Tuple[int, int]],
                  general_position: bool = True,
                  gp_limit: int = 2048) -> Report:
-    """Simplicity (and optionally strict general position) of a vertex ring."""
+    """Simplicity, and optionally strict general position, of a vertex ring.
+
+    Simple means: at least 3 vertices, no two equal, and no two edges that
+    meet except consecutive edges at their shared vertex.  Consecutive edges
+    that run on in a straight line are allowed; ones that fold back over
+    each other are not.  A Shamos-Hoey sweep (`_sweep_fault`) decides this
+    at every n in O(n log n) exact integer steps.  With `general_position`,
+    rings of at most `gp_limit` vertices must also have no three collinear
+    vertices (`_collinear_triple`, O(n^2 log n) time in O(n) memory).  The
+    first fault found is the report's only error.  It names the vertices or
+    edges at fault, 1-based, where edge k runs from vertex k to vertex k+1:
+    "vertices i and j coincide", "vertex i lies on edge k", "edges k and l
+    cross" or "vertices (i, j, l) are collinear".
+    """
     rep = Report()
     n = len(points)
     if n < 3:
         rep.fail("fewer than 3 vertices")
         return rep
-    if len(set(points)) != n:
-        rep.fail("duplicate vertices")
-        return rep
-    xs = np.array([p[0] for p in points], dtype=np.int64)
-    ys = np.array([p[1] for p in points], dtype=np.int64)
-    ax, ay = xs, ys
-    bx, by = np.roll(xs, -1), np.roll(ys, -1)
-    if ((ax == bx) & (ay == by)).any():
-        rep.fail("zero-length edge")
-        return rep
-    # vertex strictly inside another edge
-    for k in range(n):
-        ex, ey = bx[k] - ax[k], by[k] - ay[k]
-        cr = ex * (ys - ay[k]) - ey * (xs - ax[k])
-        on = (cr == 0) \
-            & (np.minimum(ax[k], bx[k]) <= xs) & (xs <= np.maximum(ax[k], bx[k])) \
-            & (np.minimum(ay[k], by[k]) <= ys) & (ys <= np.maximum(ay[k], by[k]))
-        on[k] = False
-        on[(k + 1) % n] = False
-        if on.any():
-            rep.fail(f"vertex {int(np.nonzero(on)[0][0]) + 1} lies on edge {k + 1}")
-            return rep
-    # pairwise proper crossings (adjacent pairs share exactly one endpoint,
-    # covered by the on-edge test above plus general position)
-    for k in range(n):
-        o1 = np.sign((bx[k] - ax[k]) * (ys - ay[k]) - (by[k] - ay[k]) * (xs - ax[k]))
-        o2 = np.sign((bx[k] - ax[k]) * (by - ay[k]) - (by[k] - ay[k]) * (bx - ax[k]))
-        o3 = np.sign((bx - ax) * (ay[k] - ay) - (by - ay) * (ax[k] - ax))
-        o4 = np.sign((bx - ax) * (by[k] - ay) - (by - ay) * (bx[k] - ax))
-        crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
-        crossing[k] = False
-        hit = np.nonzero(crossing)[0]
-        hit = hit[hit > k]
-        if hit.size:
-            rep.fail(f"edges {k + 1} and {int(hit[0]) + 1} cross")
-            return rep
-    if general_position and n <= gp_limit:
-        col = _collinear_triple(xs, ys)
+    fault = _sweep_fault(points)
+    if fault is None and general_position and n <= gp_limit:
+        col = _collinear_triple(np.array([p[0] for p in points], dtype=np.int64),
+                                np.array([p[1] for p in points], dtype=np.int64))
         if col is not None:
-            rep.fail(f"vertices {col} are collinear")
+            fault = f"vertices {col} are collinear"
+    if fault is not None:
+        rep.fail(fault)
     return rep
 
 
-def _collinear_triple(xs, ys) -> Optional[Tuple[int, int, int]]:
-    """Any three collinear vertices, by per-vertex primitive-direction sort."""
-    n = len(xs)
-    for i in range(n):
-        dx = np.delete(xs - xs[i], i)
-        dy = np.delete(ys - ys[i], i)
-        neg = (dx < 0) | ((dx == 0) & (dy < 0))
-        dx = np.where(neg, -dx, dx)
-        dy = np.where(neg, -dy, dy)
-        g = np.gcd(np.abs(dx), np.abs(dy))
-        g[g == 0] = 1
-        dx //= g
-        dy //= g
-        pairs = dx * (1 << 32) + dy  # dx >= 0, |dy| < 2^27: injective
-        uniq, counts = np.unique(pairs, return_counts=True)
-        if (counts > 1).any():
-            dup = uniq[np.argmax(counts > 1)]
-            others = [k for k in range(n) if k != i]
-            hits = [others[k] for k in np.nonzero(pairs == dup)[0][:2]]
-            return (i + 1, hits[0] + 1, hits[1] + 1)
+def _sweep_fault(points) -> Optional[str]:
+    """The first fault a Shamos-Hoey sweep meets in the ring, or None.
+
+    Vertices are visited in lexicographic (x, y) order, which sweeps a line
+    tilted slightly off the vertical, so vertical edges need no special
+    case.  Each edge is active between its two endpoints; the active edges
+    are kept in a list ordered bottom to top along the sweep line.  At a
+    vertex p one binary search with exact orientation tests finds where p
+    lies in that order.  An active edge through p that is not one of p's
+    edges is a fault; otherwise the edges that end at p are deleted there,
+    the edges that start at p inserted there, and each pair of edges that
+    becomes adjacent is tested for a proper crossing.
+
+    That finds every fault.  Two edges that touch or overlap always put a
+    vertex inside a non-incident edge, which the search at that vertex
+    meets.  Before the first crossing at an inner point, the list order is
+    the order along the sweep line (two edges that leave one vertex along
+    one line may stand in either order), so the two crossing edges are
+    adjacent, and were tested, by the event before it.
+    """
+    n = len(points)
+    order = sorted(range(n), key=points.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if points[a] == points[b]:
+            return f"vertices {min(a, b) + 1} and {max(a, b) + 1} coincide"
+    # an active edge is (x, y, dx, dy, k): its left end, the direction to
+    # its right end, and its index (edge k runs from vertex k)
+    status: List[Tuple[int, int, int, int, int]] = []
+    for v in order:
+        px, py = points[v]
+        prev = (v - 1) % n
+        # first edge not below p
+        lo, hi = 0, len(status)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            x, y, dx, dy, _ = status[mid]
+            if dx * (py - y) > dy * (px - x):
+                lo = mid + 1
+            else:
+                hi = mid
+        # the edges through p: the ones that end at p, else a fault
+        hi = lo
+        while hi < len(status):
+            x, y, dx, dy, k = status[hi]
+            if dx * (py - y) != dy * (px - x):
+                break
+            if k != v and k != prev:
+                return f"vertex {v + 1} lies on edge {k + 1}"
+            hi += 1
+        starts = [(px, py, qx - px, qy - py, k)
+                  for k, (qx, qy) in ((prev, points[prev]),
+                                      (v, points[(v + 1) % n]))
+                  if (qx, qy) > (px, py)]
+        if hi - lo != 2 - len(starts):
+            raise InternalInvariantError(
+                f"sweep lost an edge ending at vertex {v + 1}")
+        if len(starts) == 2 and starts[0][2] * starts[1][3] \
+                < starts[0][3] * starts[1][2]:
+            starts.reverse()          # lower edge first
+        status[lo:hi] = starts
+        # the new neighbour pairs: below p and above it (one pair when
+        # nothing starts at p)
+        for a in (lo - 1, lo + len(starts) - 1):
+            if 0 <= a < len(status) - 1 and _cross(status[a], status[a + 1]):
+                ka, kb = sorted((status[a][4], status[a + 1][4]))
+                return f"edges {ka + 1} and {kb + 1} cross"
     return None
+
+
+def _cross(e, f) -> bool:
+    """Whether two edges (x, y, dx, dy, k) cross at a point inside both."""
+    ax, ay, adx, ady, _ = e
+    bx, by, bdx, bdy, _ = f
+    d1 = adx * (by - ay) - ady * (bx - ax)
+    d2 = adx * (by + bdy - ay) - ady * (bx + bdx - ax)
+    d3 = bdx * (ay - by) - bdy * (ax - bx)
+    d4 = bdx * (ay + ady - by) - bdy * (ax + adx - bx)
+    return ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4))
+
+
+_GP_BLOCK = 1 << 14   # most slope cells held at once by _collinear_triple
+
+
+def _collinear_triple(xs, ys) -> Optional[Tuple[int, int, int]]:
+    """Any three collinear points (1-based), or None.  The points must be
+    distinct; xs and ys are int64 arrays of magnitude at most 2^26.
+
+    Blocks of rows i hold the slope from point i to every point j as a
+    float64, sort each row and look for equal neighbours.  Integer
+    differences below 2^53 convert exactly and IEEE division rounds
+    correctly, so equal rational slopes always give equal doubles; unequal
+    ones may collide too, so each row with a tie is settled exactly by its
+    primitive directions (`_row_collinear`).  Rows are tried in order, so
+    the triple is the first row's, as a row-by-row search would find."""
+    n = len(xs)
+    rows = max(1, _GP_BLOCK // n)
+    for i0 in range(0, n, rows):
+        i1 = min(n, i0 + rows)
+        dx = xs[None, :] - xs[i0:i1, None]
+        dy = ys[None, :] - ys[i0:i1, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = dy / dx
+        slope[dx == 0] = np.inf
+        slope[np.arange(i1 - i0), np.arange(i0, i1)] = np.nan
+        slope.sort(axis=1)
+        tied = (slope[:, 1:] == slope[:, :-1]).any(axis=1)
+        for r in np.flatnonzero(tied).tolist():
+            col = _row_collinear(xs, ys, i0 + r)
+            if col is not None:
+                return col
+    return None
+
+
+def _row_collinear(xs, ys, i: int) -> Optional[Tuple[int, int, int]]:
+    """Two points on one line through point i, with i (1-based), by exact
+    primitive directions; or None."""
+    n = len(xs)
+    dx = np.delete(xs - xs[i], i)
+    dy = np.delete(ys - ys[i], i)
+    neg = (dx < 0) | ((dx == 0) & (dy < 0))
+    dx = np.where(neg, -dx, dx)
+    dy = np.where(neg, -dy, dy)
+    g = np.gcd(np.abs(dx), np.abs(dy))
+    g[g == 0] = 1
+    dx //= g
+    dy //= g
+    pairs = dx * (1 << 32) + dy  # dx >= 0, |dy| < 2^27: injective
+    uniq, counts = np.unique(pairs, return_counts=True)
+    if not (counts > 1).any():
+        return None
+    dup = uniq[np.argmax(counts > 1)]
+    others = [k for k in range(n) if k != i]
+    hits = [others[k] for k in np.nonzero(pairs == dup)[0][:2]]
+    return (i + 1, hits[0] + 1, hits[1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +698,10 @@ def _gen_comb(n: int, seed: int):
     extra = n - (4 * k + 2)          # 0..3 spare vertices on the left wall
     tops = _strict_chain(rng, 2 * k, concave=True)       # x = 0,2,...,4k-2
     bots = _strict_chain(rng, 2 * k - 1, concave=False)  # notch bottoms
-    H = max(tops) + max(bots) + 4000     # tops sit well above every bottom
-    top_y = [H + t - max(tops) for t in tops]            # peak at H
-    bot_y = [b - max(bots) for b in bots]                # valley at <= 0
+    top_max, bot_max = max(tops), max(bots)
+    H = top_max + bot_max + 4000         # tops sit well above every bottom
+    top_y = [H + t - top_max for t in tops]              # peak at H
+    bot_y = [b - bot_max for b in bots]                  # valley at <= 0
     y_floor = min(bot_y) - 5000
     width = 4 * k + 3
     pts: List[Tuple[int, int]] = [(0, y_floor)]

@@ -41,6 +41,55 @@ def test_load_rejects_bowtie(tmp_path):
         load_polygon(str(p))
 
 
+def _faulty_rings(points):
+    """Copies of the ring, scaled by 2 so that edge midpoints are lattice
+    points, each with vertex v moved: onto the middle of a nearby edge k
+    ("touching"), one unit across it, so that v's edges cross edge k
+    ("crossing"), onto a vertex of edge k ("duplicate"), and one unit short
+    of the middle ("control"), which is simple."""
+    from polyws.geom import orient
+    from polyws.oracle import check_simple
+    pts = [(2 * x, 2 * y) for x, y in points]
+    n = len(pts)
+    for v in range(n // 3, n // 3 + 60):
+        for k in range(v + 2, v + 10):
+            a, b = pts[k], pts[k + 1]
+            mid = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+            side = orient(a, b, pts[v])
+            if side == 0:
+                continue
+            dx, dy = (1, 0) if a[1] != b[1] else (0, 1)   # across the edge
+            if orient(a, b, (mid[0] + dx, mid[1] + dy)) != side:
+                dx, dy = -dx, -dy
+            near = (mid[0] + dx, mid[1] + dy)
+            far = (mid[0] - dx, mid[1] - dy)
+            rings = {}
+            for fault, q in (("control", near), ("touching", mid),
+                             ("crossing", far), ("duplicate", a)):
+                rings[fault] = pts[:v] + [q] + pts[v + 1:]
+            if check_simple(rings["control"], general_position=False).ok:
+                return rings
+    raise AssertionError("no vertex to move")
+
+
+@pytest.mark.parametrize("kind,n", [("comb", 4000), ("spiral", 2000)])
+def test_large_faulty_polygons_refused(tmp_path, capsys, kind, n):
+    # above n = 2048 (comb 4000) only the simplicity sweep stands between
+    # these rings and the algorithms; spiral 2000 also meets the
+    # general-position test
+    from test_oracle import _check_simple_reference
+    rings = _faulty_rings(generate(kind, n, 1).points())
+    assert _check_simple_reference(rings.pop("control"),
+                                   general_position=False).ok
+    for fault, pts in rings.items():
+        path = tmp_path / f"{kind}-{fault}.poly"
+        path.write_text(f"{n}\n" + "".join(f"{x} {y}\n" for x, y in pts))
+        assert main(["triangulate", str(path), "--out",
+                     str(tmp_path / "tri.out")]) == 1, fault
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+
+
 def test_triangulate_square_cli(square, tmp_path, capsys):
     out = str(tmp_path / "tri.out")
     rc = main(["triangulate", square, "--s", "64", "--out", out,
