@@ -8,9 +8,8 @@ Inputs are oracle.generate's comb, the comb turned by 90 and by 45 degrees
 (the sweep line then crosses a constant fraction of the edges), and the
 spiral, at n = 2000, 4000, 6000 and 20000, all from seed 1.  The new check
 is timed as the median of three loads, the reference as one.  Where the
-generator gives up (spiral 20000: every attempt's ring has two crossing
-edges), the first attempt's ring is timed instead, and both checks must
-refuse it.
+generator gives up, the first attempt's ring is timed instead, and both
+checks must refuse it.
 """
 from __future__ import annotations
 

@@ -729,35 +729,65 @@ def _gen_comb(n: int, seed: int):
     return pts
 
 
+# Largest n for which the original spiral shape can come out simple, by parity
+# of n (see _gen_spiral); from the next n on every ring of that shape crosses
+# itself whatever the jitter, and _gen_spiral switches to the wide shape.
+_SPIRAL_NARROW_MAX = {0: 13664, 1: 7271}
+# most turns of the wide shape: those of n = 12800, whose outermost edges stay
+# about 400 units clear of the inner arm (jitter moves a vertex at most 87)
+_SPIRAL_WIDE_TURNS = 200
+
+
 def _gen_spiral(n: int, seed: int):
     """Spiral corridor: an outward arm and a parallel inner arm walked back,
     leaving a channel that winds through every turn.  The inner-arm vertices
     form one long reflex chain, so geodesics along the corridor bend at
-    nearly half the vertices."""
+    nearly half the vertices.
+
+    The original shape makes n / 64 turns with 32 vertices per arm and turn.
+    Each outer-arm edge dips inside its circle, by about 0.0018 r where the
+    inner arm's vertex 0.02 rad further on lies, and by more toward the
+    edge's middle; the corridor is 9,000 units wide.  For even n the inner
+    vertices keep that offset, and the dip reaches the corridor at about
+    n = 13,400 (r of about 5.1 million).  For odd n the inner arm has one
+    vertex less and a longer step, so its vertices drift toward the middle of
+    the outer edges and the rings cross from about n = 7,100.  Past
+    _SPIRAL_NARROW_MAX, where no jitter gives a simple ring, the wide shape
+    puts a whole number of vertices on each turn, at least 32 and enough for
+    at most _SPIRAL_WIDE_TURNS turns, so that each turn's edges run parallel
+    to the next turn's and the outermost radius stays below 4.9 million, and
+    steps the inner arm by the outer arm's angle.  Up to _SPIRAL_NARROW_MAX
+    the rings are the original ones, bit for bit.
+    """
     if n < 12:
         return _gen_convex(n, seed)
     rng = random.Random(seed)
     n_out = (n + 1) // 2
     n_in = n - n_out
-    turns = max(1.0, n / 64.0)
+    wide = n > _SPIRAL_NARROW_MAX[n % 2]
+    if wide:
+        per_turn = max(32, -(-(n_out - 1) // _SPIRAL_WIDE_TURNS))
+        turns = (n_out - 1) / per_turn
+    else:
+        turns = max(1.0, n / 64.0)
     pitch = 24000
     corridor = 9000
     r_end = corridor + 15000
     sweep = 2 * math.pi * turns
     c = pitch / (2 * math.pi)
 
-    def arm(count, radius_shift, angle_shift):
+    def arm(count, steps, radius_shift, angle_shift):
         out = []
         for i in range(count):
-            th = sweep * i / (count - 1) + angle_shift
+            th = sweep * i / steps + angle_shift
             r = r_end + c * (sweep - (th - angle_shift)) + radius_shift
             x = int(round(r * math.cos(th))) + rng.randrange(-61, 62)
             y = int(round(r * math.sin(th))) + rng.randrange(-61, 62)
             out.append((x, y))
         return out
 
-    outer = arm(n_out, 0, 0.0)
-    inner = arm(n_in, -corridor, 0.02)
+    outer = arm(n_out, n_out - 1, 0, 0.0)
+    inner = arm(n_in, (n_out if wide else n_in) - 1, -corridor, 0.02)
     return outer + inner[::-1]
 
 

@@ -116,7 +116,7 @@ def test_cursor_state_is_constant_words():
     cur = GeodesicCursor(v, 1, 100, random.Random(0))
     for _ in range(5):
         cur.next_vertex()
-    state = [cur.current, cur.target, cur.done]
+    state = [cur.prev, cur.current, cur.target, cur.done]
     assert len(state) + 2 <= GeodesicCursor.WORDS  # + view ref and rng seed
 
 
@@ -284,3 +284,112 @@ def test_sample_words_fit_a_strict_meter(monkeypatch):
     with pytest.raises(InternalInvariantError):
         first_link(v, 1, t, random.Random(0), None, meter)
     assert meter.current_words == 90
+
+
+def _plain_walk(v, q, t, rng, stats=None):
+    """The cursor's path from q to t, each link searched without `prev`."""
+    path = [q]
+    while path[-1] != t:
+        path.append(first_link(v, path[-1], t, rng, stats))
+    return path
+
+
+def test_narrowed_search_agrees_with_plain_search():
+    # at every vertex of a cursor walk, first_link with the previous path
+    # vertex returns what it returns without it; the walks include links
+    # that arrive along a boundary edge, where prev lies on a bound of q
+    ties = checked = 0
+    for kind in ("comb", "spiral", "random", "monotone"):
+        for n, seed in [(60, 1), (150, 2), (300, 3)]:
+            poly = generate(kind, n, seed)
+            v = SubpolygonView.whole(poly)
+            for t in (n // 2, n // 3, 2 * n // 3):
+                cur = GeodesicCursor(v, 1, t, random.Random(seed + t))
+                path = [1] + list(cur)
+                assert path == ref_geodesic(poly, 1, t), (kind, n, t)
+                for prev, q, nxt in zip(path, path[1:], path[2:]):
+                    for draw in range(3):
+                        assert first_link(v, q, t, random.Random(draw),
+                                          prev=prev) == nxt, (kind, n, t, q)
+                        assert first_link(v, q, t,
+                                          random.Random(draw)) == nxt
+                    ties += (q - prev) % n in (1, n - 1)
+                    checked += 1
+    assert checked > 300
+    assert ties > 20
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_narrowing_keeps_the_far_bound_when_prev_is_a_neighbor(side):
+    # prev on a bound of q (the link arrived along a boundary edge): that
+    # bound is replaced, the far bound and its edge flag stay, and the
+    # narrowed cone still holds the extension of prev -> q strictly inside
+    from polyws.geodesic import _initial_cone, _narrow_past
+    poly = generate("comb", 62, 1)
+    v = SubpolygonView.whole(poly)
+    pts = v.scan_points()
+    narrowed = 0
+    for q in range(1, 63):
+        if not geom.is_reflex(v, q):
+            continue
+        prev = 1 + (q - 2) % 62 if side == "a" else 1 + q % 62
+        cone = _initial_cone(v, q, pts)
+        far = cone.b if side == "a" else cone.a
+        _narrow_past(cone, pts, q, prev)
+        if side == "a":
+            assert (cone.b, cone.b_edge, cone.a_edge) == (far, True, False)
+        else:
+            assert (cone.a, cone.a_edge, cone.b_edge) == (far, True, False)
+        (qx, qy), (px, py) = pts[q - 1], pts[prev - 1]
+        ex, ey = qx - px, qy - py
+        (ax, ay), (bx, by) = cone.a, cone.b
+        assert ax * by - ay * bx > 0       # convex
+        assert ax * ey - ay * ex > 0 and ex * by - ey * bx > 0
+        narrowed += 1
+    assert narrowed > 10
+
+
+def test_narrowed_search_takes_fewer_rounds():
+    # the cursor's rounds on comb 1000 against the same path searched
+    # without prev; a cursor that stops passing prev fails this
+    poly = generate("comb", 1000, 1)
+    v = SubpolygonView.whole(poly)
+    narrowed, plain = RunStats(), RunStats()
+    for t in (500, 333, 667):
+        path = [1] + list(GeodesicCursor(v, 1, t, random.Random(t),
+                                         narrowed))
+        assert _plain_walk(v, 1, t, random.Random(t), plain) == path
+    assert narrowed.links > 50
+    assert narrowed.rounds < plain.rounds, (narrowed.rounds, plain.rounds)
+
+
+# Counterclockwise: a floor, a right wall and a sawtooth ceiling whose first
+# two tips, (10, 10) and (20, 20), lie on the line y = x through the corner
+# (0, 0), so geodesics from the corner pass straight through (10, 10).  The
+# ring is not in general position and is built without check_simple.
+STRAIGHT_THROUGH = [(0, 0), (50, 0), (50, 60), (36, 60), (30, 36), (25, 45),
+                    (20, 20), (15, 40), (10, 10), (5, 40), (0, 40)]
+
+
+def test_narrowed_bound_keeps_a_vertex_on_the_extension():
+    # prev, q and the next vertex are collinear: the next vertex lies on the
+    # extension of prev -> q, and the narrowed search must still find it,
+    # and the cursor must give the path it gives without prev
+    pts = [STRAIGHT_THROUGH[0]] + STRAIGHT_THROUGH[:0:-1]
+    v = SubpolygonView.whole(BasePolygon(pts))
+    at = {p: i + 1 for i, p in enumerate(pts)}
+    corner, q, w = at[(0, 0)], at[(10, 10)], at[(20, 20)]
+    straight = 0
+    for t in range(1, len(pts) + 1):
+        if t in (corner, q):
+            continue
+        for draw in range(20):
+            plain = first_link(v, q, t, random.Random(draw))
+            assert first_link(v, q, t, random.Random(draw),
+                              prev=corner) == plain
+            if plain == w:
+                straight += 1
+            path = [corner] + list(GeodesicCursor(v, corner, t,
+                                                  random.Random(draw)))
+            assert path == _plain_walk(v, corner, t, random.Random(draw))
+    assert straight >= 4 * 20

@@ -1,5 +1,8 @@
 """Ground-truth machinery: generators, reference geodesics/trees, validators."""
+import hashlib
 import random
+
+import pytest
 
 from polyws import geom
 from polyws.oracle import (check_simple, generate, ref_geodesic, ref_spt,
@@ -113,6 +116,32 @@ def test_spiral_has_deep_reflex_chain():
     v = SubpolygonView.whole(poly)
     reflex = sum(1 for i in range(1, 61) if geom.is_reflex(v, i))
     assert reflex >= 20
+
+
+@pytest.mark.parametrize("n", [7273, 14000, 14001, 20000])
+def test_large_spirals_are_simple_on_the_first_attempt(n):
+    # past the largest n whose original spiral shape can be simple (odd n
+    # from 7273, even n from 13666) the wide shape is used; its first ring
+    # passes the input check, so generate makes no retries
+    from polyws import oracle
+    for seed in (1, 2):
+        pts = oracle._to_clockwise(oracle._gen_spiral(n, seed))
+        assert check_simple(pts).ok, (n, seed)
+    assert list(generate("spiral", n, 1).points()) == \
+        oracle._to_clockwise(oracle._gen_spiral(n, 1))
+
+
+def test_spirals_below_the_wide_shape_are_unchanged():
+    # digests of the original generator's rings, which benchmark and golden
+    # inputs depend on
+    from polyws.oracle import _gen_spiral
+    for n, seed, digest in [(60, 3, "90e2337e8c7d86e6"),
+                            (2000, 1001, "73f57c3dc9852d79"),
+                            (7271, 1, "3e1a4cce5c5a4cc5"),
+                            (13000, 1, "913aa84d39b3baa2"),
+                            (13664, 2, "85ff114836ed9181")]:
+        ring = repr(_gen_spiral(n, seed)).encode()
+        assert hashlib.sha256(ring).hexdigest()[:16] == digest, (n, seed)
 
 
 def test_validate_partition_accepts_triangle_pieces():
