@@ -29,6 +29,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from polyws import cli, oracle                      # noqa: E402
 from polyws.errors import PolygonInputError         # noqa: E402
+from polyws.workspace import BasePolygon            # noqa: E402
 from test_oracle import _check_simple_reference, _turned   # noqa: E402
 
 SEED = 1
@@ -42,9 +43,9 @@ def ring(kind: str, n: int):
         pts = oracle.generate(base, n, SEED).points()
         made = "generate"
     except PolygonInputError:
-        pts = oracle._to_clockwise(
+        pts = BasePolygon.clockwise(
             {"comb": oracle._gen_comb, "spiral": oracle._gen_spiral}[base](
-                n, SEED))
+                n, SEED)).points()
         made = "first attempt (generate refuses)"
     if kind.endswith("-90"):
         pts = _turned(pts, True)

@@ -12,14 +12,13 @@ from .geodesic import Cone, GeodesicCursor, first_link
 from .geom import (CLOCKWISE, COLLINEAR, COORD_LIMIT, COUNTERCLOCKWISE,
                    is_visible, max_angle_reflex_in_triangle, orient,
                    ray_shoot, segments_properly_intersect)
-from .partition import balanced_cut_filter, partition, piece_vertex_lists
+from .partition import partition, piece_vertex_lists
 from .spt import (CollectingSptSink, SptSink, spt, spt_constant_workspace,
                   spt_in_memory)
-from .triangulate import (AdjacencySink, CollectingSink, NullSink,
-                          PendingAdjacency, TriangulationSink,
-                          find_alternating_diagonal, required_budget,
-                          triangulate, triangulate_in_memory,
-                          triangulate_polygon)
+from .triangulate import (AdjacencySink, CollectingSink, PendingAdjacency,
+                          TriangulationSink, find_alternating_diagonal,
+                          required_budget, triangulate,
+                          triangulate_in_memory, triangulate_polygon)
 from .workspace import (BasePolygon, CutVertex, MeterMode, RunStats,
                         SubpolygonView, VertexType, WorkspaceMeter, classify,
                         component_sizes, is_alternating, null_meter,
@@ -29,11 +28,11 @@ __all__ = [
     "AdjacencySink", "BasePolygon", "BudgetExceededError", "CLOCKWISE",
     "COLLINEAR", "COORD_LIMIT", "COUNTERCLOCKWISE", "CollectingSink",
     "CollectingSptSink", "Cone", "CutVertex", "GeodesicCursor",
-    "InternalInvariantError", "MeterMode", "NullSink", "PendingAdjacency",
+    "InternalInvariantError", "MeterMode", "PendingAdjacency",
     "PolygonInputError", "RunStats", "SptSink", "SubpolygonView",
     "TriangulationSink", "UsageError", "VertexType", "WorkspaceMeter",
-    "balanced_cut_filter", "classify", "component_sizes",
-    "find_alternating_diagonal", "first_link", "is_alternating", "is_visible",
+    "classify", "component_sizes", "find_alternating_diagonal",
+    "first_link", "is_alternating", "is_visible",
     "max_angle_reflex_in_triangle", "null_meter", "orient", "partition",
     "piece_vertex_lists", "ray_shoot", "required_budget",
     "segments_properly_intersect", "separates", "spt",

@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
 from . import oracle
@@ -49,7 +50,7 @@ def load_polygon(path: str, validate: bool = True) -> BasePolygon:
         raise PolygonInputError(f"{path}: {exc}")
     if len(pts) != n:
         raise PolygonInputError(f"{path}: expected {n} vertices, got {len(pts)}")
-    poly = _normalize_clockwise(pts)
+    poly = BasePolygon.clockwise(pts)
     if validate:
         rep = oracle.check_simple(poly.points())
         if not rep.ok:
@@ -57,15 +58,20 @@ def load_polygon(path: str, validate: bool = True) -> BasePolygon:
     return poly
 
 
-def _normalize_clockwise(pts: List[Tuple[int, int]]) -> BasePolygon:
-    poly = BasePolygon(pts)
-    if poly.signed_area2() > 0:
-        poly = BasePolygon([pts[0]] + pts[:0:-1])
-    return poly
-
-
-def save_polygon(poly: BasePolygon, path: str) -> None:
+@contextmanager
+def _output(path: Optional[str]):
+    """The file at `path`, opened for writing and closed on exit, or stdout
+    (left open) when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
     with open(path, "w") as fh:
+        yield fh
+
+
+def save_polygon(poly: BasePolygon, path: Optional[str]) -> None:
+    """Write the polygon file to `path`, or to stdout when path is None."""
+    with _output(path) as fh:
         fh.write(f"{poly.n}\n")
         for x, y in poly.points():
             fh.write(f"{x} {y}\n")
@@ -83,20 +89,19 @@ def write_svg(path: str, poly: BasePolygon, segments, seg_color="crimson"):
     h = max(ys) - min(ys) + 2 * pad
     stroke = max(w, h) / 600.0
 
-    def pt(p):
-        return f"{p[0] - x0},{y0 + h - (p[1] - y0)}"
+    def xy(p):
+        """Figure coordinates of a vertex index or a point."""
+        if isinstance(p, int):
+            p = poly.vertex(p)
+        return p[0] - x0, y0 + h - (p[1] - y0)
 
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}">']
-    ring = " ".join(pt(p) for p in poly.points())
+    ring = " ".join(f"{x},{y}" for x, y in map(xy, poly.points()))
     lines.append(f'<polygon points="{ring}" fill="none" stroke="black" '
                  f'stroke-width="{stroke * 1.5}"/>')
     for (a, b) in segments:
-        pa = poly.vertex(a) if isinstance(a, int) else a
-        pb = poly.vertex(b) if isinstance(b, int) else b
-        lines.append(f'<line x1="{pt(pa).split(",")[0]}" '
-                     f'y1="{pt(pa).split(",")[1]}" '
-                     f'x2="{pt(pb).split(",")[0]}" '
-                     f'y2="{pt(pb).split(",")[1]}" '
+        (ax, ay), (bx, by) = xy(a), xy(b)
+        lines.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
                      f'stroke="{seg_color}" stroke-width="{stroke}"/>')
     lines.append("</svg>\n")
     with open(path, "w") as fh:
@@ -132,13 +137,7 @@ def _seed(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    poly = oracle.generate(args.kind, args.n, _seed(args))
-    if args.out:
-        save_polygon(poly, args.out)
-    else:
-        sys.stdout.write(f"{poly.n}\n")
-        for x, y in poly.points():
-            sys.stdout.write(f"{x} {y}\n")
+    save_polygon(oracle.generate(args.kind, args.n, _seed(args)), args.out)
     return 0
 
 
@@ -155,8 +154,7 @@ def cmd_triangulate(args) -> int:
         poly, s, sink=sink, mode=_mode(args), L=args.L, kappa=args.kappa,
         seed=_seed(args), stats=stats)
     ms = (time.perf_counter() - t0) * 1000
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         if args.format == "edges":
             for a, b in sink.diagonals:
                 out.write(f"{a} {b}\n")
@@ -172,9 +170,6 @@ def cmd_triangulate(args) -> int:
                     for tid, c, nb in sink.records]
             json.dump(payload, out, indent=1)
             out.write("\n")
-    finally:
-        if args.out:
-            out.close()
     if args.svg:
         write_svg(args.svg, poly, sink.diagonals)
     _metrics_line("triangulate", poly, s, ms, meter, stats)
@@ -192,8 +187,7 @@ def cmd_spt(args) -> int:
     sink, meter, stats = spt(poly, root, s, mode=_mode(args), L=args.L,
                              kappa=args.kappa, seed=_seed(args))
     ms = (time.perf_counter() - t0) * 1000
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         if args.format == "json":
             json.dump({"n": poly.n, "root": args.root,
                        "edges": [list(e) for e in sorted(sink.edge_set())]},
@@ -202,9 +196,6 @@ def cmd_spt(args) -> int:
         else:
             for a, b in sink.edges:
                 out.write(f"{a} {b}\n")
-    finally:
-        if args.out:
-            out.close()
     if args.svg:
         segs = [(a, b) for a, b in sink.edges if a != 0]
         if isinstance(root, tuple):
@@ -222,8 +213,7 @@ def cmd_partition(args) -> int:
         poly, s, mode=_mode(args), L=args.L, kappa=args.kappa,
         seed=_seed(args))
     ms = (time.perf_counter() - t0) * 1000
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         if args.format == "json":
             json.dump({"n": poly.n, "s": s,
                        "diagonals": [list(d) for d in diagonals],
@@ -234,9 +224,6 @@ def cmd_partition(args) -> int:
                 out.write(f"{a} {b}\n")
             for ring in piece_vertex_lists(pieces):
                 out.write("P " + " ".join(map(str, ring)) + "\n")
-    finally:
-        if args.out:
-            out.close()
     if args.svg:
         write_svg(args.svg, poly, diagonals, seg_color="darkorange")
     _metrics_line("partition", poly, s, ms, meter, stats)
@@ -301,8 +288,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    out = open(args.csv, "w") if args.csv else sys.stdout
-    try:
+    with _output(args.csv) as out:
         out.write("kind,n,s,ms,peak_words,depth,links,farcases\n")
         for s_str in args.s.split(","):
             s = _int(s_str, "--s")
@@ -315,9 +301,6 @@ def cmd_bench(args) -> int:
             ms = (time.perf_counter() - t0) * 1000
             out.write(f"{args.kind},{args.n},{s},{ms:.1f},{meter.peak_words},"
                       f"{stats.depth},{stats.links},{stats.far_calls}\n")
-    finally:
-        if args.csv:
-            out.close()
     return 0
 
 

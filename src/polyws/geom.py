@@ -221,17 +221,29 @@ def is_visible(view, i: int, j: int) -> bool:
     m = view.m
     if (j - i) % m == 1 or (i - j) % m == 1:
         return True  # boundary edge
-    if uses_bulk("visible", view):
-        res = _visible_bulk(view, i, j)
+    return _visible(view, i, None, j)
+
+
+def point_sees_vertex(view, p: Pt, j: int) -> bool:
+    """Closed-set visibility between a point p of the closed polygon and
+    local vertex j: is_visible's scan with p as the first endpoint."""
+    return _visible(view, 0, p, j)
+
+
+def _visible(view, i: int, p: Optional[Pt], j: int) -> bool:
+    """Visibility of vertex j from the first endpoint: local vertex i, or
+    the point p when i is 0."""
+    if uses_bulk("visible", view, p):
+        res = _visible_bulk(view, i, p, j)
         if res is not None:
             return res
-    return _visible_scalar(view, i, j)
+    return _visible_scalar(view, i, p, j)
 
 
-def _visible_scalar(view, i: int, j: int) -> bool:
+def _visible_scalar(view, i: int, p: Optional[Pt], j: int) -> bool:
     m = view.m
     pts = view.scan_points()
-    a = pts[i - 1]
+    a = pts[i - 1] if i else p
     b = pts[j - 1]
     ax, ay = a
     ux = b[0] - ax
@@ -274,22 +286,22 @@ def _midpoint_inside(view, doubled: Pt) -> bool:
     """Point-in-closed test for (x, y) given as doubled coordinates."""
     if uses_bulk("point", view, doubled):
         return _point_in_closed_bulk(view, doubled, 2)
-    if view.all_int and isinstance(doubled[0], int) \
-            and isinstance(doubled[1], int):
-        return _point_in_ring(view.scan_points(), doubled, 2)
-    return _point_in_ring(view.scan_points(),
-                          (Fraction(doubled[0], 2), Fraction(doubled[1], 2)))
+    return _point_in_ring(view.scan_points(), doubled, 2)
 
 
-def _visible_bulk(view, i: int, j: int) -> Optional[bool]:
+def _visible_bulk(view, i: int, p: Optional[Pt], j: int) -> Optional[bool]:
     """Vectorized visibility; returns None to request the scalar fallback."""
     xs, ys = view.coord_arrays()
-    ax, ay = int(xs[i - 1]), int(ys[i - 1])
+    if i:
+        ax, ay = int(xs[i - 1]), int(ys[i - 1])
+    else:
+        ax, ay = p
     bx, by = int(xs[j - 1]), int(ys[j - 1])
     s = np.sign((bx - ax) * (ys - ay) - (by - ay) * (xs - ax))
     # any third vertex exactly on the open segment -> rare, resolve scalar
     col = (s == 0)
-    col[i - 1] = False
+    if i:
+        col[i - 1] = False
     col[j - 1] = False
     if col.any():
         cx = xs[col]
@@ -318,30 +330,6 @@ def _visible_bulk(view, i: int, j: int) -> Optional[bool]:
             if (o3 > 0 and o4 < 0) or (o3 < 0 and o4 > 0):
                 return False
     return _point_in_closed_bulk(view, (ax + bx, ay + by), 2)
-
-
-def point_sees_vertex(view, p: Pt, j: int) -> bool:
-    """Closed-set visibility between an interior/boundary point p and vertex j."""
-    pts = view.scan_points()
-    m = len(pts)
-    b = pts[j - 1]
-    if p == b:
-        return True
-    pv = pts[m - 1]
-    for k in range(1, m + 1):
-        cv = pts[k - 1]
-        if k != j and cv != p:
-            if orient(p, b, cv) == COLLINEAR and on_closed_segment(cv, p, b) \
-                    and cv != b:
-                kp = pts[k - 2]
-                kn = pts[k % m]
-                if orient(p, b, kp) * orient(p, b, kn) < 0:
-                    return False
-        if segments_properly_intersect(p, b, pv, cv):
-            return False
-        pv = cv
-    mid = (Fraction(p[0] + b[0], 2), Fraction(p[1] + b[1], 2))
-    return point_in_closed(view, mid)
 
 
 # ---------------------------------------------------------------------------

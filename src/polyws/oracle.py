@@ -520,26 +520,12 @@ def generate(kind: str, n: int, seed: int) -> BasePolygon:
         pts = makers[kind](n, seed + 1000003 * attempt)
         if pts is None:
             continue
-        pts = _to_clockwise(pts)
-        rep = check_simple(pts, general_position=True)
-        if rep.ok:
-            poly = BasePolygon(pts)
+        poly = BasePolygon.clockwise(pts)
+        if check_simple(poly.points(), general_position=True).ok:
             poly.kind = kind
             return poly
     raise PolygonInputError(f"could not generate {kind} polygon n={n} "
                             f"seed={seed} after 40 attempts")
-
-
-def _to_clockwise(pts):
-    s = 0
-    n = len(pts)
-    for k in range(n):
-        x1, y1 = pts[k]
-        x2, y2 = pts[(k + 1) % n]
-        s += x1 * y2 - x2 * y1
-    if s > 0:
-        pts = [pts[0]] + pts[:0:-1]
-    return pts
 
 
 def _gen_convex(n: int, seed: int):

@@ -36,43 +36,11 @@ class BalancedCutFilter(TriangulationSink):
         self.need = -(-piece.m // 6)
 
     def emit_diagonal(self, a: int, b: int) -> None:
-        la = local_of_base(self.piece, a)
-        lb = local_of_base(self.piece, b)
+        la = self.piece.local_of_base(a)
+        lb = self.piece.local_of_base(b)
         s1, s2 = component_sizes(la, lb, self.piece.m)
         if s1 >= self.need and s2 >= self.need:
             raise _CutFound((a, b))
-
-
-def local_of_base(piece: SubpolygonView, ref: int) -> int:
-    """Piece-local index of a base vertex, through the arc descriptor."""
-    n = piece.base.n
-    pos = 0
-    for it in piece.items:
-        if it[0] == 0:  # arc
-            _, start, length = it
-            offset = (ref - start) % n
-            if offset < length:
-                return pos + offset + 1
-            pos += length
-        else:
-            cv = it[1]
-            if cv.base == ref:
-                return pos + 1
-            pos += 1
-    raise InternalInvariantError(f"base vertex {ref} not on the piece")
-
-
-def balanced_cut_filter(piece: SubpolygonView, diagonal_stream) -> Tuple[int, int]:
-    """First streamed diagonal that splits the piece with both sides at least
-    ceil(m/6) vertices.  Raises when the stream runs dry, which contradicts
-    the existence of a balanced cut in every triangulation."""
-    filt = BalancedCutFilter(piece)
-    try:
-        for (a, b) in diagonal_stream:
-            filt.emit_diagonal(a, b)
-    except _CutFound as found:
-        return found.diagonal
-    raise InternalInvariantError("triangulation stream held no balanced cut")
 
 
 def _find_cut(piece: SubpolygonView, s: int, meter, rng, stats,
@@ -89,8 +57,8 @@ def _find_cut(piece: SubpolygonView, s: int, meter, rng, stats,
 
 def _split_piece(piece: SubpolygonView, diagonal) -> List[SubpolygonView]:
     a, b = diagonal
-    la = local_of_base(piece, a)
-    lb = local_of_base(piece, b)
+    la = piece.local_of_base(a)
+    lb = piece.local_of_base(b)
     if la > lb:
         la, lb = lb, la
     side1 = piece.subview([("range", la, lb)])

@@ -29,8 +29,8 @@ from . import geom
 from .errors import InternalInvariantError, PolygonInputError
 from .geodesic import first_link
 from .triangulate import (AUDIT_MAX_M, KAPPA_DEFAULT, Run, ear_clip,
-                          in_interval, pick_side, rooted_piece, segs_size,
-                          setup_budget, solve, walk_pockets)
+                          in_interval, part_segs, pick_side, rooted_piece,
+                          segs_size, setup_budget, solve, walk_pockets)
 from .workspace import (L_DEFAULT, BasePolygon, CutVertex, MeterMode,
                         RunStats, SubpolygonView, WorkspaceMeter)
 
@@ -307,7 +307,7 @@ class _Region:
                 nxt_lo, nxt_hi = lo, wt
                 nxt_kinds = (self.lo_cut, True)
                 new_cut_side, new_cut_v = "lo", cutv
-                extra_cuts = _part_segs(wt, hi, cutset, w, pockets, m)
+                extra_cuts = part_segs(wt, hi, cutset, w, pockets, m)
                 extra_cuts.append(("cut", self.cut_v))
                 extra_cuts.append(("cut", cutv))
             elif self.cut_side == "hi" and e1 == hi and ulen < m:
@@ -319,7 +319,7 @@ class _Region:
                 nxt_lo, nxt_hi = wt, hi
                 nxt_kinds = (True, self.hi_cut)
                 new_cut_side, new_cut_v = "hi", cutv
-                extra_cuts = _part_segs(lo, wt, cutset, w, pockets, m)
+                extra_cuts = part_segs(lo, wt, cutset, w, pockets, m)
                 extra_cuts.append(("cut", cutv))
                 extra_cuts.append(("cut", self.cut_v))
             elif generic_a:
@@ -371,18 +371,17 @@ class _Region:
             if run.audit:
                 assert ulen == m and self.cut_side is None \
                     and new_cut_v is None
-            segs.extend(_part_segs(nxt_hi, nxt_lo, cutset, w, pockets, m))
+            segs.extend(part_segs(nxt_hi, nxt_lo, cutset, w, pockets, m))
         else:
             if self.cut_side == "lo":
                 segs.append(("cut", self.cut_v))
             if left is not None:
-                segs.extend(_part_segs(left[0], left[1], cutset, w, pockets,
-                                       m))
+                segs.extend(part_segs(left[0], left[1], cutset, w, pockets, m))
             if new_cut_v is not None:
                 segs.append(("cut", new_cut_v))
             if right is not None:
-                segs.extend(_part_segs(right[0], right[1], cutset, w,
-                                       pockets, m))
+                segs.extend(part_segs(right[0], right[1], cutset, w,
+                                      pockets, m))
             if self.cut_side == "hi":
                 segs.append(("cut", self.cut_v))
 
@@ -435,26 +434,6 @@ class _Region:
         if (self.hi - self.lo) % m + 1 + (1 if self.cut_side else 0) < 3:
             return None
         return rooted_piece(view, segs, self.u_other)
-
-
-def _part_segs(plo, phi, cutset, walked, pockets, m):
-    """Ring segments for one R part [plo..phi]: walked vertices and endpoints
-    listed in `cutset` become cut entries, pocket interiors are jumped,
-    everything else stays chain."""
-    stations = sorted({plo, phi} | {x for x in walked
-                                    if in_interval(x, plo, phi, m)},
-                      key=lambda p: (p - plo) % m)
-    jumps = {(a, b) for a, b, _s in pockets}
-    segs = []
-    for si, st in enumerate(stations):
-        segs.append(("cutpos" if st in cutset else "pos", st))
-        if si + 1 < len(stations):
-            nxt = stations[si + 1]
-            if (st, nxt) in jumps:
-                continue  # pocket interior belongs to the pocket piece
-            if (nxt - st) % m > 1:
-                segs.append(("range", (st % m) + 1, 1 + (nxt - 2) % m))
-    return segs
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,6 @@ class TriangulationSink:
         pass
 
 
-class NullSink(TriangulationSink):
-    def emit_diagonal(self, a: int, b: int) -> None:
-        pass
-
-
 class CollectingSink(TriangulationSink):
     """Keeps diagonals in emission order (tests, validators, CLI)."""
 
@@ -650,6 +645,26 @@ def walk_pockets(w, far, lo, m):
     return pockets
 
 
+def part_segs(plo, phi, cutset, walked, pockets, m):
+    """Ring segments for one part [plo..phi] of the region R that stays
+    after a cut: walked vertices and endpoints listed in `cutset` become cut
+    entries, pocket interiors are jumped, everything else stays chain."""
+    stations = sorted({plo, phi} | {x for x in walked
+                                    if in_interval(x, plo, phi, m)},
+                      key=lambda p: (p - plo) % m)
+    jumps = {(a, b) for a, b, _s in pockets}
+    segs = []
+    for si, st in enumerate(stations):
+        segs.append(("cutpos" if st in cutset else "pos", st))
+        if si + 1 < len(stations):
+            nxt = stations[si + 1]
+            if (st, nxt) in jumps:
+                continue  # pocket interior belongs to the pocket piece
+            if (nxt - st) % m > 1:
+                segs.append(("range", (st % m) + 1, 1 + (nxt - 2) % m))
+    return segs
+
+
 # ---------------------------------------------------------------------------
 # the triangulation strategy
 
@@ -717,14 +732,7 @@ class WalkState:
         pockets = walk_pockets(w, far, lo, m)
         segs = []
         for (plo, phi) in r_parts:
-            if plo == phi:
-                segs.append(("pos", plo))
-                continue
-            skips = sorted(((a, b) for a, b, _s in pockets
-                            if in_interval(a, plo, phi, m)
-                            and in_interval(b, plo, phi, m)),
-                           key=lambda p: (p[0] - plo) % m)
-            segs.extend(_segs_with_skips(plo, phi, m, skips))
+            segs.extend(part_segs(plo, phi, (), w, pockets, m))
 
         pieces = []
         if segs_size(segs, m) >= 3:
@@ -782,24 +790,6 @@ def _maybe_emit(view, a, b, a_c, run: Run):
         if not geom.is_visible(view, a, b):
             raise InternalInvariantError("emitted diagonal leaves the polygon")
     run.sink.emit_diagonal(ra, rb)
-
-
-def _segs_with_skips(lo, hi, m, skips):
-    """Boundary segments for [lo..hi] jumping over the given sub-intervals
-    (each (a, b) with interior strictly inside [lo..hi])."""
-    segs = []
-    cur = lo
-    for (a, b) in skips:
-        if a != cur:
-            segs.append(("range", cur, a))
-        else:
-            segs.append(("pos", a))
-        cur = b
-    if cur != hi:
-        segs.append(("range", cur, hi))
-    else:
-        segs.append(("pos", hi))
-    return segs
 
 
 def triangulate(view, tau: float, sink: TriangulationSink,

@@ -164,38 +164,30 @@ class WorkspaceMeter:
         finally:
             self.release(words, lvl)
 
-    def enter_frame(self) -> None:
-        self._level += 1
-        if len(self.level_current) <= self._level:
-            self.level_current.append(0)
-            self.level_peaks.append(0)
-        self.alloc(FRAME_WORDS)
-
-    def exit_frame(self) -> None:
-        if self._level == 0:
-            raise InternalInvariantError("exit_frame below level 0")
-        self.release(FRAME_WORDS)
-        if self.level_current[self._level] != 0:
-            raise InternalInvariantError(
-                f"level {self._level} exits with "
-                f"{self.level_current[self._level]} words still charged")
-        self._level -= 1
-
     @contextmanager
     def frame(self):
         """One recursion level.  A normal exit checks that the level
         released everything it charged; an exception drops whatever the
         level still holds and propagates unchanged (also a strict budget
         refusing the frame's own words)."""
+        self._level += 1
+        if len(self.level_current) <= self._level:
+            self.level_current.append(0)
+            self.level_peaks.append(0)
         try:
-            self.enter_frame()
+            self.alloc(FRAME_WORDS)
             yield self._level
         except BaseException:
             self.current_words -= self.level_current[self._level]
             self.level_current[self._level] = 0
             self._level -= 1
             raise
-        self.exit_frame()
+        self.release(FRAME_WORDS)
+        if self.level_current[self._level] != 0:
+            raise InternalInvariantError(
+                f"level {self._level} exits with "
+                f"{self.level_current[self._level]} words still charged")
+        self._level -= 1
 
 
 def null_meter() -> WorkspaceMeter:
@@ -210,14 +202,13 @@ class BasePolygon:
     via vertex(); bulk scans slice the int64 arrays.
     """
 
-    def __init__(self, points: Sequence[Tuple[int, int]], validate_range: bool = True):
+    def __init__(self, points: Sequence[Tuple[int, int]]):
         pts = [(int(x), int(y)) for x, y in points]
         if len(pts) < 3:
             raise PolygonInputError("a polygon needs at least 3 vertices")
-        if validate_range:
-            for x, y in pts:
-                geom.check_coord(x)
-                geom.check_coord(y)
+        for x, y in pts:
+            geom.check_coord(x)
+            geom.check_coord(y)
         self._pts = tuple(pts)
         self.n = len(pts)
         self.xs = np.array([p[0] for p in pts], dtype=np.int64)
@@ -226,8 +217,14 @@ class BasePolygon:
         self.xs.flags.writeable = False
         self.ys.flags.writeable = False
 
-    def size(self) -> int:
-        return self.n
+    @classmethod
+    def clockwise(cls, points: Sequence[Tuple[int, int]]) -> "BasePolygon":
+        """The polygon on this ring, reversed after its first vertex when
+        the ring runs counterclockwise."""
+        pts = list(points)
+        if _signed_area2(pts) > 0:
+            pts = [pts[0]] + pts[:0:-1]
+        return cls(pts)
 
     def vertex(self, i: int) -> Tuple[int, int]:
         if not 1 <= i <= self.n:
@@ -235,15 +232,22 @@ class BasePolygon:
         return self._pts[i - 1]
 
     def signed_area2(self) -> int:
-        s = 0
-        for k in range(self.n):
-            x1, y1 = self._pts[k]
-            x2, y2 = self._pts[(k + 1) % self.n]
-            s += x1 * y2 - x2 * y1
-        return s
+        return _signed_area2(self._pts)
 
     def points(self) -> Tuple[Tuple[int, int], ...]:
         return self._pts
+
+
+def _signed_area2(pts) -> int:
+    """Twice the signed area of the ring (shoelace): negative when it runs
+    clockwise."""
+    s = 0
+    n = len(pts)
+    for k in range(n):
+        x1, y1 = pts[k]
+        x2, y2 = pts[(k + 1) % n]
+        s += x1 * y2 - x2 * y1
+    return s
 
 
 class CutVertex:
@@ -345,6 +349,23 @@ class SubpolygonView:
         if it[0] == _ARC:
             return (it[1] - 1 + off) % self.base.n + 1
         return it[1].base
+
+    def local_of_base(self, ref: int) -> int:
+        """Local index of base vertex `ref`, through the arc descriptor."""
+        n = self.base.n
+        pos = 0
+        for it in self.items:
+            if it[0] == _ARC:
+                _, start, length = it
+                offset = (ref - start) % n
+                if offset < length:
+                    return pos + offset + 1
+                pos += length
+            else:
+                if it[1].base == ref:
+                    return pos + 1
+                pos += 1
+        raise InternalInvariantError(f"base vertex {ref} not on the view")
 
     def is_virtual(self, i: int) -> bool:
         slot, _ = self._locate(i)

@@ -198,12 +198,43 @@ def test_exit_codes(tmp_path):
     assert main(["triangulate", big, "--s", "12", "--mode", "strict"]) == 1
 
 
+SQUARE_SVG = (
+    '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 6 6">\n'
+    '<polygon points="2,2 2,0 4,0 4,2" fill="none" stroke="black" '
+    'stroke-width="0.015"/>\n'
+    '<line x1="2" y1="0" x2="4" y2="2" stroke="crimson" '
+    'stroke-width="0.01"/>\n'
+    '</svg>\n')
+
+# sha256 of the figures for random-120 (generator seed 5) at s = 16,
+# permissive, run seed 11; the interior root draws segments from a point
+SVG_SHA256 = {
+    "triangulate":
+        "7847df5e8d0e241688056ae1b22c07ba2fc017ba2edcf0d41909468cb98b9168",
+    "spt --root 26983,128353":
+        "d7bfcd05a7bef2d6755a016c8dfbceb6944e4d5ed6cffd5a37e71bdd06b43d8f",
+    "partition":
+        "6676146094aaf080079160c189cbd102ad991e7c9f4b6b63be9b2d84f7849658",
+}
+
+
 def test_svg_emission(square, tmp_path):
-    svg = str(tmp_path / "fig.svg")
+    import hashlib
+    svg = tmp_path / "fig.svg"
     assert main(["triangulate", square, "--s", "64", "--mode", "permissive",
-                 "--svg", svg, "--out", str(tmp_path / "o")]) == 0
-    body = open(svg).read()
-    assert body.startswith("<svg") and "<polygon" in body and "<line" in body
+                 "--svg", str(svg), "--out", str(tmp_path / "o")]) == 0
+    assert svg.read_text() == SQUARE_SVG
+    poly = str(tmp_path / "r.poly")
+    assert main(["generate", "--kind", "random", "--n", "120", "--seed", "5",
+                 "--out", poly]) == 0
+    got = {}
+    for cmd in SVG_SHA256:
+        name, *extra = cmd.split()
+        assert main([name, poly, *extra, "--s", "16", "--mode", "permissive",
+                     "--seed", "11", "--svg", str(svg),
+                     "--out", str(tmp_path / "o")]) == 0
+        got[cmd] = hashlib.sha256(svg.read_bytes()).hexdigest()
+    assert got == SVG_SHA256
 
 
 def test_bench_csv(tmp_path):
@@ -241,6 +272,14 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("POLYWS_SEED", "42")
     main(["generate", "--kind", "random", "--n", "20", "--out", b])
     assert open(a).read() != open(b).read()
+
+
+def test_star_import_resolves_every_export():
+    # a name left in __all__ after its definition goes fails the import
+    import polyws
+    names = {}
+    exec("from polyws import *", names)
+    assert all(name in names for name in polyws.__all__)
 
 
 def test_console_entrypoint_runs():

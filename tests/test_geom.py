@@ -370,3 +370,89 @@ def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
         assert any(got[0][1]) and not all(got[0][1])
         searches += len(blocked)
     assert searches >= 20
+
+
+def _point_sees_vertex_reference(view, p, j):
+    """Reference for geom.point_sees_vertex: the segment from p to vertex j
+    against every vertex and edge of the view, with four orientation tests
+    per vertex, then its midpoint against the closed polygon."""
+    pts = view.scan_points()
+    m = len(pts)
+    b = pts[j - 1]
+    if p == b:
+        return True
+    pv = pts[m - 1]
+    for k in range(1, m + 1):
+        cv = pts[k - 1]
+        if k != j and cv != p and cv != b \
+                and geom.on_closed_segment(cv, p, b):
+            # the segment passes through vertex k: blocked when k's
+            # neighbors lie strictly on opposite sides of it
+            kp = pts[k - 2]
+            kn = pts[k % m]
+            if geom.orient(p, b, kp) * geom.orient(p, b, kn) < 0:
+                return False
+        if geom.segments_properly_intersect(p, b, pv, cv):
+            return False
+        pv = cv
+    mid = (Fraction(p[0] + b[0], 2), Fraction(p[1] + b[1], 2))
+    return geom.point_in_closed(view, mid)
+
+
+def test_point_sees_vertex_matches_reference(monkeypatch):
+    # point_sees_vertex runs is_visible's kernels with a free first
+    # endpoint: it agrees with the per-vertex reference, and with
+    # is_visible when p is vertex i, on the int64 and the scalar path and on
+    # a rational twin of each view; points include vertices, points on
+    # edges, on the notched comb's floor line and with Fraction coordinates
+    from polyws.oracle import generate
+    views = [SubpolygonView.whole(generate(kind, m, seed))
+             for kind, m, seed in [("random", 90, 1), ("comb", 150, 2),
+                                   ("spiral", 140, 3), ("monotone", 160, 4)]]
+    views.append(view_of(_notched_comb(30)))
+    blocked_through = 0
+    for v in views:
+        rng = random.Random(v.m)
+        pts = v.scan_points()
+        xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        cands = [(rng.randrange(min(xs), max(xs) + 1),
+                  rng.randrange(min(ys), max(ys) + 1)) for _ in range(200)]
+        cands += [((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+                  for a, b in zip(pts, pts[1:])][:40]
+        cands += [(x, 2) for x in range(0, 121, 3)]
+        cands += [(Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2))
+                  for a, b in zip(pts[::7], pts[3::7])]
+        inside = [p for p in cands if geom.point_in_closed(v, p)]
+        sights = [(p, rng.randrange(1, v.m + 1)) for p in inside]
+        sights += [(p, j) for p in inside[:2] for j in range(1, v.m + 1)]
+        verts = [(rng.randrange(1, v.m + 1), rng.randrange(1, v.m + 1))
+                 for _ in range(150)]
+        verts = [(i, j) for i, j in verts if i != j]
+        verts += [(1, j) for j in range(2, v.m + 1)]
+        want = [_point_sees_vertex_reference(v, p, j) for p, j in sights]
+        assert any(want) and not all(want)
+        # sight lines through vertex c at their midpoint p/2 + b/2, on the
+        # view that starts after c: c is its last slot
+        through = []
+        for c in range(1, v.m + 1):
+            for b in rng.sample(range(1, v.m + 1), 4):
+                p = (2 * pts[c - 1][0] - pts[b - 1][0],
+                     2 * pts[c - 1][1] - pts[b - 1][1])
+                if b != c and p not in pts and geom.point_in_closed(v, p):
+                    rot = SubpolygonView.whole(v.base, start=c % v.m + 1)
+                    through.append((rot, p, (b - c - 1) % v.m + 1))
+        want_through = [_point_sees_vertex_reference(*t) for t in through]
+        blocked_through += want_through.count(False)
+        for w in (v, _rational_twin(v)):
+            for cutover in (0, 1 << 30):
+                for kernel in ("point", "visible"):
+                    monkeypatch.setitem(geom.BULK_CUTOVERS, kernel, cutover)
+                assert [geom.point_sees_vertex(w, p, j)
+                        for p, j in sights] == want
+                assert [geom.point_sees_vertex(w, pts[i - 1], j)
+                        for i, j in verts] == \
+                    [geom.is_visible(w, i, j) for i, j in verts]
+                assert [geom.point_sees_vertex(*t)
+                        for t in through] == want_through
+    assert blocked_through >= 10

@@ -125,10 +125,10 @@ def test_large_spirals_are_simple_on_the_first_attempt(n):
     # passes the input check, so generate makes no retries
     from polyws import oracle
     for seed in (1, 2):
-        pts = oracle._to_clockwise(oracle._gen_spiral(n, seed))
+        pts = BasePolygon.clockwise(oracle._gen_spiral(n, seed)).points()
         assert check_simple(pts).ok, (n, seed)
-    assert list(generate("spiral", n, 1).points()) == \
-        oracle._to_clockwise(oracle._gen_spiral(n, 1))
+    assert generate("spiral", n, 1).points() == \
+        BasePolygon.clockwise(oracle._gen_spiral(n, 1)).points()
 
 
 def test_spirals_below_the_wide_shape_are_unchanged():

@@ -5,7 +5,7 @@ import pytest
 
 from polyws.errors import PolygonInputError
 from polyws.oracle import generate, validate_partition
-from polyws.partition import (balanced_cut_filter, local_of_base, partition,
+from polyws.partition import (BalancedCutFilter, _CutFound, partition,
                               piece_vertex_lists)
 from polyws.workspace import SubpolygonView, component_sizes
 
@@ -37,25 +37,28 @@ def test_balanced_cut_filter_fan():
     poly = generate("convex", 24, 3)
     piece = SubpolygonView.whole(poly)
     assert component_sizes(1, 13, 24) == (13, 13)
-    got = balanced_cut_filter(piece, [(1, 3), (1, 13), (1, 17)])
-    assert got == (1, 13)   # sides of (1,3) are (3, 23); 3 < ceil(24/6)
-    with pytest.raises(Exception):
-        balanced_cut_filter(piece, [(1, 3)])
+    filt = BalancedCutFilter(piece)
+    filt.emit_diagonal(1, 3)   # sides (3, 23); 3 < ceil(24/6): no cut
+    with pytest.raises(_CutFound) as found:
+        filt.emit_diagonal(1, 13)
+    assert found.value.diagonal == (1, 13)
 
 
 def test_balanced_cut_small_cases():
     # m=6: sides (4,4) accepted; (3,5) accepted since ceil(6/6)=1 <= 3
     poly = generate("convex", 6, 4)
     piece = SubpolygonView.whole(poly)
-    assert balanced_cut_filter(piece, [(1, 4)]) == (1, 4)   # sides (4, 4)
-    assert balanced_cut_filter(piece, [(1, 3)]) == (1, 3)   # sides (3, 5)
+    for cut in [(1, 4), (1, 3)]:   # sides (4, 4) and (3, 5)
+        with pytest.raises(_CutFound) as found:
+            BalancedCutFilter(piece).emit_diagonal(*cut)
+        assert found.value.diagonal == cut
 
 
 def test_local_of_base_roundtrip():
     poly = generate("random", 30, 5)
     piece = SubpolygonView.whole(poly).subview([("range", 7, 20)])
     for i in range(1, piece.m + 1):
-        assert local_of_base(piece, piece.base_ref(i)) == i
+        assert piece.local_of_base(piece.base_ref(i)) == i
 
 
 def test_partition_kinds_and_rounds_decay():
