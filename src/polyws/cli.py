@@ -1,8 +1,8 @@
 """Command-line surface: generate / triangulate / spt / partition / verify /
 bench, plus the polygon file format, CSV metrics, and SVG figure emission.
 
-Exit codes: 0 ok, 1 invalid input, 2 budget exceeded (strict), 3 internal
-invariant violation.
+Exit codes: 0 ok, 1 invalid input or usage, 2 budget exceeded (strict), 3
+internal invariant violation.
 """
 from __future__ import annotations
 
@@ -20,9 +20,9 @@ from .errors import (BudgetExceededError, InternalInvariantError,
                      PolygonInputError, UsageError)
 from .partition import partition, piece_vertex_lists
 from .spt import spt
-from .triangulate import (AdjacencySink, CollectingSink, KAPPA_DEFAULT,
-                          required_budget, triangulate_polygon)
-from .workspace import L_DEFAULT, BasePolygon, MeterMode, RunStats
+from .triangulate import (AdjacencySink, CollectingSink, required_budget,
+                          triangulate_polygon)
+from .workspace import BasePolygon, MeterMode, RunStats
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def cmd_generate(args) -> int:
 
 def cmd_triangulate(args) -> int:
     poly = load_polygon(args.input, validate=not args.no_validate)
-    s = args.s if args.s else required_budget(poly.n)
+    s = args.s if args.s is not None else required_budget(poly.n)
     stats = RunStats()
     t0 = time.perf_counter()
     if args.format == "triangles-adjacency":
@@ -151,8 +151,7 @@ def cmd_triangulate(args) -> int:
     else:
         sink = CollectingSink()
     sink, meter, stats = triangulate_polygon(
-        poly, s, sink=sink, mode=_mode(args), L=args.L, kappa=args.kappa,
-        seed=_seed(args), stats=stats)
+        poly, s, sink=sink, mode=_mode(args), seed=_seed(args), stats=stats)
     ms = (time.perf_counter() - t0) * 1000
     with _output(args.out) as out:
         if args.format == "edges":
@@ -178,14 +177,13 @@ def cmd_triangulate(args) -> int:
 
 def cmd_spt(args) -> int:
     poly = load_polygon(args.input, validate=not args.no_validate)
-    s = args.s if args.s else required_budget(poly.n)
+    s = args.s if args.s is not None else required_budget(poly.n)
     root = tuple(_int(c, "--root") for c in args.root.split(","))
     if len(root) > 2:
         raise PolygonInputError(f"--root wants a vertex or x,y: {args.root!r}")
     root = root if len(root) == 2 else root[0]
     t0 = time.perf_counter()
-    sink, meter, stats = spt(poly, root, s, mode=_mode(args), L=args.L,
-                             kappa=args.kappa, seed=_seed(args))
+    sink, meter, stats = spt(poly, root, s, mode=_mode(args), seed=_seed(args))
     ms = (time.perf_counter() - t0) * 1000
     with _output(args.out) as out:
         if args.format == "json":
@@ -207,11 +205,10 @@ def cmd_spt(args) -> int:
 
 def cmd_partition(args) -> int:
     poly = load_polygon(args.input, validate=not args.no_validate)
-    s = args.s if args.s else max(1, math.isqrt(poly.n))
+    s = args.s if args.s is not None else max(1, math.isqrt(poly.n))
     t0 = time.perf_counter()
     pieces, diagonals, meter, stats, _rounds = partition(
-        poly, s, mode=_mode(args), L=args.L, kappa=args.kappa,
-        seed=_seed(args))
+        poly, s, mode=_mode(args), seed=_seed(args))
     ms = (time.perf_counter() - t0) * 1000
     with _output(args.out) as out:
         if args.format == "json":
@@ -296,8 +293,8 @@ def cmd_bench(args) -> int:
             stats = RunStats()
             t0 = time.perf_counter()
             sink, meter, stats = triangulate_polygon(
-                poly, s, mode=_mode(args), L=args.L, kappa=args.kappa,
-                seed=_seed(args), stats=stats, audit=False)
+                poly, s, mode=_mode(args), seed=_seed(args), stats=stats,
+                audit=False)
             ms = (time.perf_counter() - t0) * 1000
             out.write(f"{args.kind},{args.n},{s},{ms:.1f},{meter.peak_words},"
                       f"{stats.depth},{stats.links},{stats.far_calls}\n")
@@ -317,10 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("input", help="polygon file (line 1: n; then 'x y')")
         p.add_argument("--s", type=int, default=None, help="workspace words")
-        p.add_argument("--L", type=int, default=L_DEFAULT,
-                       help="budget constant: budget = L*s")
-        p.add_argument("--kappa", type=float, default=KAPPA_DEFAULT,
-                       help="per-level workspace decay, in (0.6, 1)")
         p.add_argument("--mode", choices=("strict", "permissive"),
                        default="strict")
         p.add_argument("--seed", type=int, default=None,
@@ -370,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("random", "convex", "comb", "spiral", "monotone"))
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--s", required=True, help="comma-separated budgets")
-    b.add_argument("--L", type=int, default=L_DEFAULT)
-    b.add_argument("--kappa", type=float, default=KAPPA_DEFAULT)
     b.add_argument("--mode", choices=("strict", "permissive"),
                    default="permissive")
     b.add_argument("--seed", type=int, default=None)
@@ -381,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message: a usage error is invalid input
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except PolygonInputError as exc:

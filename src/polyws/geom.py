@@ -335,15 +335,16 @@ def _visible_bulk(view, i: int, p: Optional[Pt], j: int) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 # ray shooting
 
-def ray_shoot(view, origin: int, toward) -> RayHit:
-    """First proper boundary crossing of the ray from vertex `origin`.
+def ray_shoot(view, origin, toward) -> RayHit:
+    """First proper boundary crossing of the ray from `origin`.
 
-    `toward` is a local vertex index or an exact point; it only fixes the ray
-    direction.  Edges incident to the origin are never reported (they touch the
-    ray at its apex).  Grazing a vertex does not stop the ray; crossing the
-    boundary exactly at a vertex (derived views only) is reported as a vertex
-    hit.  Raises InternalInvariantError when nothing is hit, which cannot
-    happen for a ray entering the interior of a simple polygon.
+    `origin` and `toward` are each a local vertex index or an exact point;
+    `toward` only fixes the ray direction.  Edges through the origin are
+    never reported (they touch the ray at its apex).  Grazing a vertex does
+    not stop the ray; crossing the boundary exactly at a vertex (derived
+    views only) is reported as a vertex hit.  Raises InternalInvariantError
+    when nothing is hit, which cannot happen for a ray entering the interior
+    of a simple polygon.
     """
     hit = _ray_scan(view, origin, toward)
     if hit is None:
@@ -351,7 +352,7 @@ def ray_shoot(view, origin: int, toward) -> RayHit:
     return hit
 
 
-def _ray_scan(view, origin: int, toward) -> Optional[RayHit]:
+def _ray_scan(view, origin, toward) -> Optional[RayHit]:
     return _ray_dispatch(view, origin, toward, False)
 
 
@@ -384,13 +385,20 @@ def ray_scan_light(view, origin: int, toward, pts=None):
     return _ray_dispatch(view, origin, toward, True, pts)
 
 
-def _ray_dispatch(view, origin: int, toward, light: bool, pts=None):
+def _ray_dispatch(view, origin, toward, light: bool, pts=None):
+    """The ray scans' common front: `origin` and `toward` are each a local
+    vertex index or an exact point.  A free origin masks no slot, and the
+    int64 kernel runs only when both of the ray's points are integers."""
     if pts is None:
         pts = view.scan_points()
     m = len(pts)
-    if not 1 <= origin <= m:
-        raise PolygonInputError(f"ray origin {origin} outside 1..{m}")
-    O = pts[origin - 1]
+    if isinstance(origin, int):
+        if not 1 <= origin <= m:
+            raise PolygonInputError(f"ray origin {origin} outside 1..{m}")
+        O = pts[origin - 1]
+    else:
+        O = origin
+        origin = 0
     if isinstance(toward, int):
         if not 1 <= toward <= m:
             raise PolygonInputError(f"ray target {toward} outside 1..{m}")
@@ -400,7 +408,7 @@ def _ray_dispatch(view, origin: int, toward, light: bool, pts=None):
     D = (T[0] - O[0], T[1] - O[1])
     if D[0] == 0 and D[1] == 0:
         raise PolygonInputError("ray direction is degenerate")
-    if uses_bulk("ray", view, T):
+    if uses_bulk("ray", view, T) and uses_bulk("ray", view, O):
         found = _ray_scan_bulk(view, pts, origin, O, D)
     else:
         found = _ray_scan_scalar(pts, origin, O, D)

@@ -12,9 +12,8 @@ import random
 from typing import List, Optional, Tuple
 
 from .errors import InternalInvariantError, PolygonInputError
-from .triangulate import (KAPPA_DEFAULT, TriangulationSink, required_budget,
-                          triangulate)
-from .workspace import (L_DEFAULT, BasePolygon, MeterMode, RunStats,
+from .triangulate import TriangulationSink, required_budget, triangulate
+from .workspace import (BUDGET_L, BasePolygon, MeterMode, RunStats,
                         SubpolygonView, WorkspaceMeter, component_sizes)
 
 
@@ -43,13 +42,12 @@ class BalancedCutFilter(TriangulationSink):
             raise _CutFound((a, b))
 
 
-def _find_cut(piece: SubpolygonView, s: int, meter, rng, stats,
-              kappa) -> Tuple[int, int]:
+def _find_cut(piece: SubpolygonView, s: int, meter, rng,
+              stats) -> Tuple[int, int]:
     tau = max(s, required_budget(piece.m), 10)
     filt = BalancedCutFilter(piece)
     try:
-        triangulate(piece, tau, filt, meter, rng=rng, stats=stats,
-                    kappa=kappa)
+        triangulate(piece, tau, filt, meter, rng=rng, stats=stats)
     except _CutFound as found:
         return found.diagonal
     raise InternalInvariantError("triangulation stream held no balanced cut")
@@ -69,7 +67,7 @@ def _split_piece(piece: SubpolygonView, diagonal) -> List[SubpolygonView]:
 def partition(polygon: BasePolygon, s: int,
               sink: Optional[TriangulationSink] = None, *,
               mode: MeterMode = MeterMode.PERMISSIVE,
-              L: int = L_DEFAULT, kappa: float = KAPPA_DEFAULT, seed: int = 0,
+              seed: int = 0,
               stats: Optional[RunStats] = None,
               meter: Optional[WorkspaceMeter] = None):
     """Split the polygon by non-crossing diagonals into pieces of between
@@ -85,7 +83,7 @@ def partition(polygon: BasePolygon, s: int,
         raise PolygonInputError("partition needs 1 <= s <= n")
     t = max(-(-n // s), 3)
     if meter is None:
-        meter = WorkspaceMeter(L * max(s, required_budget(n)), mode)
+        meter = WorkspaceMeter(BUDGET_L * max(s, required_budget(n)), mode)
     if stats is None:
         stats = RunStats()
     rng = random.Random(seed)
@@ -105,7 +103,7 @@ def partition(polygon: BasePolygon, s: int,
                 if piece.m <= t:
                     nxt.append(piece)
                     continue
-                cut = _find_cut(piece, s, meter, rng, stats, kappa)
+                cut = _find_cut(piece, s, meter, rng, stats)
                 diagonals.append(cut)
                 if sink is not None:
                     sink.emit_diagonal(*cut)

@@ -28,11 +28,11 @@ from typing import List, Optional, Set, Tuple
 from . import geom
 from .errors import InternalInvariantError, PolygonInputError
 from .geodesic import first_link
-from .triangulate import (AUDIT_MAX_M, KAPPA_DEFAULT, Run, ear_clip,
-                          in_interval, part_segs, pick_side, rooted_piece,
-                          segs_size, setup_budget, solve, walk_pockets)
-from .workspace import (L_DEFAULT, BasePolygon, CutVertex, MeterMode,
-                        RunStats, SubpolygonView, WorkspaceMeter)
+from .triangulate import (AUDIT_MAX_M, Run, ear_clip, in_interval,
+                          part_segs, pick_side, rooted_piece, segs_size,
+                          setup_budget, solve, walk_pockets)
+from .workspace import (BasePolygon, CutVertex, MeterMode, RunStats,
+                        SubpolygonView, WorkspaceMeter)
 
 ROOT = 0   # parent reference used when the tree root is not a polygon vertex
 
@@ -58,7 +58,8 @@ class CollectingSptSink(SptSink):
         return set(self.edges)
 
 
-def _emit_for(run: Run, view, parent_local: int, child_local: int) -> None:
+def _emit_for(sink: SptSink, view, parent_local: int,
+              child_local: int) -> None:
     """Report the parent edge of a chain vertex; cut and virtual vertices were
     handled by whoever created them."""
     if view.is_cut(child_local):
@@ -67,39 +68,35 @@ def _emit_for(run: Run, view, parent_local: int, child_local: int) -> None:
         raise InternalInvariantError("virtual vertex as a tree parent")
     rp = view.base_ref(parent_local)
     # a stored free point can only be the global root (placement splits)
-    run.sink.emit_edge(ROOT if rp is None else rp,
-                       view.base_ref(child_local))
+    sink.emit_edge(ROOT if rp is None else rp, view.base_ref(child_local))
 
 
 # ---------------------------------------------------------------------------
 # base cases
 
-def spt_constant_workspace(view, root_local: int, sink, *,
+def spt_constant_workspace(view, root_local: int, sink: SptSink, *,
                            rng: Optional[random.Random] = None,
                            stats: Optional[RunStats] = None,
-                           _run: Optional[Run] = None) -> None:
+                           meter: Optional[WorkspaceMeter] = None) -> None:
     """Emit (first-link-toward-root, q) for every chain vertex q of the view;
     each link is recomputed by the cone search, whose candidate sample is
-    charged to the run's meter while the link runs."""
-    run = _run if _run is not None \
-        else Run(_Region, sink, stats=stats, rng=rng)
-    link_rng = random.Random(run.rng.getrandbits(64))
+    charged to the meter while the link runs."""
+    rng = rng if rng is not None else random.Random(0)
+    link_rng = random.Random(rng.getrandbits(64))
     for q in range(1, view.m + 1):
         if q == root_local or view.is_cut(q):
             continue
-        hop = first_link(view, q, root_local, link_rng, run.stats, run.meter)
-        _emit_for(run, view, hop, q)
+        hop = first_link(view, q, root_local, link_rng, stats, meter)
+        _emit_for(sink, view, hop, q)
 
 
-def spt_in_memory(view, root_local: int, sink, *,
-                  _run: Optional[Run] = None) -> None:
+def spt_in_memory(view, root_local: int, sink: SptSink) -> None:
     """Funnel propagation over the dual tree of an ear-clipped triangulation."""
-    run = _run if _run is not None else Run(_Region, sink)
     parent = funnel_parents(view, root_local)
     for q in range(1, view.m + 1):
         if q == root_local:
             continue
-        _emit_for(run, view, parent[q], q)
+        _emit_for(sink, view, parent[q], q)
 
 
 def funnel_parents(view, root: int) -> List[int]:
@@ -221,15 +218,16 @@ class _Region:
         # the constant-workspace pass is the compliant (slower) alternative
         if meter.current_words + want <= meter.budget_words:
             with meter.scoped(want):
-                spt_in_memory(view, 1, None, _run=run)
+                spt_in_memory(view, 1, run.sink)
         else:
             with meter.scoped(32):
-                spt_constant_workspace(view, 1, None, _run=run)
+                spt_constant_workspace(view, 1, run.sink, rng=run.rng,
+                                       stats=run.stats, meter=meter)
 
     def emit_walked(self, view, w, run: Run) -> None:
         for j in range(1, len(w)):
             if not view.is_virtual(w[j]):
-                _emit_for(run, view, w[j - 1], w[j])
+                _emit_for(run.sink, view, w[j - 1], w[j])
 
     def far(self, view, w, run: Run):
         """Extend the last walked edge beyond its endpoint until it meets
@@ -440,8 +438,7 @@ class _Region:
 # placement handling and the public wrapper
 
 def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
-        mode: MeterMode = MeterMode.STRICT, L: int = L_DEFAULT,
-        kappa: float = KAPPA_DEFAULT, seed: int = 0,
+        mode: MeterMode = MeterMode.STRICT, seed: int = 0,
         stats: Optional[RunStats] = None,
         meter: Optional[WorkspaceMeter] = None,
         audit: Optional[bool] = None):
@@ -449,12 +446,12 @@ def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
     the closed polygon).  Emits (parent, child) base-reference pairs; a
     non-vertex root appears as parent 0.  Returns (sink, meter, stats)."""
     n = polygon.n
-    tau, meter, stats = setup_budget(n, s, mode, L, meter, stats)
+    tau, meter, stats = setup_budget(n, s, mode, meter, stats)
     if sink is None:
         sink = CollectingSptSink()
     if audit is None:
         audit = n <= AUDIT_MAX_M
-    run = Run(_Region, sink, meter, stats, random.Random(seed), kappa, audit)
+    run = Run(_Region, sink, meter, stats, random.Random(seed), audit)
 
     if isinstance(p, int):
         if not 1 <= p <= n:
@@ -469,8 +466,8 @@ def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
         raise PolygonInputError("root point lies outside the polygon")
     for k in range(1, n + 1):
         if polygon.vertex(k) == (px, py):
-            return spt(polygon, k, s, sink, mode=mode, L=L, kappa=kappa,
-                       seed=seed, stats=stats, meter=meter, audit=audit)
+            return spt(polygon, k, s, sink, mode=mode, seed=seed,
+                       stats=stats, meter=meter, audit=audit)
     on_edge = None
     for k in range(1, n + 1):
         a = polygon.vertex(k)
@@ -524,20 +521,16 @@ def _visible_vertex_from(view, p, avoid: Optional[int],
     """A polygon vertex visible from point p: shoot a vertical ray (downward
     when `flip`), take the hit edge's endpoints, repair with the widest-angle
     reflex vertex if both are hidden; fall back to a direct scan."""
-    probe = _PointOrigin(view, p)
     toward = (p[0], p[1] - 1) if flip else (p[0], p[1] + 1)
     q = None
-    hit = geom._ray_scan(probe, probe.m, toward)
+    hit = geom._ray_scan(view, p, toward)
     if hit is not None:
         if hit.vertex is not None:
-            # the probe ring distorts vertex neighborhoods at its seam, so a
-            # vertex hit is only trusted after a visibility check
-            if hit.vertex <= view.m \
-                    and geom.point_sees_vertex(view, p, hit.vertex):
+            if geom.point_sees_vertex(view, p, hit.vertex):
                 q = hit.vertex
         else:
             for cand in (hit.edge, 1 + hit.edge % view.m):
-                if cand <= view.m and geom.point_sees_vertex(view, p, cand):
+                if geom.point_sees_vertex(view, p, cand):
                     q = cand
                     break
             if q is None:
@@ -552,25 +545,6 @@ def _visible_vertex_from(view, p, avoid: Optional[int],
     if q is None:
         raise InternalInvariantError("no vertex visible from the root point")
     return q
-
-
-class _PointOrigin:
-    """View adapter that appends a free point as one extra vertex, so the ray
-    scan can originate there.  Only used for the top-level root placement."""
-
-    def __init__(self, view, p):
-        self._view = view
-        self._p = p
-        self.m = view.m + 1
-        self.all_int = False   # force the exact scalar scan
-
-    def point(self, i):
-        if i == self.m:
-            return self._p
-        return self._view.point(i)
-
-    def scan_points(self):
-        return self._view.scan_points() + (self._p,)
 
 
 def _reflex_repair_from_point(view, p, hit) -> Optional[int]:

@@ -21,11 +21,11 @@ import numpy as np
 from . import geom
 from .errors import InternalInvariantError, PolygonInputError
 from .geodesic import GeodesicCursor
-from .workspace import (L_DEFAULT, BasePolygon, MeterMode, RunStats,
+from .workspace import (BUDGET_L, BasePolygon, MeterMode, RunStats,
                         SubpolygonView, WorkspaceMeter, is_alternating,
                         null_meter)
 
-KAPPA_DEFAULT = 0.9          # workspace decay per recursion level
+KAPPA = 0.9                  # workspace decay per recursion level
 IN_MEMORY_FACTOR = 10        # fits in memory when 10*tau >= m
 TAU_FLOOR = 10               # below this the recursion has run out of space
 C0_LOG = 8                   # strict-mode precondition: s >= 8*ceil(log2 n)
@@ -476,20 +476,19 @@ class Run:
     terminal(view, run) -> piece or None.
     """
 
-    __slots__ = ("strategy", "sink", "meter", "stats", "rng", "kappa", "audit")
+    __slots__ = ("strategy", "sink", "meter", "stats", "rng", "audit")
 
     def __init__(self, strategy, sink, meter=None, stats=None, rng=None,
-                 kappa=KAPPA_DEFAULT, audit=True):
+                 audit=True):
         self.strategy = strategy
         self.sink = sink
         self.meter = meter if meter is not None else null_meter()
         self.stats = stats if stats is not None else RunStats()
         self.rng = rng if rng is not None else random.Random(0)
-        self.kappa = kappa
         self.audit = audit
 
 
-def setup_budget(n: int, s: int, mode: MeterMode, L: int,
+def setup_budget(n: int, s: int, mode: MeterMode,
                  meter: Optional[WorkspaceMeter],
                  stats: Optional[RunStats]):
     """Clamp s to n, enforce the strict-mode precondition s >= 8*ceil(log2 n)
@@ -502,7 +501,7 @@ def setup_budget(n: int, s: int, mode: MeterMode, L: int,
         raise PolygonInputError(
             f"strict mode requires s >= {required_budget(n)} for n={n}")
     if meter is None:
-        meter = WorkspaceMeter(L * s, mode)
+        meter = WorkspaceMeter(BUDGET_L * s, mode)
     if stats is None:
         stats = RunStats()
     return max(s, TAU_FLOOR), meter, stats
@@ -571,7 +570,7 @@ def _walk_level(view, tau: int, run: Run, level: int) -> None:
                 for child in region.split(view, w, u_far, run):
                     stats.pieces += 1
                     with meter.scoped(child.descriptor_words):
-                        _recurse(child, tau * run.kappa, run, level + 1)
+                        _recurse(child, tau * KAPPA, run, level + 1)
             finally:
                 meter.release(len(w))
             v_c = w[-1]
@@ -579,7 +578,7 @@ def _walk_level(view, tau: int, run: Run, level: int) -> None:
         if child is not None:
             stats.pieces += 1
             with meter.scoped(child.descriptor_words):
-                _recurse(child, tau * run.kappa, run, level + 1)
+                _recurse(child, tau * KAPPA, run, level + 1)
 
 
 def interval_len(lo, hi, m):
@@ -796,7 +795,6 @@ def triangulate(view, tau: float, sink: TriangulationSink,
                 meter: Optional[WorkspaceMeter] = None, *,
                 rng: Optional[random.Random] = None,
                 stats: Optional[RunStats] = None,
-                kappa: float = KAPPA_DEFAULT,
                 audit: Optional[bool] = None) -> RunStats:
     """Triangulate a view, starting the geodesic walk at its local vertex 1.
 
@@ -804,13 +802,11 @@ def triangulate(view, tau: float, sink: TriangulationSink,
     adjacency when the sink collects them).  `tau` is the workspace parameter
     of the top level; strict meters enforce the configured word budget.
     """
-    if not 0.6 < kappa < 1:
-        raise PolygonInputError("kappa must lie in (0.6, 1)")
     if tau < TAU_FLOOR:
         raise PolygonInputError(f"tau must be at least {TAU_FLOOR}")
     if audit is None:
         audit = view.m <= AUDIT_MAX_M
-    run = Run(WalkState, sink, meter, stats, rng, kappa, audit)
+    run = Run(WalkState, sink, meter, stats, rng, audit)
     solve(view, tau, run)
     sink.finish()
     return run.stats
@@ -822,8 +818,6 @@ def triangulate(view, tau: float, sink: TriangulationSink,
 def triangulate_polygon(polygon: BasePolygon, s: int,
                         sink: Optional[TriangulationSink] = None, *,
                         mode: MeterMode = MeterMode.STRICT,
-                        L: int = L_DEFAULT,
-                        kappa: float = KAPPA_DEFAULT,
                         seed: int = 0,
                         stats: Optional[RunStats] = None,
                         meter: Optional[WorkspaceMeter] = None,
@@ -833,9 +827,9 @@ def triangulate_polygon(polygon: BasePolygon, s: int,
     Returns (sink, meter, stats).  In strict mode s must satisfy
     s >= 8*ceil(log2 n) so the recursion cannot run out of space.
     """
-    tau, meter, stats = setup_budget(polygon.n, s, mode, L, meter, stats)
+    tau, meter, stats = setup_budget(polygon.n, s, mode, meter, stats)
     if sink is None:
         sink = CollectingSink()
     triangulate(SubpolygonView.whole(polygon), tau, sink, meter,
-                rng=random.Random(seed), stats=stats, kappa=kappa, audit=audit)
+                rng=random.Random(seed), stats=stats, audit=audit)
     return sink, meter, stats

@@ -27,7 +27,7 @@ from .errors import (BudgetExceededError, InternalInvariantError,
                      PolygonInputError, UsageError)
 
 FRAME_WORDS = 8       # implicit cost of one live recursion frame
-L_DEFAULT = 64        # budget_words = L * s
+BUDGET_L = 64         # L: budget_words = L * s
 
 
 class VertexType(enum.Enum):

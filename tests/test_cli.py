@@ -189,13 +189,29 @@ def test_partition_cli_and_verify(tmp_path):
                  "--s", "5"]) == 0
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(square, tmp_path):
     missing = str(tmp_path / "nope.poly")
     assert main(["triangulate", missing]) == 1
     big = str(tmp_path / "big.poly")
     main(["generate", "--kind", "comb", "--n", "402", "--seed", "1",
           "--out", big])
     assert main(["triangulate", big, "--s", "12", "--mode", "strict"]) == 1
+    # --s 0 is a budget, not "unset": strict runs and partition refuse it
+    for cmd in ("triangulate", "spt", "partition"):
+        assert main([cmd, square, "--s", "0"]) == 1, cmd
+    # usage errors exit 1 (2 means a strict budget refusal); --help is 0
+    out = str(tmp_path / "o")
+    for extra in (["--kappa", "0.9"], ["--L", "64"], ["--s", "abc"],
+                  ["--seed", "x"]):
+        assert main(["triangulate", square, *extra, "--out", out]) == 1, extra
+    assert main(["bench", "--n", "50", "--s", "8", "--kappa", "0.9"]) == 1
+    assert main(["--help"]) == 0
+    # the decay is fixed; kappa = 0.3 would run this comb's recursion out
+    # of workspace
+    comb = str(tmp_path / "comb.poly")
+    main(["generate", "--kind", "comb", "--n", "1000", "--seed", "1",
+          "--out", comb])
+    assert main(["spt", comb, "--kappa", "0.3", "--out", out]) == 1
 
 
 SQUARE_SVG = (

@@ -51,10 +51,11 @@ def test_segments_collinear_overlap_is_not_proper():
     assert not geom.segments_properly_intersect((0, 0), (4, 0), (1, 0), (3, 0))
 
 
-def brute_ray_hits(points, origin_idx, toward):
-    """All proper ray/edge crossings by plain Fraction arithmetic."""
+def brute_ray_hits(points, origin, toward):
+    """All proper ray/edge crossings by plain Fraction arithmetic; `origin`
+    is a 1-based index into `points` or a free point."""
     n = len(points)
-    ox, oy = points[origin_idx - 1]
+    ox, oy = points[origin - 1] if isinstance(origin, int) else origin
     tx, ty = toward
     dx, dy = tx - ox, ty - oy
     hits = []
@@ -247,19 +248,33 @@ def _notched_comb(k):
     return list(reversed([(0, 0), (4 * k, 0)] + top))
 
 
+# interior points of generated 60-gons, (kind, seed, point), whose upward
+# vertical ray first crosses the closing edge (n, 1)
+CLOSING_EDGE_UP = [("random", 0, (47478, 21713)),
+                   ("random", 4, (12123, 17506)),
+                   ("random", 8, (48156, 18262)),
+                   ("spiral", 33, (46688, 394))]
+
+
 def test_bulk_and_scalar_ray_scans_agree(monkeypatch):
     # the int64 ray scan reports the same crossing as the exact scalar scan,
     # on both sides of the cutover, for vertex and point targets, rays
-    # through collinear vertices and rays crossing many edges
+    # through collinear vertices and rays crossing many edges; rays from
+    # free points (integer or Fraction) cross first where an exact scan of
+    # all edges says, the closing edge (n, 1) included
     from polyws.oracle import generate
     cases = []
     cut = geom.BULK_CUTOVERS["ray"]
     for m in (cut - 9, cut, 150):
         for kind, seed in [("random", 0), ("comb", 1), ("spiral", 2)]:
-            cases.append(SubpolygonView.whole(generate(kind, m, seed)))
-    cases.append(view_of(_notched_comb(60)))
+            cases.append((generate(kind, m, seed), []))
+    cases.append((BasePolygon(_notched_comb(60)), []))
+    cases += [(generate(kind, 60, seed), [p])
+              for kind, seed, p in CLOSING_EDGE_UP]
     most_hits = 0
-    for v in cases:
+    closing = 0
+    for poly, roots in cases:
+        v = SubpolygonView.whole(poly)
         rng = random.Random(v.m)
         pts = v.scan_points()
         xs = [p[0] for p in pts]
@@ -274,9 +289,12 @@ def test_bulk_and_scalar_ray_scans_agree(monkeypatch):
                   rng.randrange(min(ys), max(ys) + 1))
             if pt != pts[o - 1]:
                 rays.append((o, pt))
+            roots.append(pt)
+        roots += [(p[0] + Fraction(1, 3), p[1]) for p in roots[:10]]
         for o in (1, 2, v.m):
             rays += [(o, t) for t in range(1, v.m + 1) if t != o]
         rays += [(v.m, (240, 3)), (v.m, (240, 5))]   # shallow, notched comb
+        rays += [(p, (p[0], p[1] + d)) for p in roots for d in (1, -1)]
         for o, toward in rays:
             got = []
             for cutover in (0, 1 << 30):
@@ -289,8 +307,11 @@ def test_bulk_and_scalar_ray_scans_agree(monkeypatch):
                 T = pts[toward - 1] if isinstance(toward, int) else toward
                 hits = brute_ray_hits(list(pts), o, T)
                 assert hits and Fraction(light[2], light[3]) == hits[0][0]
+                assert light[1] == hits[0][1], (v.m, o, toward)
                 most_hits = max(most_hits, len(hits))
+                closing += isinstance(o, tuple) and light[1] == v.m
     assert most_hits > geom._RAY_LOOP_MAX   # the arrays-of-crossings branch
+    assert closing >= len(CLOSING_EDGE_UP)
 
 
 def _rational_twin(v):

@@ -117,6 +117,22 @@ def test_edge_interior_root():
     assert edges == ref_spt(poly, (0, 2))
 
 
+# interior roots (kind, n, generator seed, point) whose upward or downward
+# vertical ray first crosses the closing edge (n, 1); the four combs of 200
+# and 320 vertices gave wrong trees or raised when that ray missed the edge
+CLOSING_EDGE_ROOTS = [("random", 60, 0, (47478, 21713)),
+                      ("random", 60, 4, (12123, 17506)),
+                      ("random", 60, 8, (48156, 18262)),
+                      ("spiral", 60, 33, (46688, 394)),
+                      ("random", 60, 3, (39944, 5156)),
+                      ("comb", 60, 1, (29, 2197)),
+                      ("monotone", 60, 13, (22, 14169)),
+                      ("comb", 320, 1008, (160, -8868)),
+                      ("comb", 200, 3007, (124, -3323)),
+                      ("comb", 200, 11007, (164, -4326)),
+                      ("comb", 320, 61008, (161, 10758))]
+
+
 def test_point_roots_random():
     rng = random.Random(3)
     for seed in range(6):
@@ -141,6 +157,10 @@ def test_point_roots_random():
             continue
         edges, _, _ = run_spt(poly, found, 10, seed=seed)
         assert edges == ref_spt(poly, found), (seed, found)
+    for kind, n, seed, p in CLOSING_EDGE_ROOTS:
+        poly = generate(kind, n, seed)
+        edges, _, _ = run_spt(poly, p, 16)
+        assert edges == ref_spt(poly, p), (kind, n, seed, p)
 
 
 def test_far_split_landing_on_the_closing_structure():

@@ -341,19 +341,6 @@ def test_strict_partition_budget():
     assert meter.current_words == 0
 
 
-def test_kappa_range():
-    # the per-level decay is configurable in (0.6, 1); the output contract
-    # and the ledger balance hold across the range
-    poly = generate("spiral", 300, 11)
-    for kappa in (0.65, 0.75, 0.85, 0.95):
-        sink, meter, stats = triangulate_polygon(
-            poly, 14, mode=MeterMode.PERMISSIVE, seed=11, kappa=kappa)
-        assert validate_triangulation(poly, sink.diagonals).ok, kappa
-        assert meter.current_words == 0
-    with pytest.raises(PolygonInputError):
-        triangulate_polygon(poly, 14, mode=MeterMode.PERMISSIVE, kappa=0.5)
-
-
 def test_walk_error_surfaces_and_unwinds_meter(monkeypatch):
     # an exception raised mid-walk reaches the caller unchanged, and the
     # meter holds no words afterwards
