@@ -121,7 +121,8 @@ def _candidate_scan_scalar(view, q: int, cone: Cone, pts=None) -> list:
 def _candidate_scan_bulk(view, q: int, cone: Cone, pts=None) -> list:
     """int64 twin of _candidate_scan_scalar with the same result: the cone
     and reflex tests run as array arithmetic over the whole ring; local
-    vertices 1 and m, whose neighbors wrap around, are tested in Python."""
+    vertices 1 and m, whose neighbors wrap around, are tested in Python, and
+    so are a rational slot and its two neighbors, on the scaled ring."""
     if pts is None:
         pts = view.scan_points()
     kind = _cone_kind(cone)
@@ -138,17 +139,32 @@ def _candidate_scan_bulk(view, q: int, cone: Cone, pts=None) -> list:
         inside &= by * xs - bx * ys > kb
     elif kind < 0:
         inside |= by * xs - bx * ys > kb
+    slot = view.rational_slot
+    ring = pts
+    # slots whose reflex test runs in Python, with their cone test
+    edge_slots = [(0, inside[0]), (m - 1, inside[-1])]
+    if slot is not None:
+        ring = geom._ScaledRing(pts, slot)
+        vx, vy = ring.virt
+        d = ring.d
+        a_in = ax * vy - ay * vx > ka * d
+        b_in = by * vx - bx * vy > kb * d
+        inside[slot] = (a_in and b_in) if kind > 0 else \
+            (a_in or b_in) if kind < 0 else a_in
+        edge_slots = [(k, inside[k]) for k in sorted(
+            {0, m - 1, *ring.near(-1, 1)})]
     ex = xs[1:] - xs[:-1]
     ey = ys[1:] - ys[:-1]
     mid = inside[1:-1]
     mid &= ex[:-1] * ey[1:] > ey[:-1] * ex[1:]
     found = (mid.nonzero()[0] + 2).tolist()
-    if inside[0] and _is_reflex_at(pts, 1):
-        found.insert(0, 1)
-    if inside[-1] and _is_reflex_at(pts, m):
-        found.append(m)
+    if slot is not None:
+        found = [i for i in found if (i - 1 - slot) % m not in (m - 1, 0, 1)]
+    for k, ins in edge_slots:
+        if ins and _is_reflex_at(ring, k + 1):
+            insort(found, k + 1)
     if cone.a_edge or cone.b_edge:
-        _bound_candidates(pts, q, cone, found)
+        _bound_candidates(ring, q, cone, found)
     return found
 
 
@@ -182,7 +198,7 @@ def _sample_candidates(view, q: int, cone: Cone, k: int, rng: random.Random,
     without replacement.  The int64 and the scalar scan list the same
     candidates in the same order, so the same generator state keeps the same
     vertices on both paths."""
-    if geom.uses_bulk("pick", view):
+    if geom.uses_bulk("pick", view, q, cone.a, cone.b):
         found = _candidate_scan_bulk(view, q, cone, pts)
     else:
         found = _candidate_scan_scalar(view, q, cone, pts)

@@ -12,14 +12,24 @@ Boundary scans accept any "view" object exposing
     m            -- vertex count
     point(i)     -- exact coordinates of local vertex i (1-based, clockwise)
     all_int      -- True when every vertex has integer coordinates
+    rational_slot  -- array slot (i - 1) of the view's one non-integer vertex,
+                      None when it has none or more than one
     scan_points()  -- tuple of the exact points, index 0 holding vertex 1
-    coord_arrays() -- (xs, ys) int64 arrays, index 0 holding local vertex 1
+    coord_arrays() -- (xs, ys) int64 arrays, index 0 holding local vertex 1,
+                      the rational slot masked
 
-Views with rational (derived) vertices take the scalar path automatically.
+A view with one non-integer vertex (the virtual vertex of an SPT split) scans
+on int64 like an all-integer one: the kernels mask its slot and settle the few
+results that read it (its own tests and those of its two edges) on Python
+ints, over the ring scaled by the vertex's common denominator (see
+_ScaledRing).  Views with two or more non-integer vertices, and scans whose
+own points are not integers, take the exact scalar path (see uses_bulk).
 """
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -70,14 +80,65 @@ BULK_CUTOVERS = {
 BULK_MIN_M = BULK_CUTOVERS["point"]
 
 
-def uses_bulk(kernel: str, view, point=None) -> bool:
+def uses_bulk(kernel: str, view, *points) -> bool:
     """True when `kernel` (a key of BULK_CUTOVERS) scans `view` on int64
-    arrays: the view is all integer, has at least the kernel's cutover of
-    vertices, and `point`, when given, has integer coordinates."""
-    if not view.all_int or view.m < BULK_CUTOVERS[kernel]:
+    arrays: the view has at least the kernel's cutover of vertices, at most
+    one of them (view.rational_slot, masked and settled by the kernel) is
+    not an integer point, and so is each of the scan's own `points` (a ray's
+    origin and target, a sight line's ends, a cone's bounds).  Each is an
+    exact point, or a local vertex index, which is an integer point unless
+    it is the rational slot's vertex."""
+    if view.m < BULK_CUTOVERS[kernel]:
         return False
-    return point is None or (isinstance(point[0], int)
-                             and isinstance(point[1], int))
+    slot = view.rational_slot
+    if slot is None and not view.all_int:
+        return False
+    for pt in points:
+        if isinstance(pt, int):
+            if pt - 1 == slot:
+                return False
+        elif not (isinstance(pt[0], int) and isinstance(pt[1], int)):
+            return False
+    return True
+
+
+class _ScaledRing:
+    """A scan ring whose one rational vertex, at array slot `slot`, is
+    (X/d, Y/d) over its least common denominator d, read as the ring scaled
+    by d: that slot gives (X, Y) and every other its point times d, all
+    Python ints.  A common positive scale keeps every orientation sign and
+    every ratio of crossing parameters, so the exact ring helpers settle the
+    rational vertex on ints when the scan's own points are scaled alike."""
+
+    __slots__ = ("pts", "slot", "d", "virt")
+
+    def __init__(self, pts, slot: int):
+        x, y = pts[slot]
+        dx, dy = x.denominator, y.denominator
+        d = dx * dy // gcd(dx, dy)
+        self.pts = pts
+        self.slot = slot
+        self.d = d
+        self.virt = (x.numerator * (d // dx), y.numerator * (d // dy))
+
+    def __len__(self):
+        return len(self.pts)
+
+    def __getitem__(self, k):
+        k %= len(self.pts)
+        if k == self.slot:
+            return self.virt
+        x, y = self.pts[k]
+        return x * self.d, y * self.d
+
+    def scale(self, p):
+        return p[0] * self.d, p[1] * self.d
+
+    def near(self, lo: int, hi: int) -> list:
+        """The array slots from lo to hi places after the rational slot,
+        each once."""
+        m = len(self.pts)
+        return sorted({(self.slot + k) % m for k in range(lo, hi + 1)})
 
 
 Coord = Union[int, Fraction]
@@ -188,7 +249,8 @@ def _point_in_ring(pts, p: Pt, scale: int = 1) -> bool:
 
 def _point_in_closed_bulk(view, p: Pt, scale: int = 1) -> bool:
     """int64 twin of _point_in_ring; with scale 2 the doubled coordinates
-    stay below 2**28 and every product below 2**57."""
+    stay below 2**28 and every product below 2**57.  The two edges at a
+    rational slot are tested on the scaled ring instead."""
     xs, ys = view.coord_arrays()
     if scale != 1:
         xs = xs * scale
@@ -201,10 +263,36 @@ def _point_in_closed_bulk(view, p: Pt, scale: int = 1) -> bool:
     cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
     on = (cr == 0) & (np.minimum(ax, bx) <= px) & (px <= np.maximum(ax, bx)) \
         & (np.minimum(ay, by) <= py) & (py <= np.maximum(ay, by))
+    hit = ((ay > py) != (by > py)) & ((cr > 0) == (by > ay))
+    slot = view.rational_slot
+    odd = False
+    if slot is not None:
+        ring = _ScaledRing(view.scan_points(), slot)
+        q = ring.scale(p)
+        for k in (slot - 1, slot):
+            on[k] = hit[k] = False
+            a = ring[k]
+            b = ring[k + 1]
+            e_on, e_hit = _ring_edge((a[0] * scale, a[1] * scale),
+                                     (b[0] * scale, b[1] * scale), q)
+            if e_on:
+                return True
+            odd ^= e_hit
     if on.any():
         return True
-    hit = ((ay > py) != (by > py)) & ((cr > 0) == (by > ay))
-    return bool(np.count_nonzero(hit) & 1)
+    return bool((np.count_nonzero(hit) + odd) & 1)
+
+
+def _ring_edge(a: Pt, b: Pt, p: Pt):
+    """(p on the closed edge ab, ab toggles p's crossing parity): one step
+    of _point_in_ring."""
+    ax, ay = a
+    bx, by = b
+    px, py = p
+    cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    on = cr == 0 and min(ax, bx) <= px <= max(ax, bx) \
+        and min(ay, by) <= py <= max(ay, by)
+    return on, (ay > py) != (by > py) and (cr > 0) == (by > ay)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +321,7 @@ def point_sees_vertex(view, p: Pt, j: int) -> bool:
 def _visible(view, i: int, p: Optional[Pt], j: int) -> bool:
     """Visibility of vertex j from the first endpoint: local vertex i, or
     the point p when i is 0."""
-    if uses_bulk("visible", view, p):
+    if uses_bulk("visible", view, p if i == 0 else i, j):
         res = _visible_bulk(view, i, p, j)
         if res is not None:
             return res
@@ -290,7 +378,9 @@ def _midpoint_inside(view, doubled: Pt) -> bool:
 
 
 def _visible_bulk(view, i: int, p: Optional[Pt], j: int) -> Optional[bool]:
-    """Vectorized visibility; returns None to request the scalar fallback."""
+    """Vectorized visibility; returns None to request the scalar fallback.
+    A rational slot's side of the sight line, and the crossings of its two
+    edges, are settled on the scaled ring."""
     xs, ys = view.coord_arrays()
     if i:
         ax, ay = int(xs[i - 1]), int(ys[i - 1])
@@ -298,11 +388,24 @@ def _visible_bulk(view, i: int, p: Optional[Pt], j: int) -> Optional[bool]:
         ax, ay = p
     bx, by = int(xs[j - 1]), int(ys[j - 1])
     s = np.sign((bx - ax) * (ys - ay) - (by - ay) * (xs - ax))
+    slot = view.rational_slot
+    ring = None
+    if slot is not None:
+        ring = _ScaledRing(view.scan_points(), slot)
+        A = ring.scale((ax, ay))
+        B = ring.scale((bx, by))
+        vx, vy = ring.virt
+        sv = (B[0] - A[0]) * (vy - A[1]) - (B[1] - A[1]) * (vx - A[0])
+        s[slot] = (sv > 0) - (sv < 0)
+        if sv == 0 and _strictly_between(A, B, ring.virt):
+            return None
     # any third vertex exactly on the open segment -> rare, resolve scalar
     col = (s == 0)
     if i:
         col[i - 1] = False
     col[j - 1] = False
+    if slot is not None:
+        col[slot] = False
     if col.any():
         cx = xs[col]
         cy = ys[col]
@@ -321,15 +424,24 @@ def _visible_bulk(view, i: int, p: Optional[Pt], j: int) -> Optional[bool]:
         pts = view.scan_points()
         m = len(pts)
         for k in ks:
-            px, py = pts[k]
-            cx, cy = pts[k + 1 - m if k == m - 1 else k + 1]
-            ex = cx - px
-            ey = cy - py
-            o3 = ex * (ay - py) - ey * (ax - px)
-            o4 = ex * (by - py) - ey * (bx - px)
-            if (o3 > 0 and o4 < 0) or (o3 < 0 and o4 > 0):
+            if ring is not None and (k - slot) % m in (0, m - 1):
+                if _crosses_segment(ring[k], ring[k + 1], A, B):
+                    return False
+            elif _crosses_segment(pts[k], pts[k + 1 - m if k == m - 1
+                                             else k + 1], (ax, ay), (bx, by)):
                 return False
     return _point_in_closed_bulk(view, (ax + bx, ay + by), 2)
+
+
+def _crosses_segment(p: Pt, c: Pt, a: Pt, b: Pt) -> bool:
+    """Edge pc, whose ends lie strictly on opposite sides of the line ab,
+    crosses the open segment ab."""
+    px, py = p
+    ex = c[0] - px
+    ey = c[1] - py
+    o3 = ex * (a[1] - py) - ey * (a[0] - px)
+    o4 = ex * (b[1] - py) - ey * (b[0] - px)
+    return (o3 > 0 and o4 < 0) or (o3 < 0 and o4 > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +504,13 @@ def _ray_dispatch(view, origin, toward, light: bool, pts=None):
     if pts is None:
         pts = view.scan_points()
     m = len(pts)
+    if isinstance(toward, int):
+        if not 1 <= toward <= m:
+            raise PolygonInputError(f"ray target {toward} outside 1..{m}")
+        T = pts[toward - 1]
+    else:
+        T = toward
+    bulk = uses_bulk("ray", view, origin, toward)
     if isinstance(origin, int):
         if not 1 <= origin <= m:
             raise PolygonInputError(f"ray origin {origin} outside 1..{m}")
@@ -399,16 +518,10 @@ def _ray_dispatch(view, origin, toward, light: bool, pts=None):
     else:
         O = origin
         origin = 0
-    if isinstance(toward, int):
-        if not 1 <= toward <= m:
-            raise PolygonInputError(f"ray target {toward} outside 1..{m}")
-        T = pts[toward - 1]
-    else:
-        T = toward
     D = (T[0] - O[0], T[1] - O[1])
     if D[0] == 0 and D[1] == 0:
         raise PolygonInputError("ray direction is degenerate")
-    if uses_bulk("ray", view, T) and uses_bulk("ray", view, O):
+    if bulk:
         found = _ray_scan_bulk(view, pts, origin, O, D)
     else:
         found = _ray_scan_scalar(pts, origin, O, D)
@@ -443,6 +556,63 @@ def _ray_scan_scalar(pts, origin: int, O: Pt, D: Pt):
         elif cs == 0 and k != origin:
             best = _vertex_crossing(best, pts, k, O, D)
         px, py, ps = cx, cy, cs
+    return best
+
+
+def _resolve_edges(best, pts, slots, origin: int, O: Pt, D: Pt):
+    """`best` or the nearest crossing found at the edges that start at the
+    array slots `slots`: a proper crossing of the edge, or a crossing exactly
+    at one of its ends (other than the origin)."""
+    m = len(pts)
+    ox, oy = O
+    dx, dy = D
+    for j in slots:
+        # the edge from array slot j to the next slot: local edge j+1
+        c = j + 1 if j < m - 1 else 0
+        px, py = pts[j]
+        cx, cy = pts[c]
+        ps = dx * (py - oy) - dy * (px - ox)
+        cs = dx * (cy - oy) - dy * (cx - ox)
+        if (ps > 0 and cs < 0) or (ps < 0 and cs > 0):
+            best = _edge_crossing(best, j + 1, px, py, cx, cy, O, D)
+            continue
+        if ps == 0 and j + 1 != origin:
+            best = _vertex_crossing(best, pts, j + 1, O, D)
+        if cs == 0 and c + 1 != origin:
+            best = _vertex_crossing(best, pts, c + 1, O, D)
+    return best
+
+
+def _settle_rational(best, pts, slot: int, origin: int, O: Pt, D: Pt):
+    """`best` or the nearest crossing that reads the rational vertex at
+    array slot `slot`: at the four edges with an end within one slot of it,
+    resolved on the scaled ring (the ray's origin and direction scaled
+    alike), the parameter reduced to lowest terms."""
+    ring = _ScaledRing(pts, slot)
+    m = len(pts)
+    ox, oy = O
+    dx, dy = D
+    vx, vy = ring.virt
+    sv = dx * (vy - oy * ring.d) - dy * (vx - ox * ring.d)
+    if sv:
+        # nothing to settle when the five slots lie strictly on one side
+        for k in (slot - 2, slot - 1, slot + 1, slot + 2):
+            x, y = pts[k % m]
+            sk = dx * (y - oy) - dy * (x - ox)
+            if sk == 0 or (sk > 0) != (sv > 0):
+                break
+        else:
+            return best
+    got = _resolve_edges(None, ring, ring.near(-2, 1), origin, ring.scale(O),
+                         ring.scale(D))
+    if got is None:
+        return best
+    num, den, edge, vertex = got
+    g = gcd(num, den)
+    num //= g
+    den //= g
+    if best is None or num * best[1] < best[0] * den:
+        return (num, den, edge, vertex)
     return best
 
 
@@ -496,35 +666,29 @@ def _ray_scan_bulk(view, pts, origin: int, O: Pt, D: Pt):
     An edge that straddles the line joins a marked and an unmarked vertex,
     and so does one edge at each vertex on the line whose neighbors lie on
     opposite sides; only the edges where the mark changes are resolved,
-    exactly, on Python ints.
+    exactly, on Python ints.  The edges that read a rational slot are
+    settled apart (_settle_rational).
     """
     xs, ys = view.coord_arrays()
     m = view.m
     ox, oy = O
     dx, dy = D
+    slot = view.rational_slot
     # dx*(y-oy) - dy*(x-ox) > 0; each product is below 2**54 in magnitude
     left = dx * ys - dy * xs > dx * oy - dy * ox
     changes = (left[:-1] != left[1:]).nonzero()[0]
     if changes.size > _RAY_LOOP_MAX:
-        return _ray_scan_many(xs, ys, pts, origin, O, D)
-    best = None
-    slots = changes.tolist()
-    slots.append(m - 1)    # the closing edge m -> 1 is always tested
-    for j in slots:
-        # the edge from array slot j to the next slot: local edge j+1
-        c = j + 1 if j < m - 1 else 0
-        px, py = pts[j]
-        cx, cy = pts[c]
-        ps = dx * (py - oy) - dy * (px - ox)
-        cs = dx * (cy - oy) - dy * (cx - ox)
-        if (ps > 0 and cs < 0) or (ps < 0 and cs > 0):
-            best = _edge_crossing(best, j + 1, px, py, cx, cy, O, D)
-            continue
-        if ps == 0 and j + 1 != origin:
-            best = _vertex_crossing(best, pts, j + 1, O, D)
-        if cs == 0 and c + 1 != origin:
-            best = _vertex_crossing(best, pts, c + 1, O, D)
-    return best
+        best = _ray_scan_many(xs, ys, pts, origin, O, D, slot)
+    else:
+        slots = changes.tolist()
+        slots.append(m - 1)    # the closing edge m -> 1 is always tested
+        if slot is not None:
+            slots = [j for j in slots
+                     if (j - slot) % m not in (m - 2, m - 1, 0, 1)]
+        best = _resolve_edges(None, pts, slots, origin, O, D)
+    if slot is None:
+        return best
+    return _settle_rational(best, pts, slot, origin, O, D)
 
 
 # Above this many mark changes the bulk ray scan computes the crossing
@@ -545,20 +709,33 @@ def _ray_scan_bulk(view, pts, origin: int, O: Pt, D: Pt):
 _RAY_LOOP_MAX = 48
 
 
-def _ray_scan_many(xs, ys, pts, origin: int, O: Pt, D: Pt):
+def _ray_scan_many(xs, ys, pts, origin: int, O: Pt, D: Pt,
+                   slot: Optional[int] = None):
     """_ray_scan_bulk for rays that meet many edges: int64 crossing
     parameters of every straddling edge, a float prefilter, and exact
-    bigint resolution of the near-minimal ones."""
+    bigint resolution of the near-minimal ones.  The crossings that read a
+    rational slot are skipped, for _settle_rational."""
     m = xs.shape[0]
     ox, oy = O
     dx, dy = D
     side = np.sign(dx * ys - dy * xs - (dx * oy - dy * ox))
+    online = side == 0
+    straddle = side[:-1] * side[1:] < 0
+    closing = side[-1] * side[0] < 0
+    if slot is not None:
+        for k in (slot - 1, slot, slot + 1 - m):
+            online[k] = False
+        for k in (slot - 2, slot - 1, slot, slot + 1):
+            if k % m == m - 1:
+                closing = False
+            else:
+                straddle[k % m] = False
     best = None
-    for j in (side == 0).nonzero()[0].tolist():
+    for j in online.nonzero()[0].tolist():
         if j + 1 != origin:
             best = _vertex_crossing(best, pts, j + 1, O, D)
-    starts = (side[:-1] * side[1:] < 0).nonzero()[0]
-    if side[-1] * side[0] < 0:
+    starts = straddle.nonzero()[0]
+    if closing:
         starts = np.append(starts, m - 1)
     if starts.size == 0:
         return best
@@ -600,6 +777,9 @@ def max_angle_reflex_in_triangle(view, apex, p_n,
     triangle contains no reflex vertex.
     """
     m = view.m
+    # the int64 pass is only a float prefilter whose every candidate is
+    # verified exactly below, so the corners (the hit point is rational as
+    # a rule) need not be integers
     bulk = uses_bulk("reflex", view)
     if bulk:
         at = view.point
@@ -645,7 +825,9 @@ def _triangle_candidates_prefilter(view, A, P, H):
     """Superset of the reflex vertices inside triangle (A, P, H).
 
     Float filter with a conservative margin; every returned index is
-    re-verified exactly by the caller.  Works for rational P/H too.
+    re-verified exactly by the caller.  Works for rational A/P/H too.  A
+    rational slot, whose array entry is masked, and its two neighbors, whose
+    reflex tests read it, pass the tests that read the mask.
     """
     xs, ys = view.coord_arrays()
     xf = xs.astype(np.float64)
@@ -659,6 +841,9 @@ def _triangle_candidates_prefilter(view, A, P, H):
     ot = float(np.sign((px - ax) * (hy - ay) - (py - ay) * (hx - ax)))
     mg = _TRI_FILTER_MARGIN
     maybe_inside = (ot * o1 > -mg) & (ot * o2 > -mg) & (ot * o3 > -mg)
+    slot = view.rational_slot
+    if slot is not None:
+        maybe_inside[slot] = True
     if not maybe_inside.any():
         return []
     # reflex test on slots 1..m-2; local vertices 1 and m, whose neighbors
@@ -667,5 +852,7 @@ def _triangle_candidates_prefilter(view, A, P, H):
     ey = ys[1:] - ys[:-1]
     reflex = np.ones(xs.shape[0], dtype=bool)
     reflex[1:-1] = ex[:-1] * ey[1:] > ey[:-1] * ex[1:]
+    if slot is not None:
+        reflex[slot - 1] = reflex[slot] = reflex[slot + 1 - xs.shape[0]] = True
     sel = maybe_inside & reflex
     return (sel.nonzero()[0] + 1).tolist()

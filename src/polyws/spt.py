@@ -264,9 +264,8 @@ class _Region:
         lo, hi = self.lo, self.hi
         off = lambda p: (p - lo) % m
         ulen = (hi - lo) % m + 1
-        if run.audit:
-            for v in w:
-                assert off(v) < ulen, "walked vertex left the region"
+        if run.audit and any(off(v) >= ulen for v in w):
+            raise InternalInvariantError("walked vertex left the region")
 
         pockets = walk_pockets(w, far, lo, m)
         cutset = set(w)
@@ -345,8 +344,9 @@ class _Region:
                 # the walk stepped onto the far endpoint of the current
                 # diagonal: nothing splits off, the diagonal's path endpoint
                 # swaps roles
-                if run.audit:
-                    assert i == 1
+                if run.audit and i != 1:
+                    raise InternalInvariantError(
+                        "a re-anchoring stretch took more than one step")
                 self.u_other = w[i - 1]
                 self.lo_cut = self.hi_cut = True
                 return []
@@ -366,9 +366,10 @@ class _Region:
         if extra_cuts is not None:
             segs = extra_cuts
         elif wrap:
-            if run.audit:
-                assert ulen == m and self.cut_side is None \
-                    and new_cut_v is None
+            if run.audit and not (ulen == m and self.cut_side is None
+                                  and new_cut_v is None):
+                raise InternalInvariantError(
+                    "a wrapping split of a region that is not the full cycle")
             segs.extend(part_segs(nxt_hi, nxt_lo, cutset, w, pockets, m))
         else:
             if self.cut_side == "lo":
@@ -388,9 +389,12 @@ class _Region:
         if segs_size(segs, m) >= 3:
             child = rooted_piece(view, segs, r_root)
             if run.audit:
-                assert child.m <= -(-m // 2) + i + 2, \
-                    "R breaks the split bound"
-                assert child.m <= 0.6 * m + 3, "R breaks the 6/10 decay"
+                bound = -(-m // 2) + i + 2
+                if child.m > bound:
+                    raise InternalInvariantError(
+                        f"R size {child.m} breaks the split bound {bound}")
+                if child.m > 0.6 * m + 3:
+                    raise InternalInvariantError("R breaks the 6/10 decay")
             pieces.append(child)
         for (pa, pb, s) in pockets:
             if (pb - pa) % m + 1 >= 3:
@@ -399,9 +403,9 @@ class _Region:
                     psegs.append(("range", (pa % m) + 1, 1 + (pb - 2) % m))
                 psegs.append(("cutpos", pb))
                 child = rooted_piece(view, psegs, s)
-                if run.audit:
-                    assert child.m <= -(-m // 2) + 1, \
-                        "pocket breaks the half bound"
+                if run.audit and child.m > -(-m // 2) + 1:
+                    raise InternalInvariantError(
+                        "pocket breaks the half bound")
                 pieces.append(child)
 
         self.lo, self.hi = nxt_lo, nxt_hi

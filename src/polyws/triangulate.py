@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +33,7 @@ C0_LOG = 8                   # strict-mode precondition: s >= 8*ceil(log2 n)
 WALK_SCALARS = 8             # per-level loop state charged to the meter
 
 # expensive self-checks (visibility of produced diagonals etc.) are skipped
-# above this view size; cheap structural asserts always run
+# above this view size; cheap structural checks always run
 AUDIT_MAX_M = 4096
 
 
@@ -209,7 +210,10 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
         return geom.orient(pts[prv[i]], pts[i], pts[nxt[i]]) != geom.CLOCKWISE
 
     block = [False] + [blocks(i) for i in range(1, m + 1)]
-    index = _BlockIndex(pts, block, view.all_int)
+    rational = () if view.all_int else tuple(
+        i for i in range(1, m + 1)
+        if not (isinstance(pts[i][0], int) and isinstance(pts[i][1], int)))
+    index = _BlockIndex(pts, block, rational)
 
     out = []
     alive = m
@@ -241,7 +245,7 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
                 # not simple) or when half the indexed vertices stopped
                 # blocking, which keeps the slices short
                 if now or 2 * index.live < index.size:
-                    index = _BlockIndex(pts, block, view.all_int)
+                    index = _BlockIndex(pts, block, rational)
             stack.append(u)
     v = next(i for i in range(1, m + 1) if not dead[i])
     out.append((prv[v], v, nxt[v]))
@@ -250,21 +254,32 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
 
 class _BlockIndex:
     """The blocking vertices of an ear-clipping ring sorted by x and by y
-    (ids, keys and, above _EAR_LOOP_MAX of them on an all-integer ring, a
-    (2, k) int64 coordinate array per axis).  An ear test bisects its
+    (ids, keys and, above _EAR_LOOP_MAX of them when all are integer points,
+    a (2, k) int64 coordinate array per axis).  An ear test bisects its
     triangle's bounding box on both axes and checks the shorter slice,
     skipping vertices that no longer block (`block` is the caller's list):
     the closed triangle lies in its box, and clipping only turns blocking
-    vertices convex, so every test answers as a scan of all would."""
+    vertices convex, so every test answers as a scan of all would.
 
-    __slots__ = ("pts", "block", "axes", "size", "live")
+    `rational` lists the ring's vertices with non-integer points.  Such a
+    vertex (the virtual vertex of an SPT split) is convex, so the blocking
+    vertices are integer points as a rule; then an ear with a rational
+    corner is tested on its corners scaled by their common denominator, all
+    Python ints, over the whole slice.  This is decided once per index: when
+    some blocking vertex is rational, every test runs in plain exact
+    arithmetic."""
 
-    def __init__(self, pts, block, all_int):
+    __slots__ = ("pts", "block", "axes", "size", "live", "scaled")
+
+    def __init__(self, pts, block, rational=()):
         self.pts = pts
         self.block = block
         cands = [i for i in range(1, len(pts)) if block[i]]
         self.size = self.live = len(cands)
-        arrays = all_int and len(cands) > _EAR_LOOP_MAX
+        int_blockers = not any(block[i] for i in rational)
+        # corners that call for scaling
+        self.scaled = rational if int_blockers else ()
+        arrays = int_blockers and len(cands) > _EAR_LOOP_MAX
         self.axes = []
         for k in (0, 1):
             ids = sorted(cands, key=lambda i: pts[i][k])
@@ -275,6 +290,9 @@ class _BlockIndex:
     def blocked(self, p, v, n) -> bool:
         """True when a blocking vertex other than p and n lies in the closed
         triangle (p, v, n)."""
+        scaled = self.scaled
+        if scaled and (p in scaled or v in scaled or n in scaled):
+            return self._blocked_scaled(p, v, n)
         pts = self.pts
         ax, ay = pts[p]
         bx, by = pts[v]
@@ -311,6 +329,45 @@ class _BlockIndex:
         hit &= e3x * qy - e3y * qx <= e3x * cy - e3y * cx
         hits = (ids[stop + k] for k in hit.nonzero()[0].tolist())
         return any(block[x] and x != p and x != n for x in hits)
+
+    def _blocked_scaled(self, p, v, n) -> bool:
+        """blocked() for a triangle with a rational corner, on integer
+        blocking vertices: the corners are scaled by their common
+        denominator d to ints, and every vertex of the slice is tested as
+        e x x <= e x a with each edge e times d."""
+        pts = self.pts
+        corners = pts[p] + pts[v] + pts[n]
+        d = 1
+        for c in corners:
+            d = d * c.denominator // gcd(d, c.denominator)
+        ax, ay, bx, by, cx, cy = (c.numerator * (d // c.denominator)
+                                  for c in corners)
+        # the integer points in the scaled box: the unscaled box rounded in
+        x0, x1 = -(-min(ax, bx, cx) // d), max(ax, bx, cx) // d
+        y0, y1 = -(-min(ay, by, cy) // d), max(ay, by, cy) // d
+        (xids, xkeys, _), (yids, ykeys, _) = self.axes
+        i0, i1 = bisect_left(xkeys, x0), bisect_right(xkeys, x1)
+        j0, j1 = bisect_left(ykeys, y0), bisect_right(ykeys, y1)
+        ids, lo, hi = (xids, i0, i1) if i1 - i0 <= j1 - j0 else (yids, j0, j1)
+        e1x, e1y = bx - ax, by - ay
+        e2x, e2y = cx - bx, cy - by
+        e3x, e3y = ax - cx, ay - cy
+        k1 = e1x * ay - e1y * ax
+        k2 = e2x * by - e2y * bx
+        k3 = e3x * cy - e3y * cx
+        e1x, e1y, e2x, e2y, e3x, e3y = (
+            e * d for e in (e1x, e1y, e2x, e2y, e3x, e3y))
+        block = self.block
+        for x in ids[lo:hi]:
+            if block[x]:
+                px, py = pts[x]
+                if x0 <= px <= x1 and y0 <= py <= y1 \
+                        and e1x * py - e1y * px <= k1 \
+                        and e2x * py - e2y * px <= k2 \
+                        and e3x * py - e3y * px <= k3 \
+                        and x != p and x != n:
+                    return True
+        return False
 
 
 def _in_memory_words(m: int) -> int:
@@ -623,8 +680,9 @@ def pick_side(m, e1, e2, lo, ulen, run):
     if in_fwd:
         return (x, y)
     if in_bwd:
-        if run.audit:
-            assert ulen == m, "midpoint outside the forward side of the cut"
+        if run.audit and ulen != m:
+            raise InternalInvariantError(
+                "midpoint outside the forward side of the cut")
         return (y, x)
     raise InternalInvariantError("midpoint vanished from both cut sides")
 
@@ -707,17 +765,16 @@ class WalkState:
         u_new = u_far if far else w[i - 1]
         lo, hi = self.reg_lo, self.reg_hi
         ulen = interval_len(lo, hi, m)
-        if run.audit:
-            for v in w:
-                assert (v - lo) % m < ulen, \
-                    "walked vertex left the open region"
+        if run.audit and any((v - lo) % m >= ulen for v in w):
+            raise InternalInvariantError("walked vertex left the open region")
 
         x, y = u_new, w[i]
         if {x, y} == {lo, hi} and self.u_other is not None:
             # the walk stepped onto the far endpoint of the current diagonal:
             # nothing is split off, the region merely re-anchors
-            if run.audit:
-                assert i == 1
+            if run.audit and i != 1:
+                raise InternalInvariantError(
+                    "a re-anchoring stretch took more than one step")
             self.u_other = u_new
             return []
         nxt_lo, nxt_hi = pick_side(m, x, y, lo, ulen, run)
@@ -743,18 +800,23 @@ class WalkState:
                 # diagonal endpoints)
                 if (y - x) % m not in (1, m - 1):
                     bound = -(-m // 2) + i + 2
-                    assert child.m <= bound, \
-                        f"R size {child.m} breaks the split bound {bound}"
-                assert child.m <= 0.6 * m + 3, "R size breaks the 6/10 decay"
+                    if child.m > bound:
+                        raise InternalInvariantError(
+                            f"R size {child.m} breaks the split bound {bound}")
+                if child.m > 0.6 * m + 3:
+                    raise InternalInvariantError(
+                        "R size breaks the 6/10 decay")
             pieces.append(child)
         for (pa, pb, s) in pockets:
             if interval_len(pa, pb, m) >= 3:
                 child = rooted_piece(view, [("range", pa, pb)], s)
                 if run.audit:
-                    assert child.m <= -(-m // 2) + 1, \
-                        "pocket breaks the half bound"
-                    assert child.m <= 0.6 * m + 2, \
-                        "pocket breaks the 6/10 decay"
+                    if child.m > -(-m // 2) + 1:
+                        raise InternalInvariantError(
+                            "pocket breaks the half bound")
+                    if child.m > 0.6 * m + 2:
+                        raise InternalInvariantError(
+                            "pocket breaks the 6/10 decay")
                 pieces.append(child)
         self.reg_lo, self.reg_hi = nxt_lo, nxt_hi
         self.u_other = u_new
@@ -767,8 +829,8 @@ class WalkState:
         if interval_len(lo, hi, m) < 3:
             return None
         child = rooted_piece(view, [("range", lo, hi)], m // 2)
-        if run.audit:
-            assert child.m <= -(-m // 2) + 1, "terminal piece too large"
+        if run.audit and child.m > -(-m // 2) + 1:
+            raise InternalInvariantError("terminal piece too large")
         return child
 
 

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import chain
@@ -279,7 +280,8 @@ class SubpolygonView:
     lookup is O(1) through a prefix table of one entry per item.
     """
 
-    __slots__ = ("base", "items", "prefix", "m", "all_int", "_starts")
+    __slots__ = ("base", "items", "prefix", "m", "all_int", "rational_slot",
+                 "_starts")
 
     def __init__(self, base: BasePolygon, items):
         self.base = base
@@ -299,20 +301,24 @@ class SubpolygonView:
                 norm.append(it)
         self.items = tuple(norm)
         prefix = [0]
-        all_int = True
+        rational = []     # array slots of the vertices with a non-integer point
         for it in self.items:
             if it[0] == _ARC:
                 prefix.append(prefix[-1] + it[2])
             else:
-                prefix.append(prefix[-1] + 1)
                 cv = it[1]
                 if cv.base is None:
                     px, py = cv.point
                     if not (isinstance(px, int) and isinstance(py, int)):
-                        all_int = False
+                        rational.append(prefix[-1])
+                prefix.append(prefix[-1] + 1)
         self.prefix = tuple(prefix)
         self.m = prefix[-1]
-        self.all_int = all_int
+        self.all_int = not rational
+        # the one non-integer vertex's array slot (local index - 1), which the
+        # int64 scans mask and settle exactly; None for an all-integer view
+        # and for one with two or more non-integer vertices
+        self.rational_slot = rational[0] if len(rational) == 1 else None
         self._starts = None
         if self.m < 3:
             raise PolygonInputError(f"view with {self.m} vertices is degenerate")
@@ -414,9 +420,13 @@ class SubpolygonView:
     def coord_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """(xs, ys) int64 arrays, index 0 holding local vertex 1, for one
         bulk scan.  A view made of one unwrapped arc returns read-only
-        slices of the base arrays; any other view builds fresh arrays."""
-        if not self.all_int:
-            raise InternalInvariantError("coord_arrays on a rational view")
+        slices of the base arrays; any other view builds fresh arrays.  On a
+        view with one non-integer vertex its slot (rational_slot) is masked:
+        it holds the floors of the vertex's coordinates, which keep the int64
+        arithmetic in range, and a scan settles that slot exactly itself."""
+        if not self.all_int and self.rational_slot is None:
+            raise InternalInvariantError(
+                "coord_arrays on a view with several rational vertices")
         items = self.items
         n = self.base.n
         bxs = self.base.xs
@@ -429,6 +439,9 @@ class SubpolygonView:
         xs = np.empty(self.m, dtype=np.int64)
         ys = np.empty(self.m, dtype=np.int64)
         pos = 0
+        # slots and base indices of the cut vertices, gathered at the end
+        at = []
+        refs = []
         for it in items:
             if it[0] == _ARC:
                 _, start, length = it
@@ -445,11 +458,17 @@ class SubpolygonView:
                 pos += length
             else:
                 cv = it[1]
-                x, y = (self.base.vertex(cv.base) if cv.base is not None
-                        else cv.point)
-                xs[pos] = x
-                ys[pos] = y
+                if cv.base is not None:
+                    at.append(pos)
+                    refs.append(cv.base - 1)
+                else:
+                    x, y = cv.point
+                    xs[pos] = math.floor(x)
+                    ys[pos] = math.floor(y)
                 pos += 1
+        if at:
+            xs[at] = bxs[refs]
+            ys[at] = bys[refs]
         return xs, ys
 
     def materialize(self) -> List[Tuple]:

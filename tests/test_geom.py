@@ -1,11 +1,12 @@
 """Predicate and boundary-scan tests, including brute-force cross-checks."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from polyws import geom
-from polyws.errors import PolygonInputError
+from polyws.errors import InternalInvariantError, PolygonInputError
 from polyws.workspace import BasePolygon, SubpolygonView
 
 SQUARE = [(0, 0), (0, 2), (2, 2), (2, 0)]          # clockwise
@@ -329,6 +330,329 @@ def _rational_twin(v):
     twin = SubpolygonView(v.base, items)
     assert not twin.all_int and len(twin.items) > 2
     return twin
+
+
+def _one_virtual_twins(v, seed, min_m=130):
+    """Views with exactly one rational vertex H, as the SPT far case makes
+    them: H is where the ray from a vertex q of the integer view `v` toward
+    an integer point P first crosses the boundary, inside edge (e1, e1 + 1),
+    with a coordinate denominator above 2**20.  Returns (views, q, P): the
+    piece q..e1 closed by H (a convex virtual vertex) with H at its slot 0,
+    at a middle slot and at slot m - 1, `v` itself with H inserted into
+    edge e1 (a straight vertex, so lines through q and P cross the boundary
+    exactly at H), and `v` with a reflex vertex moved by less than a unit to
+    a point of such a denominator (a reflex rational vertex)."""
+    from polyws.oracle import check_simple
+    from polyws.workspace import CutVertex
+    rng = random.Random(seed)
+    m = v.m
+    pts = v.scan_points()
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    while True:
+        q = rng.randrange(1, m + 1)
+        P = (rng.randrange(min(xs), max(xs) + 1),
+             rng.randrange(min(ys), max(ys) + 1))
+        vq = pts[q - 1]
+        if P == vq or not _dir_in_interior_wedge(
+                v, q, (P[0] - vq[0], P[1] - vq[1])):
+            continue
+        hit = geom.ray_shoot(v, q, P)
+        e1 = hit.edge
+        if e1 is None or (e1 - q) % m + 2 < min_m or max(
+                hit.point[0].denominator, hit.point[1].denominator) <= 1 << 20:
+            continue
+        break
+    cut = ("cut", CutVertex(None, hit.point, virtual=True))
+    k = 1 + (q - 1 + ((e1 - q) % m) // 2) % m
+    pieces = [[cut, ("range", q, e1)],
+              [("range", k, e1), cut, ("range", q, 1 + (k - 2) % m)],
+              [("range", q, e1), cut],
+              [("range", 1, e1), cut] + ([("range", e1 + 1, m)]
+                                         if e1 < m else [])]
+    den = (2 ** 21 + 1) * (2 ** 21 + 3)
+    for r in range(2, m):
+        a, b, c = pts[r - 2], pts[r - 1], pts[r]
+        R = (b[0] + Fraction(2 ** 21 // 3, 2 ** 21 + 1),
+             b[1] + Fraction(2 ** 21 // 5, 2 ** 21 + 3))
+        ring = pts[:r - 1] + (R,) + pts[r:]
+        if geom.orient(a, b, c) == geom.orient(a, R, c) \
+                == geom.COUNTERCLOCKWISE and check_simple(
+                    [(int(x * den), int(y * den)) for x, y in ring],
+                    general_position=False).ok:
+            break
+    pieces.append([("range", 1, r - 1),
+                   ("cut", CutVertex(None, R, virtual=True)),
+                   ("range", r + 1, m)])
+    views = [v.subview(segs) for segs in pieces]
+    for w, slot in zip(views, (0, None, -1, e1, r - 1)):
+        assert not w.all_int and w.rational_slot is not None
+        if slot is not None:
+            assert w.rational_slot == slot % w.m
+    return views, q, P
+
+
+def _light(hit):
+    """ray_scan_light's answer with the parameter as one Fraction: the
+    int64 kernels give it in lowest terms when it reads a rational vertex,
+    the scalar kernel as a ratio of Fractions."""
+    return hit if hit is None else hit[:2] + (Fraction(hit[2], hit[3]),)
+
+
+def test_one_virtual_ray_scans_agree(monkeypatch):
+    # on views with one rational vertex the int64 ray scans (loop and
+    # arrays branch) mask its slot and settle it: they report the crossing
+    # of the exact scalar scan, for vertex and point targets, from vertices
+    # and from free points (integer or Fraction), the rational vertex at
+    # slot 0, at slot m - 1 (its edges are then the closing edge and the
+    # one before) and in the middle, crossings of its two edges and at the
+    # vertex itself included
+    from polyws.oracle import generate
+    many = []
+    scan_many = geom._ray_scan_many
+
+    def counting(xs, ys, pts, origin, O, D, slot=None):
+        many.append(slot)
+        return scan_many(xs, ys, pts, origin, O, D, slot)
+    monkeypatch.setattr(geom, "_ray_scan_many", counting)
+    at_virtual = {"edge": 0, "vertex": 0, "closing": 0}
+    for kind, seed in [("random", 1), ("comb", 2), ("spiral", 3)]:
+        v = SubpolygonView.whole(generate(kind, 300, seed))
+        views, q, P = _one_virtual_twins(v, seed)
+        for w in views:
+            rng = random.Random(w.m)
+            pts = w.scan_points()
+            h = w.rational_slot + 1
+            m = w.m
+            xs = [int(p[0]) for p in pts]
+            ys = [int(p[1]) for p in pts]
+            near = [1 + (h - 1 + k) % m for k in (-2, -1, 1, 2)]
+            rays = [(o, t) for o in near for t in range(1, m + 1, 4)
+                    if t != o]
+            for _ in range(100):
+                o = rng.randrange(1, m + 1)
+                t = rng.randrange(1, m + 1)
+                if t != o:
+                    rays.append((o, t))
+                pt = (rng.randrange(min(xs), max(xs) + 1),
+                      rng.randrange(min(ys), max(ys) + 1))
+                if pt != pts[o - 1]:
+                    rays.append((o, pt))
+                rays.append((pt, (pt[0], pt[1] + 1)))
+                rays.append((pt, pts[h - 1 + rng.choice((-1, 1 - m))]))
+                rays.append(((pt[0] + Fraction(1, 3), pt[1]), o))
+            if w.m == v.m + 1:
+                # from q, where it sits on this ring, the ray crosses the
+                # boundary exactly at H
+                rays.append((q if q < h else q + 1, P))
+            for r, (o, toward) in enumerate(rays):
+                got = []
+                for cutover in (0, 1 << 30):
+                    monkeypatch.setitem(geom.BULK_CUTOVERS, "ray", cutover)
+                    try:
+                        got.append((_light(geom.ray_scan_light(w, o, toward)),
+                                    geom._ray_scan(w, o, toward)))
+                    except PolygonInputError:
+                        got.append("degenerate")
+                assert got[0] == got[1], (w.m, h, o, toward)
+                light = got[0][0] if got[0] != "degenerate" else None
+                if light is None:
+                    continue
+                settled = light[1] in (h - 1 or m, h)
+                if light[:2] == ("vertex", h):
+                    at_virtual["vertex"] += 1
+                elif light[0] == "edge" and settled:
+                    at_virtual["edge"] += 1
+                    at_virtual["closing"] += light[1] == m
+                if light[0] == "edge" and (settled or r % 8 == 0):
+                    T = pts[toward - 1] if isinstance(toward, int) else toward
+                    hits = brute_ray_hits(list(pts), o, T)
+                    assert hits and light[2] == hits[0][0]
+                    assert light[1] == hits[0][1], (w.m, o, toward)
+    assert at_virtual["edge"] >= 50 and at_virtual["closing"] >= 10
+    assert at_virtual["vertex"] >= 1
+    # the arrays-of-crossings branch ran with the slot masked
+    assert sum(slot is not None for slot in many) >= 20
+
+
+def test_one_virtual_candidate_scans_and_links_agree(monkeypatch):
+    # the int64 candidate scan of a view with one rational vertex lists the
+    # scalar scan's candidates, for initial, narrowed and halved cones of
+    # every vertex, those next to the rational vertex included: their
+    # initial cone has a rational bound and takes the scalar scan, a cone
+    # whose bound on that side has been replaced takes the int64 one; and
+    # first_link gives the same answer on both paths
+    from polyws import geodesic
+    from polyws.oracle import generate
+    bulk_next_to = 0
+    for kind, seed in [("random", 4), ("comb", 5), ("spiral", 6)]:
+        v = SubpolygonView.whole(generate(kind, 300, seed))
+        views, _, _ = _one_virtual_twins(v, seed)
+        for w in views:
+            m = w.m
+            h = w.rational_slot + 1
+            h_prev, h_next = h - 1 or m, h % m + 1
+            pts = w.scan_points()
+            rng = random.Random(m)
+            cones = []
+            for q in range(1, m + 1):
+                if q == h:
+                    continue
+                cone = geodesic._initial_cone(w, q, pts)
+                cones.append((q, cone))
+                prev = rng.randrange(1, m + 1)
+                if prev not in (q, h):
+                    narrowed = geodesic._initial_cone(w, q, pts)
+                    geodesic._narrow_past(narrowed, pts, q, prev)
+                    cones.append((q, narrowed))
+                if q not in (h_prev, h_next):
+                    continue
+                for r in rng.sample(range(1, m + 1), 12):
+                    if r in (q, h):
+                        continue
+                    # the bound on the rational vertex's side turned to
+                    # the direction of an integer vertex
+                    half = geodesic._initial_cone(w, q, pts)
+                    d = (pts[r - 1][0] - pts[q - 1][0],
+                         pts[r - 1][1] - pts[q - 1][1])
+                    if q == h_prev:
+                        half.b, half.b_edge = d, False
+                    else:
+                        half.a, half.a_edge = d, False
+                    try:
+                        geodesic._cone_kind(half)
+                    except InternalInvariantError:
+                        continue
+                    cones.append((q, half))
+                    bulk_next_to += geom.uses_bulk("pick", w, q, half.a,
+                                                   half.b)
+            # cones with a bound through H's masked int64 slot, which the
+            # strict cone test leaves out while H itself may lie inside
+            fl = (math.floor(pts[h - 1][0]), math.floor(pts[h - 1][1]))
+            for q in rng.sample(range(1, m + 1), 20):
+                d = (fl[0] - pts[q - 1][0], fl[1] - pts[q - 1][1])
+                if q in (h, h_prev, h_next) or d == (0, 0):
+                    continue
+                for side in "ab":
+                    cone = geodesic._initial_cone(w, q, pts)
+                    setattr(cone, side, d)
+                    setattr(cone, side + "_edge", False)
+                    try:
+                        geodesic._cone_kind(cone)
+                    except InternalInvariantError:
+                        continue
+                    cones.append((q, cone))
+            for q, cone in cones:
+                got = []
+                for cutover in (0, 1 << 30):
+                    monkeypatch.setitem(geom.BULK_CUTOVERS, "pick", cutover)
+                    got.append(geodesic._sample_candidates(
+                        w, q, cone, 10 ** 9, random.Random(0), pts))
+                assert got[0] == got[1], (m, h, q, cone.a, cone.b)
+            links = [(rng.randrange(1, m + 1), rng.randrange(1, m + 1))
+                     for _ in range(40)]
+            links += [(h_prev, t) for t in range(1, m + 1, 7)]
+            for q, t in links:
+                if q == t or h in (q, t):
+                    continue
+                got = []
+                for cutover in (0, 1 << 30):
+                    for kernel in ("pick", "ray"):
+                        monkeypatch.setitem(geom.BULK_CUTOVERS, kernel,
+                                            cutover)
+                    got.append(geodesic.first_link(w, q, t,
+                                                   random.Random(q * t)))
+                assert got[0] == got[1], (m, h, q, t)
+    assert bulk_next_to >= 6
+
+
+def test_one_virtual_visibility_and_containment_agree(monkeypatch):
+    # is_visible, point_in_closed, point_sees_vertex and the reflex search
+    # give the same answers on the int64 path, with the rational slot
+    # masked and settled, as on the scalar path; sight lines and points
+    # include the rational vertex's neighbors and points on its two edges
+    from polyws.oracle import generate
+    searches = 0
+    for kind, seed in [("random", 7), ("comb", 8), ("spiral", 9)]:
+        v = SubpolygonView.whole(generate(kind, 300, seed))
+        views, _, _ = _one_virtual_twins(v, seed)
+        for w in views:
+            m = w.m
+            h = w.rational_slot + 1
+            pts = w.scan_points()
+            H = pts[h - 1]
+            nbrs = (pts[h - 2], pts[h % m])
+            rng = random.Random(m)
+            xs = [int(p[0]) for p in pts]
+            ys = [int(p[1]) for p in pts]
+            pairs = [(rng.randrange(1, m + 1), rng.randrange(1, m + 1))
+                     for _ in range(200)]
+            pairs += [(i, j) for i in (h - 1 or m, h % m + 1, h)
+                      for j in range(1, m + 1, 3)]
+            pairs = [(i, j) for i, j in pairs if i != j]
+            points = [(rng.randrange(min(xs), max(xs) + 1),
+                       rng.randrange(min(ys), max(ys) + 1))
+                      for _ in range(300)]
+            points += [nbrs[0], nbrs[1], H]
+            points += [((H[0] + b[0]) / 2, (H[1] + b[1]) / 2) for b in nbrs]
+            # integer points just beside the rational vertex's edges
+            points += [(int(H[0] + (b[0] - H[0]) * f) + dx,
+                        int(H[1] + (b[1] - H[1]) * f) + dy)
+                       for b in nbrs for f in (Fraction(1, 3), Fraction(2, 3))
+                       for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+            blocked = []
+            for i, j in pairs[:120]:
+                vi, vj = pts[i - 1], pts[j - 1]
+                if i == h or geom.is_visible(w, i, j) \
+                        or not _dir_in_interior_wedge(
+                            w, i, (vj[0] - vi[0], vj[1] - vi[1])):
+                    continue
+                hit = geom.ray_shoot(w, i, j)
+                if hit.edge is None:
+                    continue
+                for pn in (hit.edge, 1 + hit.edge % m):
+                    if pn != i and not geom.is_visible(w, i, pn) and \
+                            geom.orient(vi, pts[pn - 1], hit.point) \
+                            != geom.COLLINEAR:
+                        blocked.append((i, pn, hit.point))
+            # long-edged triangles with a side a tenth of a unit beside
+            # H's masked slot, in x and in y, toward H's fractional part
+            x, y = math.floor(H[0]), math.floor(H[1])
+            L = 10 ** 6
+            blocked += [((x - L, y), (x + 9 * L, y + 1), (x, y + L)),
+                        ((x, y - L), (x + 1, y + 9 * L), (x + L, y))]
+            inside = [p for p in points if geom.point_in_closed(w, p)]
+            sights = [(p, rng.randrange(1, m + 1)) for p in inside[:80]]
+            sights += [(p, j) for p in inside[:80]
+                       for j in (h - 1 or m, h % m + 1, h)]
+            # sight lines from integer points just beyond H as seen from
+            # vertex j: they pass within a unit or two of H, between H and
+            # its masked int64 slot as often as not
+            for j in [h - 1 or m, h % m + 1] + rng.sample(range(1, m + 1), 20):
+                B = pts[j - 1]
+                for f in (Fraction(1, 997), Fraction(1, 97), Fraction(1, 7)):
+                    x = math.floor(H[0] + (H[0] - B[0]) * f)
+                    y = math.floor(H[1] + (H[1] - B[1]) * f)
+                    sights += [((x + dx, y + dy), j)
+                               for dx in (-1, 0, 1, 2) for dy in (-1, 0, 1, 2)
+                               if j != h]
+
+            def answers():
+                return ([geom.is_visible(w, i, j) for i, j in pairs],
+                        [geom.point_in_closed(w, p) for p in points],
+                        [geom.max_angle_reflex_in_triangle(w, *b)
+                         for b in blocked],
+                        [geom.point_sees_vertex(w, p, j) for p, j in sights])
+            got = []
+            for cutover in (0, 1 << 30):
+                for kernel in ("point", "visible", "reflex"):
+                    monkeypatch.setitem(geom.BULK_CUTOVERS, kernel, cutover)
+                got.append(answers())
+            assert got[0] == got[1], (m, h)
+            for a in (got[0][0], got[0][1], got[0][3]):
+                assert any(a) and not all(a), (m, h)
+            searches += len(blocked)
+    assert searches >= 20
 
 
 def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
