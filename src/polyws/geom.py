@@ -710,7 +710,7 @@ _RAY_LOOP_MAX = 48
 
 
 def _ray_scan_many(xs, ys, pts, origin: int, O: Pt, D: Pt,
-                   slot: Optional[int] = None):
+                   slot: Optional[int]):
     """_ray_scan_bulk for rays that meet many edges: int64 crossing
     parameters of every straddling edge, a float prefilter, and exact
     bigint resolution of the near-minimal ones.  The crossings that read a

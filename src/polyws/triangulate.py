@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from math import gcd
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -201,7 +201,14 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
     m = view.m
     if m == 3:
         return [(1, 2, 3)]
-    pts = (None,) + view.scan_points()
+    ring = view.scan_points()
+    if not view.all_int:
+        # a positive scale keeps every orientation: clip the ring scaled by
+        # its common denominator, on ints
+        d = lcm(*(c.denominator for p in ring for c in p))
+        ring = tuple((x.numerator * (d // x.denominator),
+                      y.numerator * (d // y.denominator)) for x, y in ring)
+    pts = (None,) + ring
     nxt = list(range(1, m + 1)) + [1]     # ring links, index 0 unused
     prv = [m, m] + list(range(1, m))
     dead = [False] * (m + 1)
@@ -210,10 +217,7 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
         return geom.orient(pts[prv[i]], pts[i], pts[nxt[i]]) != geom.CLOCKWISE
 
     block = [False] + [blocks(i) for i in range(1, m + 1)]
-    rational = () if view.all_int else tuple(
-        i for i in range(1, m + 1)
-        if not (isinstance(pts[i][0], int) and isinstance(pts[i][1], int)))
-    index = _BlockIndex(pts, block, rational)
+    index = _BlockIndex(pts, block, view.all_int)
 
     out = []
     alive = m
@@ -245,7 +249,7 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
                 # not simple) or when half the indexed vertices stopped
                 # blocking, which keeps the slices short
                 if now or 2 * index.live < index.size:
-                    index = _BlockIndex(pts, block, rational)
+                    index = _BlockIndex(pts, block, view.all_int)
             stack.append(u)
     v = next(i for i in range(1, m + 1) if not dead[i])
     out.append((prv[v], v, nxt[v]))
@@ -254,32 +258,21 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
 
 class _BlockIndex:
     """The blocking vertices of an ear-clipping ring sorted by x and by y
-    (ids, keys and, above _EAR_LOOP_MAX of them when all are integer points,
-    a (2, k) int64 coordinate array per axis).  An ear test bisects its
+    (ids, keys and, above _EAR_LOOP_MAX of them on an all-integer ring, a
+    (2, k) int64 coordinate array per axis).  An ear test bisects its
     triangle's bounding box on both axes and checks the shorter slice,
     skipping vertices that no longer block (`block` is the caller's list):
     the closed triangle lies in its box, and clipping only turns blocking
-    vertices convex, so every test answers as a scan of all would.
+    vertices convex, so every test answers as a scan of all would."""
 
-    `rational` lists the ring's vertices with non-integer points.  Such a
-    vertex (the virtual vertex of an SPT split) is convex, so the blocking
-    vertices are integer points as a rule; then an ear with a rational
-    corner is tested on its corners scaled by their common denominator, all
-    Python ints, over the whole slice.  This is decided once per index: when
-    some blocking vertex is rational, every test runs in plain exact
-    arithmetic."""
+    __slots__ = ("pts", "block", "axes", "size", "live")
 
-    __slots__ = ("pts", "block", "axes", "size", "live", "scaled")
-
-    def __init__(self, pts, block, rational=()):
+    def __init__(self, pts, block, all_int):
         self.pts = pts
         self.block = block
         cands = [i for i in range(1, len(pts)) if block[i]]
         self.size = self.live = len(cands)
-        int_blockers = not any(block[i] for i in rational)
-        # corners that call for scaling
-        self.scaled = rational if int_blockers else ()
-        arrays = int_blockers and len(cands) > _EAR_LOOP_MAX
+        arrays = all_int and len(cands) > _EAR_LOOP_MAX
         self.axes = []
         for k in (0, 1):
             ids = sorted(cands, key=lambda i: pts[i][k])
@@ -290,9 +283,6 @@ class _BlockIndex:
     def blocked(self, p, v, n) -> bool:
         """True when a blocking vertex other than p and n lies in the closed
         triangle (p, v, n)."""
-        scaled = self.scaled
-        if scaled and (p in scaled or v in scaled or n in scaled):
-            return self._blocked_scaled(p, v, n)
         pts = self.pts
         ax, ay = pts[p]
         bx, by = pts[v]
@@ -329,45 +319,6 @@ class _BlockIndex:
         hit &= e3x * qy - e3y * qx <= e3x * cy - e3y * cx
         hits = (ids[stop + k] for k in hit.nonzero()[0].tolist())
         return any(block[x] and x != p and x != n for x in hits)
-
-    def _blocked_scaled(self, p, v, n) -> bool:
-        """blocked() for a triangle with a rational corner, on integer
-        blocking vertices: the corners are scaled by their common
-        denominator d to ints, and every vertex of the slice is tested as
-        e x x <= e x a with each edge e times d."""
-        pts = self.pts
-        corners = pts[p] + pts[v] + pts[n]
-        d = 1
-        for c in corners:
-            d = d * c.denominator // gcd(d, c.denominator)
-        ax, ay, bx, by, cx, cy = (c.numerator * (d // c.denominator)
-                                  for c in corners)
-        # the integer points in the scaled box: the unscaled box rounded in
-        x0, x1 = -(-min(ax, bx, cx) // d), max(ax, bx, cx) // d
-        y0, y1 = -(-min(ay, by, cy) // d), max(ay, by, cy) // d
-        (xids, xkeys, _), (yids, ykeys, _) = self.axes
-        i0, i1 = bisect_left(xkeys, x0), bisect_right(xkeys, x1)
-        j0, j1 = bisect_left(ykeys, y0), bisect_right(ykeys, y1)
-        ids, lo, hi = (xids, i0, i1) if i1 - i0 <= j1 - j0 else (yids, j0, j1)
-        e1x, e1y = bx - ax, by - ay
-        e2x, e2y = cx - bx, cy - by
-        e3x, e3y = ax - cx, ay - cy
-        k1 = e1x * ay - e1y * ax
-        k2 = e2x * by - e2y * bx
-        k3 = e3x * cy - e3y * cx
-        e1x, e1y, e2x, e2y, e3x, e3y = (
-            e * d for e in (e1x, e1y, e2x, e2y, e3x, e3y))
-        block = self.block
-        for x in ids[lo:hi]:
-            if block[x]:
-                px, py = pts[x]
-                if x0 <= px <= x1 and y0 <= py <= y1 \
-                        and e1x * py - e1y * px <= k1 \
-                        and e2x * py - e2y * px <= k2 \
-                        and e3x * py - e3y * px <= k3 \
-                        and x != p and x != n:
-                    return True
-        return False
 
 
 def _in_memory_words(m: int) -> int:

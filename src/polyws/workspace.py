@@ -439,9 +439,6 @@ class SubpolygonView:
         xs = np.empty(self.m, dtype=np.int64)
         ys = np.empty(self.m, dtype=np.int64)
         pos = 0
-        # slots and base indices of the cut vertices, gathered at the end
-        at = []
-        refs = []
         for it in items:
             if it[0] == _ARC:
                 _, start, length = it
@@ -459,16 +456,12 @@ class SubpolygonView:
             else:
                 cv = it[1]
                 if cv.base is not None:
-                    at.append(pos)
-                    refs.append(cv.base - 1)
+                    x, y = self.base.vertex(cv.base)
                 else:
-                    x, y = cv.point
-                    xs[pos] = math.floor(x)
-                    ys[pos] = math.floor(y)
+                    x, y = math.floor(cv.point[0]), math.floor(cv.point[1])
+                xs[pos] = x
+                ys[pos] = y
                 pos += 1
-        if at:
-            xs[at] = bxs[refs]
-            ys[at] = bys[refs]
         return xs, ys
 
     def materialize(self) -> List[Tuple]:

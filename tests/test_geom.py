@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dir_in_interior_wedge, one_virtual_twins
 from polyws import geom
 from polyws.errors import InternalInvariantError, PolygonInputError
 from polyws.workspace import BasePolygon, SubpolygonView
@@ -157,24 +158,6 @@ def test_max_angle_reflex_via_far_case_flow():
     assert geom.is_visible(v, 6, 4)
 
 
-def _dir_in_interior_wedge(v, q, d):
-    """Direction d points strictly into the polygon interior at vertex q."""
-    m = v.m
-    vq = v.point(q)
-    pp = v.point(1 + (q - 2) % m)
-    pn = v.point(1 + q % m)
-    A = (pp[0] - vq[0], pp[1] - vq[1])
-    B = (pn[0] - vq[0], pn[1] - vq[1])
-    cab = geom.cross(A[0], A[1], B[0], B[1])
-    ca = geom.cross(A[0], A[1], d[0], d[1])
-    cb = geom.cross(d[0], d[1], B[0], B[1])
-    if cab > 0:
-        return ca > 0 and cb > 0
-    if cab < 0:
-        return ca > 0 or cb > 0
-    return ca > 0
-
-
 def test_max_angle_reflex_randomized_instances():
     # wherever a ray's first-hit edge has an endpoint invisible from the
     # apex, the widest-angle reflex vertex inside the blocking triangle must
@@ -190,7 +173,7 @@ def test_max_angle_reflex_randomized_instances():
                     continue
                 vq, vt = v.point(q), v.point(t)
                 d = (vt[0] - vq[0], vt[1] - vq[1])
-                if not _dir_in_interior_wedge(v, q, d):
+                if not dir_in_interior_wedge(v, q, d):
                     continue
                 hit = geom.ray_shoot(v, q, t)
                 if hit.edge is None:
@@ -332,66 +315,6 @@ def _rational_twin(v):
     return twin
 
 
-def _one_virtual_twins(v, seed, min_m=130):
-    """Views with exactly one rational vertex H, as the SPT far case makes
-    them: H is where the ray from a vertex q of the integer view `v` toward
-    an integer point P first crosses the boundary, inside edge (e1, e1 + 1),
-    with a coordinate denominator above 2**20.  Returns (views, q, P): the
-    piece q..e1 closed by H (a convex virtual vertex) with H at its slot 0,
-    at a middle slot and at slot m - 1, `v` itself with H inserted into
-    edge e1 (a straight vertex, so lines through q and P cross the boundary
-    exactly at H), and `v` with a reflex vertex moved by less than a unit to
-    a point of such a denominator (a reflex rational vertex)."""
-    from polyws.oracle import check_simple
-    from polyws.workspace import CutVertex
-    rng = random.Random(seed)
-    m = v.m
-    pts = v.scan_points()
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    while True:
-        q = rng.randrange(1, m + 1)
-        P = (rng.randrange(min(xs), max(xs) + 1),
-             rng.randrange(min(ys), max(ys) + 1))
-        vq = pts[q - 1]
-        if P == vq or not _dir_in_interior_wedge(
-                v, q, (P[0] - vq[0], P[1] - vq[1])):
-            continue
-        hit = geom.ray_shoot(v, q, P)
-        e1 = hit.edge
-        if e1 is None or (e1 - q) % m + 2 < min_m or max(
-                hit.point[0].denominator, hit.point[1].denominator) <= 1 << 20:
-            continue
-        break
-    cut = ("cut", CutVertex(None, hit.point, virtual=True))
-    k = 1 + (q - 1 + ((e1 - q) % m) // 2) % m
-    pieces = [[cut, ("range", q, e1)],
-              [("range", k, e1), cut, ("range", q, 1 + (k - 2) % m)],
-              [("range", q, e1), cut],
-              [("range", 1, e1), cut] + ([("range", e1 + 1, m)]
-                                         if e1 < m else [])]
-    den = (2 ** 21 + 1) * (2 ** 21 + 3)
-    for r in range(2, m):
-        a, b, c = pts[r - 2], pts[r - 1], pts[r]
-        R = (b[0] + Fraction(2 ** 21 // 3, 2 ** 21 + 1),
-             b[1] + Fraction(2 ** 21 // 5, 2 ** 21 + 3))
-        ring = pts[:r - 1] + (R,) + pts[r:]
-        if geom.orient(a, b, c) == geom.orient(a, R, c) \
-                == geom.COUNTERCLOCKWISE and check_simple(
-                    [(int(x * den), int(y * den)) for x, y in ring],
-                    general_position=False).ok:
-            break
-    pieces.append([("range", 1, r - 1),
-                   ("cut", CutVertex(None, R, virtual=True)),
-                   ("range", r + 1, m)])
-    views = [v.subview(segs) for segs in pieces]
-    for w, slot in zip(views, (0, None, -1, e1, r - 1)):
-        assert not w.all_int and w.rational_slot is not None
-        if slot is not None:
-            assert w.rational_slot == slot % w.m
-    return views, q, P
-
-
 def _light(hit):
     """ray_scan_light's answer with the parameter as one Fraction: the
     int64 kernels give it in lowest terms when it reads a rational vertex,
@@ -411,14 +334,14 @@ def test_one_virtual_ray_scans_agree(monkeypatch):
     many = []
     scan_many = geom._ray_scan_many
 
-    def counting(xs, ys, pts, origin, O, D, slot=None):
+    def counting(xs, ys, pts, origin, O, D, slot):
         many.append(slot)
         return scan_many(xs, ys, pts, origin, O, D, slot)
     monkeypatch.setattr(geom, "_ray_scan_many", counting)
     at_virtual = {"edge": 0, "vertex": 0, "closing": 0}
     for kind, seed in [("random", 1), ("comb", 2), ("spiral", 3)]:
         v = SubpolygonView.whole(generate(kind, 300, seed))
-        views, q, P = _one_virtual_twins(v, seed)
+        views, q, P = one_virtual_twins(v, seed)
         for w in views:
             rng = random.Random(w.m)
             pts = w.scan_points()
@@ -487,7 +410,7 @@ def test_one_virtual_candidate_scans_and_links_agree(monkeypatch):
     bulk_next_to = 0
     for kind, seed in [("random", 4), ("comb", 5), ("spiral", 6)]:
         v = SubpolygonView.whole(generate(kind, 300, seed))
-        views, _, _ = _one_virtual_twins(v, seed)
+        views, _, _ = one_virtual_twins(v, seed)
         for w in views:
             m = w.m
             h = w.rational_slot + 1
@@ -575,7 +498,7 @@ def test_one_virtual_visibility_and_containment_agree(monkeypatch):
     searches = 0
     for kind, seed in [("random", 7), ("comb", 8), ("spiral", 9)]:
         v = SubpolygonView.whole(generate(kind, 300, seed))
-        views, _, _ = _one_virtual_twins(v, seed)
+        views, _, _ = one_virtual_twins(v, seed)
         for w in views:
             m = w.m
             h = w.rational_slot + 1
@@ -604,7 +527,7 @@ def test_one_virtual_visibility_and_containment_agree(monkeypatch):
             for i, j in pairs[:120]:
                 vi, vj = pts[i - 1], pts[j - 1]
                 if i == h or geom.is_visible(w, i, j) \
-                        or not _dir_in_interior_wedge(
+                        or not dir_in_interior_wedge(
                             w, i, (vj[0] - vi[0], vj[1] - vi[1])):
                     continue
                 hit = geom.ray_shoot(w, i, j)
@@ -682,7 +605,7 @@ def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
         blocked = []
         for q, t in pairs:
             vq, vt = pts[q - 1], pts[t - 1]
-            if geom.is_visible(v, q, t) or not _dir_in_interior_wedge(
+            if geom.is_visible(v, q, t) or not dir_in_interior_wedge(
                     v, q, (vt[0] - vq[0], vt[1] - vq[1])):
                 continue
             hit = geom.ray_shoot(v, q, t)

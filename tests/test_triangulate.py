@@ -4,8 +4,8 @@ import math
 import random
 
 import pytest
-from test_geom import _one_virtual_twins
 
+from conftest import one_virtual_twins
 from polyws import geom
 from polyws.errors import InternalInvariantError, PolygonInputError
 from polyws.oracle import generate, validate_triangulation
@@ -146,24 +146,11 @@ def test_ear_clip_matches_brute_force(monkeypatch):
     monkeypatch.undo()
     assert any(not v.all_int for v in views)
     tri_mod = importlib.import_module("polyws.triangulate")
-    # one rational vertex with a large denominator: convex, where an index
-    # over more blocking vertices than the cutover keeps its arrays and ears
-    # at that vertex take the scaled exact loop, and straight or reflex,
-    # where it blocks and every test runs in plain exact arithmetic
+    # one rational vertex with a large denominator, convex, straight or
+    # reflex: the ring is clipped scaled by its common denominator
     for kind, seed in (("comb", 4), ("spiral", 5)):
-        twins, _, _ = _one_virtual_twins(
-            SubpolygonView.whole(generate(kind, 300, seed)), seed)
-        for twin, convex in zip(twins, (True, True, True, False, False)):
-            pts = (None,) + twin.scan_points()
-            m = twin.m
-            block = [False] + [geom.orient(pts[1 + (i - 2) % m], pts[i],
-                                           pts[1 + i % m]) != geom.CLOCKWISE
-                               for i in range(1, m + 1)]
-            index = tri_mod._BlockIndex(pts, block,
-                                        (twin.rational_slot + 1,))
-            assert bool(index.scaled) == convex
-            assert (index.axes[0][2] is not None) == convex
-        views += twins
+        views += one_virtual_twins(
+            SubpolygonView.whole(generate(kind, 300, seed)), seed)[0]
     # arrays for every candidate, two splits (one the measured), loop alone
     splits = (0, 5, tri_mod._EAR_LOOP_MAX, 10 ** 9)
     for view in views:
