@@ -20,9 +20,8 @@ from .triangulate import (AdjacencySink, CollectingSink, PendingAdjacency,
                           required_budget, triangulate,
                           triangulate_in_memory, triangulate_polygon)
 from .workspace import (BasePolygon, CutVertex, MeterMode, RunStats,
-                        SubpolygonView, VertexType, WorkspaceMeter, classify,
-                        component_sizes, is_alternating, null_meter,
-                        separates)
+                        SubpolygonView, WorkspaceMeter, component_sizes,
+                        is_alternating, null_meter)
 
 __all__ = [
     "AdjacencySink", "BasePolygon", "BudgetExceededError", "CLOCKWISE",
@@ -30,12 +29,11 @@ __all__ = [
     "CollectingSptSink", "Cone", "CutVertex", "GeodesicCursor",
     "InternalInvariantError", "MeterMode", "PendingAdjacency",
     "PolygonInputError", "RunStats", "SptSink", "SubpolygonView",
-    "TriangulationSink", "UsageError", "VertexType", "WorkspaceMeter",
-    "classify", "component_sizes", "find_alternating_diagonal",
-    "first_link", "is_alternating", "is_visible",
+    "TriangulationSink", "UsageError", "WorkspaceMeter", "component_sizes",
+    "find_alternating_diagonal", "first_link", "is_alternating", "is_visible",
     "max_angle_reflex_in_triangle", "null_meter", "orient", "partition",
     "piece_vertex_lists", "ray_shoot", "required_budget",
-    "segments_properly_intersect", "separates", "spt",
-    "spt_constant_workspace", "spt_in_memory", "triangulate",
-    "triangulate_in_memory", "triangulate_polygon",
+    "segments_properly_intersect", "spt", "spt_constant_workspace",
+    "spt_in_memory", "triangulate", "triangulate_in_memory",
+    "triangulate_polygon",
 ]

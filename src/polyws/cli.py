@@ -22,7 +22,7 @@ from .partition import partition, piece_vertex_lists
 from .spt import spt
 from .triangulate import (AdjacencySink, CollectingSink, required_budget,
                           triangulate_polygon)
-from .workspace import BasePolygon, MeterMode, RunStats
+from .workspace import BasePolygon, MeterMode
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,14 @@ def _int(text: str, what: str) -> int:
         raise PolygonInputError(f"{what} must be an integer, not {text!r}")
 
 
+def _root(text: str):
+    """A --root value: a vertex index, or 'x,y' for a point of the polygon."""
+    root = tuple(_int(c, "--root") for c in text.split(","))
+    if len(root) > 2:
+        raise PolygonInputError(f"--root wants a vertex or x,y: {text!r}")
+    return root if len(root) == 2 else root[0]
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -144,14 +152,13 @@ def cmd_generate(args) -> int:
 def cmd_triangulate(args) -> int:
     poly = load_polygon(args.input, validate=not args.no_validate)
     s = args.s if args.s is not None else required_budget(poly.n)
-    stats = RunStats()
     t0 = time.perf_counter()
     if args.format == "triangles-adjacency":
         sink = AdjacencySink()
     else:
         sink = CollectingSink()
     sink, meter, stats = triangulate_polygon(
-        poly, s, sink=sink, mode=_mode(args), seed=_seed(args), stats=stats)
+        poly, s, sink=sink, mode=_mode(args), seed=_seed(args))
     ms = (time.perf_counter() - t0) * 1000
     with _output(args.out) as out:
         if args.format == "edges":
@@ -178,10 +185,7 @@ def cmd_triangulate(args) -> int:
 def cmd_spt(args) -> int:
     poly = load_polygon(args.input, validate=not args.no_validate)
     s = args.s if args.s is not None else required_budget(poly.n)
-    root = tuple(_int(c, "--root") for c in args.root.split(","))
-    if len(root) > 2:
-        raise PolygonInputError(f"--root wants a vertex or x,y: {args.root!r}")
-    root = root if len(root) == 2 else root[0]
+    root = _root(args.root)
     t0 = time.perf_counter()
     sink, meter, stats = spt(poly, root, s, mode=_mode(args), seed=_seed(args))
     ms = (time.perf_counter() - t0) * 1000
@@ -251,7 +255,7 @@ def cmd_verify(args) -> int:
         rep = oracle.validate_triangulation(poly, diagonals)
     elif what == "spt":
         edges = {_pair(path, ln) for ln in lines}
-        r = _int(args.root, "--root") if args.root is not None else None
+        r = _root(args.root) if args.root is not None else None
         if r is None:
             # infer the root: the vertex that never appears as a child
             children = {b for _a, b in edges}
@@ -290,11 +294,9 @@ def cmd_bench(args) -> int:
         for s_str in args.s.split(","):
             s = _int(s_str, "--s")
             poly = oracle.generate(args.kind, args.n, _seed(args))
-            stats = RunStats()
             t0 = time.perf_counter()
             sink, meter, stats = triangulate_polygon(
-                poly, s, mode=_mode(args), seed=_seed(args), stats=stats,
-                audit=False)
+                poly, s, mode=_mode(args), seed=_seed(args), audit=False)
             ms = (time.perf_counter() - t0) * 1000
             out.write(f"{args.kind},{args.n},{s},{ms:.1f},{meter.peak_words},"
                       f"{stats.depth},{stats.links},{stats.far_calls}\n")
@@ -354,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--against", required=True)
     v.add_argument("--what", choices=("triangulation", "spt", "partition"),
                    default="triangulation")
-    v.add_argument("--root", default=None)
+    v.add_argument("--root", default=None,
+                   help="vertex index, or 'x,y' for a point root "
+                        "(default: the vertex that is no tree child)")
     v.add_argument("--s", type=int, default=None)
     v.set_defaults(func=cmd_verify)
 

@@ -149,9 +149,9 @@ class RayHit(NamedTuple):
     """First proper boundary crossing of a ray.
 
     Exactly one of `edge` / `vertex` is set: `edge` for a crossing in the
-    interior of a boundary edge (with `point` the exact crossing point and
-    `edge_t` its parameter along the edge), `vertex` when the boundary crosses
-    the ray exactly at a vertex (possible only in derived views).
+    interior of a boundary edge (with `point` the exact crossing point),
+    `vertex` when the boundary crosses the ray exactly at a vertex (possible
+    only in derived views).
     `ray_t` is the exact parameter along the ray (direction = unit of `toward`).
     """
 
@@ -159,7 +159,6 @@ class RayHit(NamedTuple):
     vertex: Optional[int]
     ray_t: Fraction
     point: Pt
-    edge_t: Fraction
 
 
 def check_coord(v) -> int:
@@ -468,23 +467,6 @@ def _ray_scan(view, origin, toward) -> Optional[RayHit]:
     return _ray_dispatch(view, origin, toward, False)
 
 
-def _make_edge_hit(view, k: int, O: Pt, D: Pt, t: Fraction) -> RayHit:
-    m = view.m
-    a = view.point(k)
-    b = view.point(1 + k % m)
-    px = O[0] + t * D[0]
-    py = O[1] + t * D[1]
-    if b[0] != a[0]:
-        et = Fraction(px - a[0], b[0] - a[0])
-    else:
-        et = Fraction(py - a[1], b[1] - a[1])
-    if et == 0:
-        return RayHit(None, k, t, a, Fraction(0))
-    if et == 1:
-        return RayHit(None, 1 + k % m, t, b, Fraction(0))
-    return RayHit(k, None, t, (px, py), et)
-
-
 def ray_scan_light(view, origin: int, toward, pts=None):
     """First boundary crossing of the ray, without exact-point materialization.
 
@@ -534,8 +516,10 @@ def _ray_dispatch(view, origin, toward, light: bool, pts=None):
         return ("edge", edge, num, den)
     t = Fraction(num, den)
     if vertex is not None:
-        return RayHit(None, vertex, t, pts[vertex - 1], Fraction(0))
-    return _make_edge_hit(view, edge, O, D, t)
+        return RayHit(None, vertex, t, pts[vertex - 1])
+    # an edge hit comes from a strict straddle of the ray's line, so the
+    # crossing lies strictly inside the edge
+    return RayHit(edge, None, t, (O[0] + t * D[0], O[1] + t * D[1]))
 
 
 def _ray_scan_scalar(pts, origin: int, O: Pt, D: Pt):

@@ -9,7 +9,7 @@ unsplit, so sizes decay geometrically until they fit the target.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import InternalInvariantError, PolygonInputError
 from .triangulate import TriangulationSink, required_budget, triangulate
@@ -64,28 +64,22 @@ def _split_piece(piece: SubpolygonView, diagonal) -> List[SubpolygonView]:
     return [side1, side2]
 
 
-def partition(polygon: BasePolygon, s: int,
-              sink: Optional[TriangulationSink] = None, *,
-              mode: MeterMode = MeterMode.PERMISSIVE,
-              seed: int = 0,
-              stats: Optional[RunStats] = None,
-              meter: Optional[WorkspaceMeter] = None):
+def partition(polygon: BasePolygon, s: int, *,
+              mode: MeterMode = MeterMode.PERMISSIVE, seed: int = 0):
     """Split the polygon by non-crossing diagonals into pieces of between
     floor(t/6) and t+2 vertices, t = max(ceil(n/s), 3).
 
     Returns (pieces, diagonals, meter, stats, round_maxima); pieces are views
-    over the input polygon, diagonals base-index pairs (also streamed to the
-    sink when given).  Any 1 <= s <= n is accepted; per-piece triangulations
-    raise their workspace to the level their own size requires.
+    over the input polygon, diagonals base-index pairs.  Any 1 <= s <= n is
+    accepted; per-piece triangulations raise their workspace to the level
+    their own size requires.
     """
     n = polygon.n
     if not 1 <= s <= n:
         raise PolygonInputError("partition needs 1 <= s <= n")
     t = max(-(-n // s), 3)
-    if meter is None:
-        meter = WorkspaceMeter(BUDGET_L * max(s, required_budget(n)), mode)
-    if stats is None:
-        stats = RunStats()
+    meter = WorkspaceMeter(BUDGET_L * max(s, required_budget(n)), mode)
+    stats = RunStats()
     rng = random.Random(seed)
     pieces: List[SubpolygonView] = [SubpolygonView.whole(polygon)]
     charged = pieces[0].descriptor_words
@@ -105,8 +99,6 @@ def partition(polygon: BasePolygon, s: int,
                     continue
                 cut = _find_cut(piece, s, meter, rng, stats)
                 diagonals.append(cut)
-                if sink is not None:
-                    sink.emit_diagonal(*cut)
                 halves = _split_piece(piece, cut)
                 meter.alloc(sum(h.descriptor_words for h in halves))
                 meter.release(piece.descriptor_words)
@@ -117,8 +109,6 @@ def partition(polygon: BasePolygon, s: int,
             round_maxima.append(max(p.m for p in pieces))
     finally:
         meter.release(charged)
-    if sink is not None:
-        sink.finish()
     return pieces, diagonals, meter, stats, round_maxima
 
 

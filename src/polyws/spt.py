@@ -141,7 +141,7 @@ def funnel_parents(view, root: int) -> List[int]:
     seen = {start}
     stack = []
 
-    def push(t_cur, u, v, cu, cv):
+    def push(u, v, cu, cv):
         key = (min(u, v), max(u, v))
         for nt in by_side.get(key, ()):
             if nt not in seen:
@@ -151,9 +151,9 @@ def funnel_parents(view, root: int) -> List[int]:
     u0, v0 = a0
     set_parent(u0, root)
     set_parent(v0, root)
-    push(start, u0, v0, [root, u0], [root, v0])
-    push(start, root, u0, [root], [root, u0])
-    push(start, v0, root, [root, v0], [root])
+    push(u0, v0, [root, u0], [root, v0])
+    push(root, u0, [root], [root, u0])
+    push(v0, root, [root, v0], [root])
     while stack:
         t, u, v, cu, cv = stack.pop()
         if t in seen:
@@ -163,19 +163,19 @@ def funnel_parents(view, root: int) -> List[int]:
         ju = attach(cu, c, v) if len(cu) > 1 else 0
         if ju > 0:
             set_parent(c, cu[ju])
-            push(t, u, c, cu[ju:], [cu[ju], c])
-            push(t, c, v, cu[:ju + 1] + [c], cv)
+            push(u, c, cu[ju:], [cu[ju], c])
+            push(c, v, cu[:ju + 1] + [c], cv)
         else:
             jv = attach(cv, c, u) if len(cv) > 1 else 0
             if jv > 0:
                 set_parent(c, cv[jv])
-                push(t, c, v, [cv[jv], c], cv[jv:])
-                push(t, u, c, cu, cv[:jv + 1] + [c])
+                push(c, v, [cv[jv], c], cv[jv:])
+                push(u, c, cu, cv[:jv + 1] + [c])
             else:
                 apex = cu[0]
                 set_parent(c, apex)
-                push(t, u, c, cu, [apex, c])
-                push(t, c, v, [apex, c], cv)
+                push(u, c, cu, [apex, c])
+                push(c, v, [apex, c], cv)
     for q in range(1, m + 1):
         if q != root and parent[q] == 0:
             raise InternalInvariantError(f"funnel walk missed vertex {q}")
@@ -277,60 +277,44 @@ class _Region:
         new_cut_side = None
         new_cut_v = None
         left = right = None    # R's arc parts around the split
-        extra_cuts = None      # closure hits order the old and new virtuals
         wrap = False
         if far and u_new[0] == "virt":
             wt = w[i]
             e1 = u_new[1]
             e2 = 1 + e1 % m
             cutv = u_new[2]
-            closing_lo_edge = 1 + (lo - 2) % m   # edge (lo-1, lo)
-            # a proper interior hit lands on an edge wholly inside the
-            # region's arc; the sole exception is a full-cycle region, whose
-            # closing edge is itself real boundary
-            edge_ok = off(e1) <= ulen - 2 or ulen == m
-            generic_a = edge_ok and off(wt) <= off(e1) \
-                and in_interval(mid, wt, e1, m)
-            generic_b = edge_ok and off(e2) <= off(wt) \
-                and in_interval(mid, e2, wt, m)
-            if self.cut_side == "lo" and e1 == closing_lo_edge and ulen < m:
-                # the extension reached the sub-edge between the old virtual
-                # vertex and the region's low end
+            # a hit on the edge that holds the old virtual vertex lands on
+            # the sub-edge between it and its end of the arc; that picks
+            # the side, which the interval tests cannot ([wt..e1] wraps
+            # round for a low-side hit), and the end keeps its cut flag
+            closing = None
+            if ulen < m and (self.cut_side == "hi" and e1 == hi
+                             or self.cut_side == "lo" and e2 == lo):
+                closing = self.cut_side
+                end = hi if closing == "hi" else lo
                 if not geom.on_closed_segment(cutv.point, self.cut_v.point,
-                                              view.point(lo)):
+                                              view.point(end)):
                     raise InternalInvariantError(
                         "edge extension escaped past the closing virtual "
                         "vertex")
-                nxt_lo, nxt_hi = lo, wt
-                nxt_kinds = (self.lo_cut, True)
-                new_cut_side, new_cut_v = "lo", cutv
-                extra_cuts = part_segs(wt, hi, cutset, w, pockets, m)
-                extra_cuts.append(("cut", self.cut_v))
-                extra_cuts.append(("cut", cutv))
-            elif self.cut_side == "hi" and e1 == hi and ulen < m:
-                if not geom.on_closed_segment(cutv.point, view.point(hi),
-                                              self.cut_v.point):
-                    raise InternalInvariantError(
-                        "edge extension escaped past the closing virtual "
-                        "vertex")
-                nxt_lo, nxt_hi = wt, hi
-                nxt_kinds = (True, self.hi_cut)
-                new_cut_side, new_cut_v = "hi", cutv
-                extra_cuts = part_segs(lo, wt, cutset, w, pockets, m)
-                extra_cuts.append(("cut", cutv))
-                extra_cuts.append(("cut", self.cut_v))
-            elif generic_a:
+            # any other hit lands on an edge wholly inside the region's arc;
+            # the sole exception is a full-cycle region, whose closing edge is
+            # itself real boundary
+            edge_ok = closing is None and (off(e1) <= ulen - 2 or ulen == m)
+            if closing == "hi" or edge_ok and off(wt) <= off(e1) \
+                    and in_interval(mid, wt, e1, m):
                 # next region [wt..e1] capped by the virtual vertex at its
                 # far end
                 nxt_lo, nxt_hi = wt, e1
-                nxt_kinds = (True, False)
+                nxt_kinds = (True, closing == "hi" and self.hi_cut)
                 new_cut_side, new_cut_v = "hi", cutv
                 left = (lo, wt)
                 if in_interval(e2, lo, hi, m) and off(e2) > off(e1):
                     right = (e2, hi)
-            elif generic_b:
+            elif closing == "lo" or edge_ok and off(e2) <= off(wt) \
+                    and in_interval(mid, e2, wt, m):
                 nxt_lo, nxt_hi = e2, wt
-                nxt_kinds = (False, True)
+                nxt_kinds = (closing == "lo" and self.lo_cut, True)
                 new_cut_side, new_cut_v = "lo", cutv
                 if in_interval(e1, lo, hi, m) and off(e1) < off(e2):
                     left = (lo, e1)
@@ -363,9 +347,7 @@ class _Region:
         # R ring: [old lo-side cut] left part [new cut_v?] right part
         # [old hi-side cut], pockets jumped, closed by the old diagonal
         segs = []
-        if extra_cuts is not None:
-            segs = extra_cuts
-        elif wrap:
+        if wrap:
             if run.audit and not (ulen == m and self.cut_side is None
                                   and new_cut_v is None):
                 raise InternalInvariantError(

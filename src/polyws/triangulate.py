@@ -761,13 +761,11 @@ class WalkState:
         for (pa, pb, s) in pockets:
             if interval_len(pa, pb, m) >= 3:
                 child = rooted_piece(view, [("range", pa, pb)], s)
-                if run.audit:
-                    if child.m > -(-m // 2) + 1:
-                        raise InternalInvariantError(
-                            "pocket breaks the half bound")
-                    if child.m > 0.6 * m + 2:
-                        raise InternalInvariantError(
-                            "pocket breaks the 6/10 decay")
+                # the half bound implies the 6/10 decay: ceil(m/2) + 1 <=
+                # 0.6m + 2 for every m
+                if run.audit and child.m > -(-m // 2) + 1:
+                    raise InternalInvariantError(
+                        "pocket breaks the half bound")
                 pieces.append(child)
         self.reg_lo, self.reg_hi = nxt_lo, nxt_hi
         self.u_other = u_new

@@ -1,6 +1,6 @@
 """The bounded-workspace model: read-only polygon accessors, composable
-subpolygon views with O(1) indexed access, vertex-type classification, and the
-word-counting budget meter.
+subpolygon views with O(1) indexed access, the top/bottom alternation test,
+and the word-counting budget meter.
 
 Conventions used throughout the package:
 
@@ -31,50 +31,13 @@ FRAME_WORDS = 8       # implicit cost of one live recursion frame
 BUDGET_L = 64         # L: budget_words = L * s
 
 
-class VertexType(enum.Enum):
-    SOURCE_ENDPOINT = "source"
-    MID_ENDPOINT = "mid"
-    TOP = "top"
-    BOTTOM = "bottom"
-
-
-def classify(i: int, m: int) -> VertexType:
-    """Position class of local vertex i in an m-vertex view (start = 1)."""
-    if m < 3 or not 1 <= i <= m:
-        raise PolygonInputError(f"classify: index {i} out of range for m={m}")
-    mid = m // 2
-    if i == 1:
-        return VertexType.SOURCE_ENDPOINT
-    if i == mid:
-        return VertexType.MID_ENDPOINT
-    if i < mid:
-        return VertexType.TOP
-    return VertexType.BOTTOM
-
-
 def is_alternating(i: int, j: int, m: int) -> bool:
-    """True iff {i, j} joins a top and a bottom vertex or touches an endpoint."""
-    ci = classify(i, m)
-    cj = classify(j, m)
-    if ci in (VertexType.SOURCE_ENDPOINT, VertexType.MID_ENDPOINT):
-        return True
-    if cj in (VertexType.SOURCE_ENDPOINT, VertexType.MID_ENDPOINT):
-        return True
-    return ci != cj
-
-
-def separates(i: int, j: int, m: int) -> bool:
-    """True iff vertices 1 and floor(m/2) fall in different components of the
-    boundary split at i and j.  Pure index arithmetic."""
+    """True iff {i, j} joins a top vertex (before the midpoint floor(m/2))
+    and a bottom vertex (after it), or touches vertex 1 or the midpoint."""
     mid = m // 2
     if i in (1, mid) or j in (1, mid):
-        raise PolygonInputError("separates: diagonal touches an endpoint")
-    inside = 0
-    for special in (1, mid):
-        off = (special - i) % m
-        if 0 < off < (j - i) % m:
-            inside += 1
-    return inside == 1
+        return True
+    return (i < mid) != (j < mid)
 
 
 def component_sizes(i: int, j: int, m: int) -> Tuple[int, int]:
@@ -231,9 +194,6 @@ class BasePolygon:
         if not 1 <= i <= self.n:
             raise PolygonInputError(f"vertex index {i} out of range")
         return self._pts[i - 1]
-
-    def signed_area2(self) -> int:
-        return _signed_area2(self._pts)
 
     def points(self) -> Tuple[Tuple[int, int], ...]:
         return self._pts
@@ -463,9 +423,6 @@ class SubpolygonView:
                 ys[pos] = y
                 pos += 1
         return xs, ys
-
-    def materialize(self) -> List[Tuple]:
-        return [self.point(i) for i in range(1, self.m + 1)]
 
     # -- slicing ------------------------------------------------------------
 

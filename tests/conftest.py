@@ -34,6 +34,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def separates(i, j, m):
+    """True iff vertices 1 and floor(m/2) fall in different components of the
+    boundary split at i and j: the reference for workspace.is_alternating on
+    pairs that touch neither."""
+    mid = m // 2
+    if i in (1, mid) or j in (1, mid):
+        raise ValueError("separates: the pair touches an endpoint")
+    inside = 0
+    for special in (1, mid):
+        off = (special - i) % m
+        if 0 < off < (j - i) % m:
+            inside += 1
+    return inside == 1
+
+
 def dir_in_interior_wedge(v, q, d):
     """Direction d points strictly into the polygon interior at vertex q."""
     m = v.m

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cached_polygon, record_acceptance
+from conftest import cached_polygon, record_acceptance, separates
 from polyws import geom
 from polyws.geodesic import GeodesicCursor
 from polyws.oracle import (ref_geodesic, ref_spt, validate_partition,
@@ -20,7 +20,7 @@ from polyws.triangulate import (IN_MEMORY_FACTOR, AdjacencySink,
                                 _in_memory_words, required_budget,
                                 triangulate_polygon)
 from polyws.workspace import (FRAME_WORDS, MeterMode, RunStats,
-                              SubpolygonView, is_alternating, separates)
+                              SubpolygonView, is_alternating)
 
 FAR_SCAN_MAX = []   # far-case scan audit, fed by criteria 1 and 7
 

@@ -8,6 +8,7 @@ import pytest
 from polyws.cli import load_polygon, main, save_polygon
 from polyws.errors import PolygonInputError
 from polyws.oracle import generate
+from polyws.workspace import _signed_area2
 
 SQUARE_TEXT = "4\n0 0\n0 2\n2 2\n2 0\n"
 
@@ -31,7 +32,7 @@ def test_load_normalizes_orientation(tmp_path):
     p = tmp_path / "ccw.poly"
     p.write_text("4\n0 0\n2 0\n2 2\n0 2\n")   # counterclockwise ring
     poly = load_polygon(str(p))
-    assert poly.signed_area2() < 0
+    assert _signed_area2(poly.points()) < 0
     assert poly.vertex(1) == (0, 0)
 
 
@@ -177,6 +178,23 @@ def test_spt_cli_and_verify(tmp_path):
     assert main(["verify", poly_path, "--against", out, "--what", "spt",
                  "--root", "3"]) == 0
     assert sum(1 for _ in open(out)) == 29
+
+
+def test_spt_cli_and_verify_point_root(tmp_path):
+    poly_path = tmp_path / "l.poly"
+    poly_path.write_text("6\n0 0\n0 6\n2 6\n2 2\n6 2\n6 0\n")
+    out = tmp_path / "spt.out"
+    assert main(["spt", str(poly_path), "--root", "1,1", "--s", "6",
+                 "--mode", "permissive", "--out", str(out)]) == 0
+    verify = ["verify", str(poly_path), "--against", str(out), "--what",
+              "spt", "--root", "1,1"]
+    assert main(verify) == 0
+    # re-parent one tree edge to a vertex that is neither of its ends
+    lines = out.read_text().splitlines()
+    a, b = map(int, lines[-1].split())
+    wrong = next(v for v in range(1, 7) if v not in (a, b))
+    out.write_text("\n".join(lines[:-1] + [f"{wrong} {b}"]) + "\n")
+    assert main(verify) == 1
 
 
 def test_partition_cli_and_verify(tmp_path):

@@ -80,7 +80,6 @@ def test_ray_shoot_square_top():
     hit = geom.ray_shoot(v, 1, (1, 2))
     assert hit.edge == 2            # edge (0,2)-(2,2)
     assert hit.point == (1, 2)
-    assert hit.edge_t == Fraction(1, 2)
 
 
 def test_ray_shoot_square_right():
@@ -88,7 +87,6 @@ def test_ray_shoot_square_right():
     hit = geom.ray_shoot(v, 1, (2, 1))
     assert hit.edge == 3            # edge (2,2)-(2,0)
     assert hit.point == (2, 1)
-    assert hit.edge_t == Fraction(1, 2)
 
 
 def test_ray_shoot_rejects_out_of_range_vertices():

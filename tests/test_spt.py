@@ -163,16 +163,23 @@ def test_point_roots_random():
         assert edges == ref_spt(poly, p), (kind, n, seed, p)
 
 
+# (kind, n, generator seed, s, root) whose far case's edge extension lands on
+# the sub-edge between the region's old virtual vertex and the end of its arc:
+# twice at the low end for root 249, twice at the high end for root 86
+CLOSING_HITS = [("comb", 260, 2001, 13, 249), ("comb", 260, 1, 16, 86)]
+
+
 def test_far_split_landing_on_the_closing_structure():
     # regression: the edge extension can legally end on the region's closing
     # sub-edge, between the previous virtual vertex and the region end (both
     # virtuals then share one original edge); the split must keep the region
     # representable and the emitted tree exact
-    poly = generate("comb", 260, 2001)
-    edges, meter, stats = run_spt(poly, 249, 13, seed=2001)
-    assert edges == ref_spt(poly, 249)
-    assert stats.far_calls >= 2
-    assert meter.current_words == 0
+    for kind, n, seed, s, root in CLOSING_HITS:
+        poly = generate(kind, n, seed)
+        edges, meter, stats = run_spt(poly, root, s, seed=seed, audit=True)
+        assert edges == ref_spt(poly, root), (kind, n, seed, root)
+        assert stats.far_calls >= 2
+        assert meter.current_words == 0
 
 
 def test_randomized_spt_sweep():

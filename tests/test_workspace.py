@@ -1,51 +1,48 @@
-"""Meter ledger, vertex classification, and subpolygon view tests."""
+"""Meter ledger, the alternation test, and subpolygon view tests."""
 import random
 
 import pytest
 
-from polyws.errors import (BudgetExceededError, InternalInvariantError,
-                           PolygonInputError)
+from conftest import separates
+from polyws.errors import BudgetExceededError, InternalInvariantError
 from polyws.workspace import (BasePolygon, CutVertex, MeterMode,
-                              SubpolygonView, VertexType, WorkspaceMeter,
-                              classify, component_sizes, is_alternating,
-                              separates)
+                              SubpolygonView, WorkspaceMeter,
+                              component_sizes, is_alternating)
 
 OCTAGON = [(0, 0), (-1, 3), (0, 6), (3, 7), (6, 6), (7, 3), (6, 0), (3, -1)]
-
-
-def test_classify_examples():
-    assert classify(3, 8) is VertexType.TOP
-    assert classify(6, 8) is VertexType.BOTTOM
-    assert classify(4, 8) is VertexType.MID_ENDPOINT
-    assert classify(1, 8) is VertexType.SOURCE_ENDPOINT
-    with pytest.raises(PolygonInputError):
-        classify(0, 8)
 
 
 def test_is_alternating_examples():
     assert is_alternating(2, 5, 6)
     assert not is_alternating(4, 6, 6)
     assert is_alternating(1, 4, 6)
+    # m = 8: vertices 2-3 are top, 5-8 bottom, 1 and 4 the endpoints
+    assert is_alternating(3, 5, 8)
+    assert not is_alternating(2, 3, 8)
+    assert not is_alternating(5, 8, 8)
+    assert is_alternating(4, 6, 8)
+    assert is_alternating(7, 1, 8)
 
 
 def test_separates_examples():
     assert separates(2, 5, 6)
     assert not separates(4, 6, 6)
-    with pytest.raises(PolygonInputError):
+    with pytest.raises(ValueError):
         separates(1, 4, 6)
 
 
 def test_separates_equals_alternating_exhaustive():
-    # endpoint-free diagonals: separation iff alternating, for every m
-    for m in range(4, 61):
+    # every ordered pair, boundary edges and endpoints included: a pair at
+    # vertex 1 or the midpoint is alternating, any other pair is alternating
+    # iff it separates the two
+    for m in range(3, 41):
         mid = m // 2
         for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                if i in (1, mid) or j in (1, mid):
+            for j in range(1, m + 1):
+                if i == j:
                     continue
-                if (j - i) % m in (1, m - 1):
-                    continue
-                assert separates(i, j, m) == is_alternating(i, j, m), (i, j, m)
+                expect = i in (1, mid) or j in (1, mid) or separates(i, j, m)
+                assert is_alternating(i, j, m) == expect, (i, j, m)
 
 
 def test_component_sizes_examples():
@@ -120,7 +117,7 @@ def test_whole_view_roundtrip():
     poly = BasePolygon(OCTAGON)
     v = SubpolygonView.whole(poly)
     assert v.m == 8
-    assert v.materialize() == OCTAGON
+    assert [v.point(i) for i in range(1, 9)] == OCTAGON
     assert [v.base_ref(i) for i in range(1, 9)] == list(range(1, 9))
 
 
@@ -140,7 +137,7 @@ def test_nested_views_oracle_comparison():
     for seed in range(8):
         poly = generate("random", 30, seed)
         view = SubpolygonView.whole(poly)
-        pts = view.materialize()
+        pts = [view.point(i) for i in range(1, view.m + 1)]
         for _ in range(3):  # three levels of nesting
             m = view.m
             if m < 6:
@@ -152,7 +149,8 @@ def test_nested_views_oracle_comparison():
             lo, hi = min(i, j), max(i, j)
             child = view.subview([("range", lo, hi)])
             manual = pts[lo - 1:hi]
-            assert child.materialize() == manual
+            assert [child.point(i)
+                    for i in range(1, child.m + 1)] == manual
             assert child.descriptor_words <= view.descriptor_words + 8
             view, pts = child, manual
 
