@@ -14,7 +14,9 @@ if any does.
 The corpus, all from generator seeds fixed here:
   * spt: comb, spiral, random and monotone polygons of 60 to 1000
     vertices; s = 8, 16 and 40 (permissive) and the strict floor
-    8*ceil(log2 n); roots 1, n/3, n/2, 2n/3 and n;
+    8*ceil(log2 n); roots 1, n/3, n/2, 2n/3 and n, and at s = 16 and the
+    strict floor also a lattice point inside the polygon and one inside an
+    edge;
   * triangulate: the same polygons and budgets, diagonals in emission
     order, plus adjacency records at the strict floor;
   * partition: the same polygons at s = 8, 16 and 40, cuts and pieces.
@@ -25,8 +27,10 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +56,36 @@ def _record(call):
             "stats": {k: getattr(stats, k) for k in type(stats).__slots__},
             "peak": meter.peak_words,
             "levels": list(meter.level_peaks)}
+
+
+def _point_roots(poly, seed):
+    """A lattice point inside `poly` off its boundary, drawn with generator
+    `seed`, and the first lattice point inside an edge; each is left out
+    when there is none (or the draw misses)."""
+    from polyws import geom
+    from polyws.workspace import SubpolygonView
+
+    pts = poly.points()
+    n = len(pts)
+    edges = [(pts[k], pts[(k + 1) % n]) for k in range(n)]
+    roots = []
+    view = SubpolygonView.whole(poly)
+    rng = random.Random(seed)
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    for _ in range(2000):
+        p = (rng.randrange(min(xs), max(xs) + 1),
+             rng.randrange(min(ys), max(ys) + 1))
+        if geom.point_in_closed(view, p) and not any(
+                geom.on_closed_segment(p, a, b) for a, b in edges):
+            roots.append(p)
+            break
+    for (ax, ay), (bx, by) in edges:
+        g = gcd(bx - ax, by - ay)
+        if g > 1:
+            roots.append((ax + (bx - ax) // g, ay + (by - ay) // g))
+            break
+    return roots
 
 
 def _corpus():
@@ -86,9 +120,15 @@ def _corpus():
                 floor = required_budget(n)
                 budgets = [(s, loose) for s in LOOSE_S] + [(floor, strict)]
                 tag = f"{kind}-{n}-g{seed}"
+                points = _point_roots(poly, seed)
                 for s, mode in budgets:
-                    for root in sorted({1, n // 3, n // 2, 2 * n // 3, n}):
-                        yield (f"spt/{tag}/s{s}/r{root}",
+                    roots = sorted({1, n // 3, n // 2, 2 * n // 3, n})
+                    if s in (16, floor):
+                        roots += points
+                    for root in roots:
+                        rid = root if isinstance(root, int) else \
+                            "{},{}".format(*root)
+                        yield (f"spt/{tag}/s{s}/r{rid}",
                                lambda p=poly, r=root, s=s, md=mode, g=seed:
                                run_spt(p, r, s, md, g))
                     yield (f"tri/{tag}/s{s}",

@@ -28,7 +28,7 @@ from .workspace import BasePolygon, MeterMode
 # ---------------------------------------------------------------------------
 # polygon file format: line 1 n, then n lines "x y"; '#' comments ignored
 
-def load_polygon(path: str, validate: bool = True) -> BasePolygon:
+def load_polygon(path: str) -> BasePolygon:
     try:
         with open(path) as fh:
             tokens: List[str] = []
@@ -51,10 +51,9 @@ def load_polygon(path: str, validate: bool = True) -> BasePolygon:
     if len(pts) != n:
         raise PolygonInputError(f"{path}: expected {n} vertices, got {len(pts)}")
     poly = BasePolygon.clockwise(pts)
-    if validate:
-        rep = oracle.check_simple(poly.points())
-        if not rep.ok:
-            raise PolygonInputError(f"{path}: {rep.errors[0]}")
+    rep = oracle.check_simple(poly.points())
+    if not rep.ok:
+        raise PolygonInputError(f"{path}: {rep.errors[0]}")
     return poly
 
 
@@ -150,7 +149,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
-    poly = load_polygon(args.input, validate=not args.no_validate)
+    poly = load_polygon(args.input)
     s = args.s if args.s is not None else required_budget(poly.n)
     t0 = time.perf_counter()
     if args.format == "triangles-adjacency":
@@ -183,7 +182,7 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_spt(args) -> int:
-    poly = load_polygon(args.input, validate=not args.no_validate)
+    poly = load_polygon(args.input)
     s = args.s if args.s is not None else required_budget(poly.n)
     root = _root(args.root)
     t0 = time.perf_counter()
@@ -208,7 +207,7 @@ def cmd_spt(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    poly = load_polygon(args.input, validate=not args.no_validate)
+    poly = load_polygon(args.input)
     s = args.s if args.s is not None else max(1, math.isqrt(poly.n))
     t0 = time.perf_counter()
     pieces, diagonals, meter, stats, _rounds = partition(
@@ -322,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rng seed (fallback: POLYWS_SEED)")
         p.add_argument("--svg", default=None, help="write a figure here")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--no-validate", action="store_true",
-                       help="skip input validation")
 
     g = sub.add_parser("generate", help="emit a test polygon")
     g.add_argument("--kind", default="random",

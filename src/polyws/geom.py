@@ -18,16 +18,16 @@ Boundary scans accept any "view" object exposing
     coord_arrays() -- (xs, ys) int64 arrays, index 0 holding local vertex 1,
                       the rational slot masked
 
-A view with one non-integer vertex (the virtual vertex of an SPT split) scans
-on int64 like an all-integer one: the kernels mask its slot and settle the few
-results that read it (its own tests and those of its two edges) on Python
-ints, over the ring scaled by the vertex's common denominator (see
-_ScaledRing).  Views with two or more non-integer vertices, and scans whose
-own points are not integers, take the exact scalar path (see uses_bulk).
+A scan runs on int64 whenever every coordinate it reads is an integer, at
+any view size.  The candidate pick and the ray scans also take a view with
+one non-integer vertex (the virtual vertex of an SPT split): they mask its
+slot and settle the few results that read it (its own tests and those of its
+two edges) on Python ints, over the ring scaled by the vertex's common
+denominator (see _ScaledRing).  Every other scan takes its exact scalar twin
+(see uses_bulk), which is also the tests' oracle.
 """
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Tuple, Union
@@ -42,56 +42,25 @@ CLOCKWISE = -1
 COLLINEAR = 0
 COUNTERCLOCKWISE = 1
 
-# Scalar/int64 cutovers, by kernel: a scan of an all-integer view with at
-# least this many vertices runs on int64 arrays (see uses_bulk).  Each is
-# where the int64 path's CPU time per call fell below the scalar loop's, on
-# the same calls (recorded from cursors, or random vertex pairs and points)
-# over random, comb and spiral polygons; best of 7 interleaved runs on a
-# 2-core Xeon, CPython 3.11, numpy 2.4.  Microseconds per call, scalar /
-# int64:
-#   cone pick (geodesic)  random m=48 11.4/13.8  m=56 14.5/19.0
-#                                m=64 15.6/13.2  m=80 21.5/15.0
-#                         spiral m=48 11.9/14.4  m=56 18.5/19.0
-#                                m=64 18.9/18.3  m=80 19.5/15.7
-#                         comb   m=64 18.8/20.0  m=80 20.6/23.4
-#                                m=96 28.8/21.4
-#   ray scan              random m=32 7.9/12.5   m=48 13.5/12.8
-#                                m=64 16.0/11.3  (comb and spiral cross
-#                                at 32-56 as well)
-#   visibility            random m=64 12.7/23.3  m=128 21.3/21.7
-#                                m=256 24.3/22.9 (visible pairs only:
-#                                m=64 31.5/35.5, m=128 69.5/55.8)
-#   point in polygon      random m=64 16.0/32.4  m=96 31.7/30.4
-#                                m=128 53.3/34.6
-#   reflex in triangle    random m=6 40.2/47.0   m=8 52.0/40.7
-#                                m=16 96.8/44.1  comb m=10 48.3/37.4
-#                                m=16 73.3/42.0  spiral m=14 47.2/41.9
-#                                m=32 89.1/41.9  (blocking triangles from
-#                                invisible pairs; none for comb below
-#                                m=10 or spiral below m=14)
-BULK_CUTOVERS = {
-    "pick": 64,
-    "ray": 48,
-    "visible": 128,
-    "point": 96,
-    "reflex": 8,
-}
-# the point-in-polygon cutover, under its older name
-BULK_MIN_M = BULK_CUTOVERS["point"]
+# The smallest view that scans on int64 arrays, which every view meets:
+# which path a scan takes depends on its coordinates alone (see uses_bulk).
+# The benchmark's per-layer labels read it.
+BULK_MIN_M = 3
+# the kernels that also scan a view with one non-integer vertex on int64
+_MASKING_KERNELS = ("pick", "ray")
 
 
 def uses_bulk(kernel: str, view, *points) -> bool:
-    """True when `kernel` (a key of BULK_CUTOVERS) scans `view` on int64
-    arrays: the view has at least the kernel's cutover of vertices, at most
-    one of them (view.rational_slot, masked and settled by the kernel) is
-    not an integer point, and so is each of the scan's own `points` (a ray's
-    origin and target, a sight line's ends, a cone's bounds).  Each is an
-    exact point, or a local vertex index, which is an integer point unless
-    it is the rational slot's vertex."""
-    if view.m < BULK_CUTOVERS[kernel]:
-        return False
+    """True when `kernel` ("pick", "ray", "visible", "point" or "reflex")
+    scans `view` on int64 arrays: every coordinate the scan reads is an
+    integer.  The candidate pick and the ray scan also take a view with one
+    non-integer vertex (view.rational_slot), which they mask and settle
+    exactly.  Each of the scan's own `points` (a ray's origin and target, a
+    sight line's ends, a cone's bounds) is an exact point, or a local vertex
+    index, which is an integer point unless it is the rational slot's
+    vertex."""
     slot = view.rational_slot
-    if slot is None and not view.all_int:
+    if not view.all_int and (slot is None or kernel not in _MASKING_KERNELS):
         return False
     for pt in points:
         if isinstance(pt, int):
@@ -248,8 +217,7 @@ def _point_in_ring(pts, p: Pt, scale: int = 1) -> bool:
 
 def _point_in_closed_bulk(view, p: Pt, scale: int = 1) -> bool:
     """int64 twin of _point_in_ring; with scale 2 the doubled coordinates
-    stay below 2**28 and every product below 2**57.  The two edges at a
-    rational slot are tested on the scaled ring instead."""
+    stay below 2**28 and every product below 2**57."""
     xs, ys = view.coord_arrays()
     if scale != 1:
         xs = xs * scale
@@ -263,35 +231,9 @@ def _point_in_closed_bulk(view, p: Pt, scale: int = 1) -> bool:
     on = (cr == 0) & (np.minimum(ax, bx) <= px) & (px <= np.maximum(ax, bx)) \
         & (np.minimum(ay, by) <= py) & (py <= np.maximum(ay, by))
     hit = ((ay > py) != (by > py)) & ((cr > 0) == (by > ay))
-    slot = view.rational_slot
-    odd = False
-    if slot is not None:
-        ring = _ScaledRing(view.scan_points(), slot)
-        q = ring.scale(p)
-        for k in (slot - 1, slot):
-            on[k] = hit[k] = False
-            a = ring[k]
-            b = ring[k + 1]
-            e_on, e_hit = _ring_edge((a[0] * scale, a[1] * scale),
-                                     (b[0] * scale, b[1] * scale), q)
-            if e_on:
-                return True
-            odd ^= e_hit
     if on.any():
         return True
-    return bool((np.count_nonzero(hit) + odd) & 1)
-
-
-def _ring_edge(a: Pt, b: Pt, p: Pt):
-    """(p on the closed edge ab, ab toggles p's crossing parity): one step
-    of _point_in_ring."""
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    on = cr == 0 and min(ax, bx) <= px <= max(ax, bx) \
-        and min(ay, by) <= py <= max(ay, by)
-    return on, (ay > py) != (by > py) and (cr > 0) == (by > ay)
+    return bool(np.count_nonzero(hit) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +319,7 @@ def _midpoint_inside(view, doubled: Pt) -> bool:
 
 
 def _visible_bulk(view, i: int, p: Optional[Pt], j: int) -> Optional[bool]:
-    """Vectorized visibility; returns None to request the scalar fallback.
-    A rational slot's side of the sight line, and the crossings of its two
-    edges, are settled on the scaled ring."""
+    """Vectorized visibility; returns None to request the scalar fallback."""
     xs, ys = view.coord_arrays()
     if i:
         ax, ay = int(xs[i - 1]), int(ys[i - 1])
@@ -387,24 +327,11 @@ def _visible_bulk(view, i: int, p: Optional[Pt], j: int) -> Optional[bool]:
         ax, ay = p
     bx, by = int(xs[j - 1]), int(ys[j - 1])
     s = np.sign((bx - ax) * (ys - ay) - (by - ay) * (xs - ax))
-    slot = view.rational_slot
-    ring = None
-    if slot is not None:
-        ring = _ScaledRing(view.scan_points(), slot)
-        A = ring.scale((ax, ay))
-        B = ring.scale((bx, by))
-        vx, vy = ring.virt
-        sv = (B[0] - A[0]) * (vy - A[1]) - (B[1] - A[1]) * (vx - A[0])
-        s[slot] = (sv > 0) - (sv < 0)
-        if sv == 0 and _strictly_between(A, B, ring.virt):
-            return None
     # any third vertex exactly on the open segment -> rare, resolve scalar
     col = (s == 0)
     if i:
         col[i - 1] = False
     col[j - 1] = False
-    if slot is not None:
-        col[slot] = False
     if col.any():
         cx = xs[col]
         cy = ys[col]
@@ -423,11 +350,7 @@ def _visible_bulk(view, i: int, p: Optional[Pt], j: int) -> Optional[bool]:
         pts = view.scan_points()
         m = len(pts)
         for k in ks:
-            if ring is not None and (k - slot) % m in (0, m - 1):
-                if _crosses_segment(ring[k], ring[k + 1], A, B):
-                    return False
-            elif _crosses_segment(pts[k], pts[k + 1 - m if k == m - 1
-                                             else k + 1], (ax, ay), (bx, by)):
+            if _crosses_segment(pts[k], pts[(k + 1) % m], (ax, ay), (bx, by)):
                 return False
     return _point_in_closed_bulk(view, (ax + bx, ay + by), 2)
 
@@ -809,9 +732,7 @@ def _triangle_candidates_prefilter(view, A, P, H):
     """Superset of the reflex vertices inside triangle (A, P, H).
 
     Float filter with a conservative margin; every returned index is
-    re-verified exactly by the caller.  Works for rational A/P/H too.  A
-    rational slot, whose array entry is masked, and its two neighbors, whose
-    reflex tests read it, pass the tests that read the mask.
+    re-verified exactly by the caller.  Works for rational A/P/H too.
     """
     xs, ys = view.coord_arrays()
     xf = xs.astype(np.float64)
@@ -825,9 +746,6 @@ def _triangle_candidates_prefilter(view, A, P, H):
     ot = float(np.sign((px - ax) * (hy - ay) - (py - ay) * (hx - ax)))
     mg = _TRI_FILTER_MARGIN
     maybe_inside = (ot * o1 > -mg) & (ot * o2 > -mg) & (ot * o3 > -mg)
-    slot = view.rational_slot
-    if slot is not None:
-        maybe_inside[slot] = True
     if not maybe_inside.any():
         return []
     # reflex test on slots 1..m-2; local vertices 1 and m, whose neighbors
@@ -836,7 +754,5 @@ def _triangle_candidates_prefilter(view, A, P, H):
     ey = ys[1:] - ys[:-1]
     reflex = np.ones(xs.shape[0], dtype=bool)
     reflex[1:-1] = ex[:-1] * ey[1:] > ey[:-1] * ex[1:]
-    if slot is not None:
-        reflex[slot - 1] = reflex[slot] = reflex[slot + 1 - xs.shape[0]] = True
     sel = maybe_inside & reflex
     return (sel.nonzero()[0] + 1).tolist()

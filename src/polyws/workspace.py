@@ -240,8 +240,7 @@ class SubpolygonView:
     lookup is O(1) through a prefix table of one entry per item.
     """
 
-    __slots__ = ("base", "items", "prefix", "m", "all_int", "rational_slot",
-                 "_starts")
+    __slots__ = ("base", "items", "prefix", "m", "all_int", "rational_slot")
 
     def __init__(self, base: BasePolygon, items):
         self.base = base
@@ -276,10 +275,10 @@ class SubpolygonView:
         self.m = prefix[-1]
         self.all_int = not rational
         # the one non-integer vertex's array slot (local index - 1), which the
-        # int64 scans mask and settle exactly; None for an all-integer view
-        # and for one with two or more non-integer vertices
+        # int64 candidate pick and ray scans mask and settle exactly; None
+        # for an all-integer view and for one with two or more non-integer
+        # vertices
         self.rational_slot = rational[0] if len(rational) == 1 else None
-        self._starts = None
         if self.m < 3:
             raise PolygonInputError(f"view with {self.m} vertices is degenerate")
 

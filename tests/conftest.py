@@ -1,7 +1,7 @@
 """Shared fixtures: a polygon cache (generation is the slow part of the
 acceptance suite), a terminal summary that echoes one line per acceptance
-criterion, and the views with one virtual vertex that the scan and
-ear-clipping agreement tests share."""
+criterion, the scan-path switch and the views with one virtual vertex that
+the scan and ear-clipping agreement tests share."""
 import random
 from fractions import Fraction
 
@@ -13,6 +13,7 @@ from polyws.workspace import CutVertex
 
 _POLY_CACHE = {}
 ACCEPTANCE_LINES = []
+_USES_BULK = geom.uses_bulk
 
 
 def cached_polygon(kind, n, seed):
@@ -47,6 +48,15 @@ def separates(i, j, m):
         if 0 < off < (j - i) % m:
             inside += 1
     return inside == 1
+
+
+def scan_cutover(monkeypatch, cutover):
+    """Patch geom.uses_bulk so that views of fewer than `cutover` vertices
+    take the exact scalar scans, and the library's rule decides the rest: 0
+    keeps the rule, 1 << 30 sends every scan to its scalar twin."""
+    monkeypatch.setattr(geom, "uses_bulk", lambda kernel, view, *points:
+                        view.m >= cutover
+                        and _USES_BULK(kernel, view, *points))
 
 
 def dir_in_interior_wedge(v, q, d):

@@ -43,6 +43,20 @@ def test_load_rejects_bowtie(tmp_path):
         load_polygon(str(p))
 
 
+def test_self_crossing_ring_refused_by_every_command(tmp_path, capsys):
+    # every command that loads this self-crossing hexagon refuses it with
+    # exit 1 and one error line; no flag skips the check
+    path = tmp_path / "cross.poly"
+    path.write_text("6\n4 0\n5 5\n1 5\n4 2\n2 0\n0 3\n")
+    for cmd in ("triangulate", "spt", "partition"):
+        assert main([cmd, str(path)]) == 1, cmd
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: edges 1 and 3 cross"], err
+        assert main([cmd, str(path), "--no-validate"]) == 1, cmd
+        assert "unrecognized arguments: --no-validate" in \
+            capsys.readouterr().err
+
+
 def _faulty_rings(points):
     """Copies of the ring, scaled by 2 so that edge midpoints are lattice
     points, each with vertex v moved: onto the middle of a nearby edge k

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import scan_cutover
 from polyws import geom
 from polyws.errors import UsageError
 from polyws.geodesic import GeodesicCursor, first_link
@@ -149,13 +150,11 @@ def _narrowed_cones(v, q, rng):
 def test_bulk_and_scalar_candidate_scans_agree(monkeypatch):
     # both scans list the same candidates, and the sample of them that
     # first_link keeps is the same from the same generator state on either
-    # path; sizes on both sides of the cutover, cones from first to late
+    # path; views of 3 to 8 vertices and around 64, cones from first to late
     # rounds
-    from polyws import geom
     from polyws.geodesic import (_candidate_scan_bulk, _candidate_scan_scalar,
                                  _sample_candidates)
-    cut = geom.BULK_CUTOVERS["pick"]
-    for m in (cut - 9, cut, 150):
+    for m in (3, 4, 5, 6, 7, 8, 55, 64, 150):
         for kind, seed in [("random", 0), ("random", 1), ("comb", 2),
                            ("spiral", 3)]:
             poly = generate(kind, m, seed)
@@ -168,8 +167,7 @@ def test_bulk_and_scalar_candidate_scans_agree(monkeypatch):
                     for k in (1, 3, m):
                         draws = []
                         for cutover in (0, 1 << 30):
-                            monkeypatch.setitem(geom.BULK_CUTOVERS, "pick",
-                                                cutover)
+                            scan_cutover(monkeypatch, cutover)
                             draws.append(_sample_candidates(
                                 v, q, cone, k, random.Random(seed * 31 + q),
                                 pts))
@@ -213,8 +211,7 @@ def test_sampled_search_matches_oracle(monkeypatch, k, cutover):
     # the int64 and the scalar scans
     from polyws import geodesic
     monkeypatch.setattr(geodesic, "SAMPLE_K", k)
-    for kernel in ("pick", "ray"):
-        monkeypatch.setitem(geom.BULK_CUTOVERS, kernel, cutover)
+    scan_cutover(monkeypatch, cutover)
     for kind, n, seed in [("random", 40, 5), ("comb", 42, 6),
                           ("spiral", 40, 7)]:
         poly = generate(kind, n, seed)

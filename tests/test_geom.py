@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dir_in_interior_wedge, one_virtual_twins
+from conftest import dir_in_interior_wedge, one_virtual_twins, scan_cutover
 from polyws import geom
 from polyws.errors import InternalInvariantError, PolygonInputError
 from polyws.workspace import BasePolygon, SubpolygonView
@@ -240,14 +240,13 @@ CLOSING_EDGE_UP = [("random", 0, (47478, 21713)),
 
 def test_bulk_and_scalar_ray_scans_agree(monkeypatch):
     # the int64 ray scan reports the same crossing as the exact scalar scan,
-    # on both sides of the cutover, for vertex and point targets, rays
-    # through collinear vertices and rays crossing many edges; rays from
-    # free points (integer or Fraction) cross first where an exact scan of
-    # all edges says, the closing edge (n, 1) included
+    # on views of 3 to 8 vertices and around 48, for vertex and point
+    # targets, rays through collinear vertices and rays crossing many edges;
+    # rays from free points (integer or Fraction) cross first where an exact
+    # scan of all edges says, the closing edge (n, 1) included
     from polyws.oracle import generate
     cases = []
-    cut = geom.BULK_CUTOVERS["ray"]
-    for m in (cut - 9, cut, 150):
+    for m in (3, 4, 5, 6, 7, 8, 39, 48, 150):
         for kind, seed in [("random", 0), ("comb", 1), ("spiral", 2)]:
             cases.append((generate(kind, m, seed), []))
     cases.append((BasePolygon(_notched_comb(60)), []))
@@ -280,7 +279,7 @@ def test_bulk_and_scalar_ray_scans_agree(monkeypatch):
         for o, toward in rays:
             got = []
             for cutover in (0, 1 << 30):
-                monkeypatch.setitem(geom.BULK_CUTOVERS, "ray", cutover)
+                scan_cutover(monkeypatch, cutover)
                 got.append((geom.ray_scan_light(v, o, toward),
                             geom._ray_scan(v, o, toward)))
             assert got[0] == got[1], (v.m, o, toward)
@@ -369,7 +368,7 @@ def test_one_virtual_ray_scans_agree(monkeypatch):
             for r, (o, toward) in enumerate(rays):
                 got = []
                 for cutover in (0, 1 << 30):
-                    monkeypatch.setitem(geom.BULK_CUTOVERS, "ray", cutover)
+                    scan_cutover(monkeypatch, cutover)
                     try:
                         got.append((_light(geom.ray_scan_light(w, o, toward)),
                                     geom._ray_scan(w, o, toward)))
@@ -466,7 +465,7 @@ def test_one_virtual_candidate_scans_and_links_agree(monkeypatch):
             for q, cone in cones:
                 got = []
                 for cutover in (0, 1 << 30):
-                    monkeypatch.setitem(geom.BULK_CUTOVERS, "pick", cutover)
+                    scan_cutover(monkeypatch, cutover)
                     got.append(geodesic._sample_candidates(
                         w, q, cone, 10 ** 9, random.Random(0), pts))
                 assert got[0] == got[1], (m, h, q, cone.a, cone.b)
@@ -478,102 +477,135 @@ def test_one_virtual_candidate_scans_and_links_agree(monkeypatch):
                     continue
                 got = []
                 for cutover in (0, 1 << 30):
-                    for kernel in ("pick", "ray"):
-                        monkeypatch.setitem(geom.BULK_CUTOVERS, kernel,
-                                            cutover)
+                    scan_cutover(monkeypatch, cutover)
                     got.append(geodesic.first_link(w, q, t,
                                                    random.Random(q * t)))
                 assert got[0] == got[1], (m, h, q, t)
     assert bulk_next_to >= 6
 
 
-def test_one_virtual_visibility_and_containment_agree(monkeypatch):
-    # is_visible, point_in_closed, point_sees_vertex and the reflex search
-    # give the same answers on the int64 path, with the rational slot
-    # masked and settled, as on the scalar path; sight lines and points
-    # include the rational vertex's neighbors and points on its two edges
+def test_uses_bulk_reads_coordinates_only():
+    # the int64 path runs whenever every coordinate a scan reads is an
+    # integer, at any size; of a view with one rational vertex only the
+    # candidate pick and the ray scan read int64 arrays
     from polyws.oracle import generate
-    searches = 0
-    for kind, seed in [("random", 7), ("comb", 8), ("spiral", 9)]:
-        v = SubpolygonView.whole(generate(kind, 300, seed))
-        views, _, _ = one_virtual_twins(v, seed)
-        for w in views:
-            m = w.m
-            h = w.rational_slot + 1
-            pts = w.scan_points()
-            H = pts[h - 1]
-            nbrs = (pts[h - 2], pts[h % m])
-            rng = random.Random(m)
-            xs = [int(p[0]) for p in pts]
-            ys = [int(p[1]) for p in pts]
-            pairs = [(rng.randrange(1, m + 1), rng.randrange(1, m + 1))
-                     for _ in range(200)]
-            pairs += [(i, j) for i in (h - 1 or m, h % m + 1, h)
-                      for j in range(1, m + 1, 3)]
-            pairs = [(i, j) for i, j in pairs if i != j]
-            points = [(rng.randrange(min(xs), max(xs) + 1),
-                       rng.randrange(min(ys), max(ys) + 1))
-                      for _ in range(300)]
-            points += [nbrs[0], nbrs[1], H]
-            points += [((H[0] + b[0]) / 2, (H[1] + b[1]) / 2) for b in nbrs]
-            # integer points just beside the rational vertex's edges
-            points += [(int(H[0] + (b[0] - H[0]) * f) + dx,
-                        int(H[1] + (b[1] - H[1]) * f) + dy)
-                       for b in nbrs for f in (Fraction(1, 3), Fraction(2, 3))
-                       for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-            blocked = []
-            for i, j in pairs[:120]:
-                vi, vj = pts[i - 1], pts[j - 1]
-                if i == h or geom.is_visible(w, i, j) \
-                        or not dir_in_interior_wedge(
-                            w, i, (vj[0] - vi[0], vj[1] - vi[1])):
-                    continue
-                hit = geom.ray_shoot(w, i, j)
-                if hit.edge is None:
-                    continue
-                for pn in (hit.edge, 1 + hit.edge % m):
-                    if pn != i and not geom.is_visible(w, i, pn) and \
-                            geom.orient(vi, pts[pn - 1], hit.point) \
-                            != geom.COLLINEAR:
-                        blocked.append((i, pn, hit.point))
-            # long-edged triangles with a side a tenth of a unit beside
-            # H's masked slot, in x and in y, toward H's fractional part
-            x, y = math.floor(H[0]), math.floor(H[1])
-            L = 10 ** 6
-            blocked += [((x - L, y), (x + 9 * L, y + 1), (x, y + L)),
-                        ((x, y - L), (x + 1, y + 9 * L), (x + L, y))]
-            inside = [p for p in points if geom.point_in_closed(w, p)]
-            sights = [(p, rng.randrange(1, m + 1)) for p in inside[:80]]
-            sights += [(p, j) for p in inside[:80]
-                       for j in (h - 1 or m, h % m + 1, h)]
-            # sight lines from integer points just beyond H as seen from
-            # vertex j: they pass within a unit or two of H, between H and
-            # its masked int64 slot as often as not
-            for j in [h - 1 or m, h % m + 1] + rng.sample(range(1, m + 1), 20):
-                B = pts[j - 1]
-                for f in (Fraction(1, 997), Fraction(1, 97), Fraction(1, 7)):
-                    x = math.floor(H[0] + (H[0] - B[0]) * f)
-                    y = math.floor(H[1] + (H[1] - B[1]) * f)
-                    sights += [((x + dx, y + dy), j)
-                               for dx in (-1, 0, 1, 2) for dy in (-1, 0, 1, 2)
-                               if j != h]
+    tri = view_of([(0, 0), (0, 2), (2, 0)])
+    big = SubpolygonView.whole(generate("random", 300, 1))
+    for v in (tri, big):
+        assert geom.uses_bulk("pick", v, 1, (0, 1), (1, 0))
+        assert geom.uses_bulk("ray", v, 1, 2)
+        assert geom.uses_bulk("visible", v, 1, 2)
+        assert geom.uses_bulk("point", v, (1, 1))
+        assert geom.uses_bulk("reflex", v)
+        assert not geom.uses_bulk("point", v, (Fraction(1, 2), 1))
+        assert not geom.uses_bulk("ray", v, (Fraction(1, 2), 1), 2)
+    for w in one_virtual_twins(big, 1)[0]:
+        h = w.rational_slot + 1
+        i, j = 1 + h % w.m, 1 + (h + 1) % w.m
+        assert geom.uses_bulk("pick", w, i, (0, 1), (1, 0))
+        assert geom.uses_bulk("ray", w, i, j)
+        assert not geom.uses_bulk("ray", w, h, j)
+        assert not geom.uses_bulk("visible", w, i, j)
+        assert not geom.uses_bulk("point", w, (1, 1))
+        assert not geom.uses_bulk("reflex", w)
 
-            def answers():
-                return ([geom.is_visible(w, i, j) for i, j in pairs],
-                        [geom.point_in_closed(w, p) for p in points],
-                        [geom.max_angle_reflex_in_triangle(w, *b)
-                         for b in blocked],
-                        [geom.point_sees_vertex(w, p, j) for p, j in sights])
-            got = []
-            for cutover in (0, 1 << 30):
-                for kernel in ("point", "visible", "reflex"):
-                    monkeypatch.setitem(geom.BULK_CUTOVERS, kernel, cutover)
-                got.append(answers())
-            assert got[0] == got[1], (m, h)
-            for a in (got[0][0], got[0][1], got[0][3]):
-                assert any(a) and not all(a), (m, h)
-            searches += len(blocked)
-    assert searches >= 20
+
+def test_small_views_agree_on_both_paths(monkeypatch):
+    # views of 3 to 10 vertices, integer and with one rational vertex, give
+    # the same answers on the int64 path as on the scalar one: visibility of
+    # every vertex pair, containment and point-to-vertex sight lines of
+    # vertices and random points, the ray scans and first links of every
+    # pair, candidate scans of initial and narrowed cones, and the reflex
+    # search inside blocking and random triangles; edge hits are the first
+    # crossings of an exact scan of every edge
+    from polyws import geodesic
+    from polyws.oracle import generate
+    views = [SubpolygonView.whole(generate(kind, m, seed))
+             for m in range(3, 9)
+             for seed, kind in enumerate(("random", "comb", "spiral",
+                                          "monotone"))]
+    views += [view_of(SQUARE), view_of(LPOLY)]
+    for n in (5, 6, 7, 8):
+        for seed in (1, 2, 3):
+            # a piece cut next to q repeats q's arc on so small a ring
+            views += [w for w in one_virtual_twins(
+                SubpolygonView.whole(generate("random", n, seed)), seed,
+                n // 2)[0] if len(set(w.scan_points())) == w.m]
+    queries = []
+    for w in views:
+        m = w.m
+        pts = w.scan_points()
+        rng = random.Random(m)
+        h = w.rational_slot + 1 if w.rational_slot is not None else 0
+        xs = [int(p[0]) for p in pts]
+        ys = [int(p[1]) for p in pts]
+        points = [(rng.randrange(min(xs), max(xs) + 1),
+                   rng.randrange(min(ys), max(ys) + 1)) for _ in range(40)]
+        points += list(pts)
+        pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)
+                 if i != j]
+        rays = pairs + [(p, j) for p in points[:20] for j in range(1, m + 1)
+                        if p != pts[j - 1]]
+        cones = []
+        for q in range(1, m + 1):
+            if q == h:
+                continue
+            cones.append((q, geodesic._initial_cone(w, q, pts)))
+            for prev in range(1, m + 1):
+                if prev not in (q, h):
+                    cone = geodesic._initial_cone(w, q, pts)
+                    geodesic._narrow_past(cone, pts, q, prev)
+                    cones.append((q, cone))
+        blocked = []
+        for q, t in pairs:
+            vq, vt = pts[q - 1], pts[t - 1]
+            if q == h or geom.is_visible(w, q, t) or not dir_in_interior_wedge(
+                    w, q, (vt[0] - vq[0], vt[1] - vq[1])):
+                continue
+            hit = geom.ray_shoot(w, q, t)
+            if hit.edge is None:
+                continue
+            for pn in (hit.edge, 1 + hit.edge % m):
+                if pn != q and not geom.is_visible(w, q, pn) and geom.orient(
+                        vq, pts[pn - 1], hit.point) != geom.COLLINEAR:
+                    blocked.append((q, pn, hit.point))
+        # and triangles on a vertex pair and a random point
+        blocked += [(q, t, p) for q, t in pairs for p in points[:3]
+                    if geom.orient(pts[q - 1], pts[t - 1], p)]
+        queries.append((w, points, pairs, rays, cones, blocked))
+
+    def answers():
+        out = []
+        for w, points, pairs, rays, cones, blocked in queries:
+            inside = [p for p in points if geom.point_in_closed(w, p)]
+            links = [(q, t) for q, t in pairs
+                     if w.rational_slot not in (q - 1, t - 1)]
+            out.append((
+                [geom.is_visible(w, i, j) for i, j in pairs],
+                [geom.point_in_closed(w, p) for p in points],
+                [geom.point_sees_vertex(w, p, j) for p in inside
+                 for j in range(1, w.m + 1)],
+                [_light(geom.ray_scan_light(w, o, t)) for o, t in rays],
+                [geodesic._sample_candidates(w, q, cone, 10 ** 9,
+                                             random.Random(0), None)
+                 for q, cone in cones],
+                [geodesic.first_link(w, q, t, random.Random(q * t))
+                 for q, t in links],
+                [geom.max_angle_reflex_in_triangle(w, *b) for b in blocked]))
+        return out
+    got = answers()
+    scan_cutover(monkeypatch, 1 << 30)
+    assert answers() == got
+    crossings = 0
+    for (w, _, _, rays, _, _), ans in zip(queries, got):
+        pts = w.scan_points()
+        for (o, t), light in zip(rays, ans[3]):
+            if light is not None and light[0] == "edge":
+                T = pts[t - 1] if isinstance(t, int) else t
+                hits = brute_ray_hits(list(pts), o, T)
+                assert hits[0][:2] == (light[2], light[1]), (w.m, o, t)
+                crossings += 1
+    assert crossings >= 100
 
 
 def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
@@ -626,8 +658,7 @@ def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
                     [geom.point_sees_vertex(w, p, j) for p, j in sights])
         got = []
         for cutover in (0, 1 << 30):
-            for kernel in ("point", "visible", "reflex"):
-                monkeypatch.setitem(geom.BULK_CUTOVERS, kernel, cutover)
+            scan_cutover(monkeypatch, cutover)
             got.append(answers(v))
         got.append(answers(_rational_twin(v)))
         assert got[0] == got[1] == got[2]
@@ -712,8 +743,7 @@ def test_point_sees_vertex_matches_reference(monkeypatch):
         blocked_through += want_through.count(False)
         for w in (v, _rational_twin(v)):
             for cutover in (0, 1 << 30):
-                for kernel in ("point", "visible"):
-                    monkeypatch.setitem(geom.BULK_CUTOVERS, kernel, cutover)
+                scan_cutover(monkeypatch, cutover)
                 assert [geom.point_sees_vertex(w, p, j)
                         for p, j in sights] == want
                 assert [geom.point_sees_vertex(w, pts[i - 1], j)

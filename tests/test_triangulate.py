@@ -121,8 +121,8 @@ def test_ear_clip_matches_brute_force(monkeypatch):
     views.append(SubpolygonView.whole(BasePolygon(      # by 45 degrees
         [(x - y, x + y) for x, y in comb.points()])))
     # straight vertices on an ear's bounding box, on rings and their mirror
-    # images; self-crossing rings (load_polygon's --no-validate lets them
-    # through), with a blocking vertex on an ear's edge, and with a convex
+    # images; self-crossing rings, which the library's BasePolygon takes
+    # unchecked, with a blocking vertex on an ear's edge, and with a convex
     # vertex that clipping turns reflex, so the index is rebuilt
     stars = [[(0, 4), (1, 4), (1, 5), (2, 5), (3, 5), (4, 4), (3, 3), (3, 2),
               (2, 2), (1, 0)],
