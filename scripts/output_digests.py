@@ -8,8 +8,9 @@ corpus in its own subprocess, with its own src/ first on the import path,
 and the two run side by side.  Per run the script compares the outputs in
 emission order, the RunStats counters, the meter's peak and per-level
 peaks, and, for a run that raises, the exception's type and message.  It
-prints every run that differs, with the fields that differ, and exits 1
-if any does.
+prints every run that differs, with the fields that differ, then one
+line with the run count, the raises on each side and the differing runs,
+and exits 1 if any run differs.
 
 The corpus, all from generator seeds fixed here:
   * spt: comb, spiral, random and monotone polygons of 60 to 1000
@@ -193,8 +194,10 @@ def main(argv=None) -> int:
         for field in sorted(set(a) | set(b)):
             if a.get(field) != b.get(field):
                 print(f"{rid}: {field} {a.get(field)!r} != {b.get(field)!r}")
-    errors = sum(1 for r in mine.values() if "error" in r)
-    print(f"{len(mine)} runs ({errors} raise), {differ} differ")
+    errors, against = (sum(1 for r in res.values() if "error" in r)
+                       for res in results)
+    print(f"{len(mine)} runs ({errors} raise, {against} at --against), "
+          f"{differ} differ")
     return 1 if differ else 0
 
 

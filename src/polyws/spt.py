@@ -1,19 +1,21 @@
 """Shortest-path trees under the same workspace regime as the triangulator.
 
-The geodesic walk and its recursion are the triangulator's engine
-(triangulate.py: Run, solve, _walk_level); this module passes it the tree
-strategy, _Region, which differs from triangulation's in three ways.  After
-tau same-type steps the split diagonal comes from extending the last walked
-edge to the boundary (creating a virtual vertex that lives only inside the
-recursion and is filtered at the sink); walked edges are emitted as parent
-edges; and every subproblem is rooted at its cut vertex nearest the original
-source, so each piece's local tree is exactly the global tree restricted to
-it.
+The geodesic walk, its recursion and the split that turns a walked stretch
+into pieces are the triangulator's engine (triangulate.py: Run, solve,
+_walk_level, Region); this module passes it the tree strategy, _Region,
+which keeps only what differs from triangulation's.  After tau same-type
+steps the split diagonal comes from extending the last walked edge to the
+boundary, creating a virtual vertex that lives only inside the recursion and
+is filtered at the sink (_Region.extend gives the next region and R's parts
+around it).  Walked edges are emitted as parent edges.  Every subproblem is
+rooted at its cut vertex nearest the original source, so each piece's local
+tree is exactly the global tree restricted to it.
 
-Pieces store their shared vertices as explicit cut entries of the descriptor;
-a piece emits parent edges only for its chain vertices, because every cut
-vertex had its parent edge reported by the walk (or the split) that created
-it.  That makes the exactly-once guarantee structural rather than bookkept.
+Pieces store their shared vertices as explicit cut entries of the descriptor
+(`cuts`); a piece emits parent edges only for its chain vertices, because
+every cut vertex had its parent edge reported by the walk (or the split)
+that created it.  That makes the exactly-once guarantee structural rather
+than bookkept.
 
 Base cases: an in-memory funnel propagation over an ear-clipped triangulation
 when the piece fits the budget, else a constant-workspace pass that asks the
@@ -28,9 +30,8 @@ from typing import List, Optional, Set, Tuple
 from . import geom
 from .errors import InternalInvariantError, PolygonInputError
 from .geodesic import first_link
-from .triangulate import (AUDIT_MAX_M, Run, ear_clip, in_interval,
-                          part_segs, pick_side, rooted_piece, segs_size,
-                          setup_budget, solve, walk_pockets)
+from .triangulate import (AUDIT_MAX_M, Region, Run, ear_clip, in_interval,
+                          setup_budget, solve)
 from .workspace import (BasePolygon, CutVertex, MeterMode, RunStats,
                         SubpolygonView, WorkspaceMeter)
 
@@ -189,26 +190,15 @@ def _funnel_words(m: int) -> int:
     return 10 * m + 32
 
 
-class _Region:
-    """SPT strategy and one level's bookkeeping: the still-unsolved part of
-    the level, a boundary arc [lo..hi] plus an optional virtual vertex
-    hanging at one end, closed by the current alternating diagonal.
-    lo_cut/hi_cut record whether the end vertex's parent edge is already
-    handled elsewhere (walked vertices, the level root), as opposed to plain
-    vertices that merely border a split.  Every piece is rooted at its cut
-    vertex nearest the source, local vertex 1."""
+class _Region(Region):
+    """Tree strategy: every piece is rooted at its cut vertex nearest the
+    source, local vertex 1, which `u_other` holds once the level has split
+    (until then it is the level root w[0]).  Walked vertices and flagged
+    ends are stored as cut entries (`cuts`), so that a piece emits parent
+    edges for its chain vertices only."""
 
-    __slots__ = ("lo", "hi", "lo_cut", "hi_cut", "cut_side", "cut_v",
-                 "u_other")
-
-    def __init__(self, m):
-        self.lo = 1
-        self.hi = m
-        self.lo_cut = True        # the level root's edge belongs to the parent
-        self.hi_cut = False       # an ordinary chain vertex
-        self.cut_side = None      # 'lo' | 'hi' | None: virtual end vertex
-        self.cut_v: Optional[CutVertex] = None
-        self.u_other: Optional[int] = None
+    __slots__ = ()
+    cuts = True
 
     @staticmethod
     def base(view, run: Run) -> None:
@@ -231,8 +221,8 @@ class _Region:
 
     def far(self, view, w, run: Run):
         """Extend the last walked edge beyond its endpoint until it meets
-        the boundary; the crossing becomes the split vertex (virtual unless
-        it lands exactly on a vertex)."""
+        the boundary: the vertex it hits, or (edge, virtual vertex) for a
+        crossing inside an edge."""
         a = view.point(w[-2])
         b = view.point(w[-1])
         toward = (2 * b[0] - a[0], 2 * b[1] - a[1])
@@ -249,175 +239,65 @@ class _Region:
                 raise InternalInvariantError(
                     "edge extension crossed the live alternating diagonal")
         if hit.vertex is not None:
-            return ("real", hit.vertex)
-        return ("virt", hit.edge,
-                CutVertex(None, point=hit.point, virtual=True))
+            return hit.vertex
+        return hit.edge, CutVertex(None, point=hit.point, virtual=True)
 
-    def split(self, view, w, u_far, run: Run):
-        """Re-rooted pieces cut off by one stretch, R first, then the
-        pockets; advances the region."""
+    def extend(self, view, w, hit, ulen):
+        """The next region (lo, hi, lo_cut, hi_cut, cut_side, cut_v) and R's
+        left and right parts (either may be None) after an edge extension
+        from w[-1] that ended inside edge e1 at the virtual vertex cutv;
+        ulen is the region's arc length."""
         m = view.m
-        mid = m // 2
-        i = len(w) - 1
-        far = u_far is not None
-        u_new = u_far if far else ("real", w[i - 1])
         lo, hi = self.lo, self.hi
         off = lambda p: (p - lo) % m
-        ulen = (hi - lo) % m + 1
-        if run.audit and any(off(v) >= ulen for v in w):
-            raise InternalInvariantError("walked vertex left the region")
-
-        pockets = walk_pockets(w, far, lo, m)
-        cutset = set(w)
-        if self.lo_cut:
-            cutset.add(lo)
-        if self.hi_cut:
-            cutset.add(hi)
-
-        new_cut_side = None
-        new_cut_v = None
-        left = right = None    # R's arc parts around the split
-        wrap = False
-        if far and u_new[0] == "virt":
-            wt = w[i]
-            e1 = u_new[1]
-            e2 = 1 + e1 % m
-            cutv = u_new[2]
-            # a hit on the edge that holds the old virtual vertex lands on
-            # the sub-edge between it and its end of the arc; that picks
-            # the side, which the interval tests cannot ([wt..e1] wraps
-            # round for a low-side hit), and the end keeps its cut flag
-            closing = None
-            if ulen < m and (self.cut_side == "hi" and e1 == hi
-                             or self.cut_side == "lo" and e2 == lo):
-                closing = self.cut_side
-                end = hi if closing == "hi" else lo
-                if not geom.on_closed_segment(cutv.point, self.cut_v.point,
-                                              view.point(end)):
-                    raise InternalInvariantError(
-                        "edge extension escaped past the closing virtual "
-                        "vertex")
-            # any other hit lands on an edge wholly inside the region's arc;
-            # the sole exception is a full-cycle region, whose closing edge is
-            # itself real boundary
-            edge_ok = closing is None and (off(e1) <= ulen - 2 or ulen == m)
-            if closing == "hi" or edge_ok and off(wt) <= off(e1) \
-                    and in_interval(mid, wt, e1, m):
-                # next region [wt..e1] capped by the virtual vertex at its
-                # far end
-                nxt_lo, nxt_hi = wt, e1
-                nxt_kinds = (True, closing == "hi" and self.hi_cut)
-                new_cut_side, new_cut_v = "hi", cutv
-                left = (lo, wt)
-                if in_interval(e2, lo, hi, m) and off(e2) > off(e1):
-                    right = (e2, hi)
-            elif closing == "lo" or edge_ok and off(e2) <= off(wt) \
-                    and in_interval(mid, e2, wt, m):
-                nxt_lo, nxt_hi = e2, wt
-                nxt_kinds = (closing == "lo" and self.lo_cut, True)
-                new_cut_side, new_cut_v = "lo", cutv
-                if in_interval(e1, lo, hi, m) and off(e1) < off(e2):
-                    left = (lo, e1)
-                right = (wt, hi)
-            else:
+        wt = w[-1]
+        e1, cutv = hit
+        e2 = 1 + e1 % m
+        # a hit on the edge that holds the old virtual vertex lands on the
+        # sub-edge between it and its end of the arc; that picks the side,
+        # which the interval tests cannot ([wt..e1] wraps round for a
+        # low-side hit), and the end keeps its cut flag
+        closing = None
+        if ulen < m and (self.cut_side == "hi" and e1 == hi
+                         or self.cut_side == "lo" and e2 == lo):
+            closing = self.cut_side
+            end = hi if closing == "hi" else lo
+            if not geom.on_closed_segment(cutv.point, self.cut_v.point,
+                                          view.point(end)):
                 raise InternalInvariantError(
-                    "edge extension left the open region")
-        else:
-            other = u_new[1]
-            if {w[i], other} == {lo, hi} and self.u_other is not None:
-                # the walk stepped onto the far endpoint of the current
-                # diagonal: nothing splits off, the diagonal's path endpoint
-                # swaps roles
-                if run.audit and i != 1:
-                    raise InternalInvariantError(
-                        "a re-anchoring stretch took more than one step")
-                self.u_other = w[i - 1]
-                self.lo_cut = self.hi_cut = True
-                return []
-            nxt_lo, nxt_hi = pick_side(m, w[i], other, lo, ulen, run)
-            # both diagonal endpoints are handled: walked now, or (for an
-            # exact extension hit) owned by R's subtree below
-            nxt_kinds = (True, True)
-            if off(nxt_lo) > off(nxt_hi):
-                wrap = True   # first split of a full-cycle region
-            else:
-                left = (lo, nxt_lo)
-                right = (nxt_hi, hi)
+                    "edge extension escaped past the closing virtual vertex")
+        # any other hit lands on an edge wholly inside the region's arc; the
+        # sole exception is a full-cycle region, whose closing edge is itself
+        # real boundary
+        edge_ok = closing is None and (off(e1) <= ulen - 2 or ulen == m)
+        mid = m // 2
+        if closing == "hi" or edge_ok and off(wt) <= off(e1) \
+                and in_interval(mid, wt, e1, m):
+            # next region [wt..e1] capped by the virtual vertex at its far end
+            nxt = (wt, e1, True, closing == "hi" and self.hi_cut, "hi", cutv)
+            right = (e2, hi) if in_interval(e2, lo, hi, m) \
+                and off(e2) > off(e1) else None
+            return nxt, (lo, wt), right
+        if closing == "lo" or edge_ok and off(e2) <= off(wt) \
+                and in_interval(mid, e2, wt, m):
+            nxt = (e2, wt, closing == "lo" and self.lo_cut, True, "lo", cutv)
+            left = (lo, e1) if in_interval(e1, lo, hi, m) \
+                and off(e1) < off(e2) else None
+            return nxt, left, (wt, hi)
+        raise InternalInvariantError("edge extension left the open region")
 
-        # R ring: [old lo-side cut] left part [new cut_v?] right part
-        # [old hi-side cut], pockets jumped, closed by the old diagonal
-        segs = []
-        if wrap:
-            if run.audit and not (ulen == m and self.cut_side is None
-                                  and new_cut_v is None):
-                raise InternalInvariantError(
-                    "a wrapping split of a region that is not the full cycle")
-            segs.extend(part_segs(nxt_hi, nxt_lo, cutset, w, pockets, m))
-        else:
-            if self.cut_side == "lo":
-                segs.append(("cut", self.cut_v))
-            if left is not None:
-                segs.extend(part_segs(left[0], left[1], cutset, w, pockets, m))
-            if new_cut_v is not None:
-                segs.append(("cut", new_cut_v))
-            if right is not None:
-                segs.extend(part_segs(right[0], right[1], cutset, w,
-                                      pockets, m))
-            if self.cut_side == "hi":
-                segs.append(("cut", self.cut_v))
+    def r_root(self, w, u_new):
+        return self.u_other if self.u_other is not None else w[0]
 
-        pieces = []
-        r_root = self.u_other if self.u_other is not None else w[0]
-        if segs_size(segs, m) >= 3:
-            child = rooted_piece(view, segs, r_root)
-            if run.audit:
-                bound = -(-m // 2) + i + 2
-                if child.m > bound:
-                    raise InternalInvariantError(
-                        f"R size {child.m} breaks the split bound {bound}")
-                if child.m > 0.6 * m + 3:
-                    raise InternalInvariantError("R breaks the 6/10 decay")
-            pieces.append(child)
-        for (pa, pb, s) in pockets:
-            if (pb - pa) % m + 1 >= 3:
-                psegs = [("cutpos", pa)]
-                if (pb - pa) % m > 1:
-                    psegs.append(("range", (pa % m) + 1, 1 + (pb - 2) % m))
-                psegs.append(("cutpos", pb))
-                child = rooted_piece(view, psegs, s)
-                if run.audit and child.m > -(-m // 2) + 1:
-                    raise InternalInvariantError(
-                        "pocket breaks the half bound")
-                pieces.append(child)
+    @staticmethod
+    def next_other(w, u_new, far):
+        # the previous walked vertex for a near split; for a far split the
+        # walked endpoint itself (the split vertex hangs beyond it on the
+        # extension, hence farther)
+        return w[-1] if far else w[-2]
 
-        self.lo, self.hi = nxt_lo, nxt_hi
-        self.lo_cut, self.hi_cut = nxt_kinds
-        self.cut_side, self.cut_v = new_cut_side, new_cut_v
-        # the region's cut vertex nearest the source: the previous walked
-        # vertex for a near split; for a far split the walked endpoint
-        # itself (the split vertex hangs beyond it on the extension, hence
-        # farther)
-        self.u_other = w[i] if far else w[i - 1]
-        return pieces
-
-    def terminal(self, view, run: Run):
-        """The region left at the midpoint, rooted at its cut vertex nearest
-        the source."""
-        m = view.m
-        inner = []
-        if (self.hi - self.lo) % m + 1 > 2:
-            inner = [("range", (self.lo % m) + 1, 1 + (self.hi - 2) % m)]
-        segs = []
-        if self.cut_side == "lo":
-            segs.append(("cut", self.cut_v))
-        segs.append(("cutpos" if self.lo_cut else "pos", self.lo))
-        segs.extend(inner)
-        segs.append(("cutpos" if self.hi_cut else "pos", self.hi))
-        if self.cut_side == "hi":
-            segs.append(("cut", self.cut_v))
-        if (self.hi - self.lo) % m + 1 + (1 if self.cut_side else 0) < 3:
-            return None
-        return rooted_piece(view, segs, self.u_other)
+    def terminal_root(self, m):
+        return self.u_other
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ manufactured after tau steps), recursing on the pieces with a geometrically
 shrinking workspace allowance, and streaming every diagonal to a write-only
 sink exactly once.  Small pieces are triangulated in memory by ear clipping.
 
-The walk and its recursion (Run, solve, _walk_level) are the one engine of
-the package: shortest-path trees (spt.py) run it with their own strategy in
-place of WalkState, the triangulation strategy defined here.
+The walk, its recursion (Run, solve, _walk_level) and the split that turns
+a walked stretch into pieces (Region) are the one engine of the package:
+shortest-path trees (spt.py) run it with their own Region subclass in place
+of WalkState, the triangulation strategy defined here.
 """
 from __future__ import annotations
 
@@ -473,15 +474,15 @@ def find_alternating_diagonal(view, u_prime: Optional[int], w: Sequence[int],
 class Run:
     """Shared configuration of one run of the walk engine.
 
-    `strategy` is a class whose instances hold one walk level's region
-    bookkeeping (WalkState here, spt._Region for trees).  The engine calls
+    `strategy` is a Region subclass whose instances hold one walk level's
+    region (WalkState here, spt._Region for trees).  The engine calls
     strategy.base(view, run) on pieces that fit in memory, strategy(m) at
     the start of each walk level, and on that instance, per stretch of
     walked vertices w (w[0] the current vertex, w[-1] the last one pulled):
     emit_walked(view, w, run), then far(view, w, run) when the stretch ran
-    tau same-type steps, then split(view, w, u_far, run) -> pieces (u_far
-    is far()'s result, None after an alternating step); after the midpoint,
-    terminal(view, run) -> piece or None.
+    tau same-type steps, then the shared split(view, w, u_far, run) ->
+    pieces (u_far is far()'s result, None after an alternating step); after
+    the midpoint, the shared terminal(view, run) -> piece or None.
     """
 
     __slots__ = ("strategy", "sink", "meter", "stats", "rng", "audit")
@@ -617,25 +618,18 @@ def rooted_piece(view, segs, root: int):
     raise InternalInvariantError("piece root missing from its ring")
 
 
-def pick_side(m, e1, e2, lo, ulen, run):
+def pick_side(m, e1, e2, lo):
     """The side of diagonal (e1, e2) that keeps the midpoint, as (lo, hi) of
     the next region, with the endpoints ordered along the region that starts
     at lo.  A tie (a cut incident to the midpoint) takes the smaller side, so
     that the terminal piece obeys the half bound."""
     mid = m // 2
     x, y = (e1, e2) if (e1 - lo) % m <= (e2 - lo) % m else (e2, e1)
-    in_fwd = in_interval(mid, x, y, m)
-    in_bwd = in_interval(mid, y, x, m)
-    if in_fwd and in_bwd:
-        return (x, y) if (y - x) % m <= (x - y) % m else (y, x)
-    if in_fwd:
-        return (x, y)
-    if in_bwd:
-        if run.audit and ulen != m:
-            raise InternalInvariantError(
-                "midpoint outside the forward side of the cut")
-        return (y, x)
-    raise InternalInvariantError("midpoint vanished from both cut sides")
+    # the sides x..y and y..x cover the cycle and share only x and y
+    if in_interval(mid, x, y, m) and (mid not in (x, y)
+                                      or (y - x) % m <= (x - y) % m):
+        return x, y
+    return y, x
 
 
 def walk_pockets(w, far, lo, m):
@@ -654,9 +648,10 @@ def walk_pockets(w, far, lo, m):
 
 
 def part_segs(plo, phi, cutset, walked, pockets, m):
-    """Ring segments for one part [plo..phi] of the region R that stays
-    after a cut: walked vertices and endpoints listed in `cutset` become cut
-    entries, pocket interiors are jumped, everything else stays chain."""
+    """Ring segments of the arc [plo..phi] of a piece (a part of the region
+    R that stays after a cut, a pocket, the terminal piece): walked vertices
+    and endpoints listed in `cutset` become cut entries, pocket interiors
+    are jumped, everything else stays chain."""
     stations = sorted({plo, phi} | {x for x in walked
                                     if in_interval(x, plo, phi, m)},
                       key=lambda p: (p - plo) % m)
@@ -673,20 +668,167 @@ def part_segs(plo, phi, cutset, walked, pockets, m):
     return segs
 
 
+class Region:
+    """One walk level's region and the split that both strategies share.
+
+    The region is the boundary arc lo..hi closed by the current alternating
+    diagonal, plus an optional virtual vertex `cut_v` at its `cut_side` end
+    ('lo' | 'hi' | None; only a tree's edge extension makes one).  `u_other`
+    is the strategy's end of that diagonal, None while it is degenerate.
+    lo_cut/hi_cut tell whether an end's parent edge is handled elsewhere
+    (walked vertices, the level root); a strategy with `cuts` set stores
+    those ends and walked vertices as cut entries of its pieces.
+
+    A subclass supplies base, emit_walked and far (see Run), next_other (its
+    end of a new diagonal) and the roots of R, the piece a stretch cuts off
+    (r_root), and of the terminal piece (terminal_root).  A far() result
+    (edge, CutVertex) is an edge extension that ended inside that edge; the
+    subclass's extend() gives the split that follows.
+    """
+
+    __slots__ = ("lo", "hi", "lo_cut", "hi_cut", "cut_side", "cut_v",
+                 "u_other")
+    cuts = False
+
+    def __init__(self, m: int):
+        self.lo = 1
+        self.hi = m
+        self.lo_cut = True        # the level root's edge belongs to the parent
+        self.hi_cut = False       # an ordinary chain vertex
+        self.cut_side = None
+        self.cut_v = None
+        self.u_other: Optional[int] = None
+
+    def cutset(self, walked):
+        """What part_segs stores as cut entries: with `cuts` set, the walked
+        vertices and the region's flagged ends; else nothing."""
+        if not self.cuts:
+            return ()
+        out = set(walked)
+        if self.lo_cut:
+            out.add(self.lo)
+        if self.hi_cut:
+            out.add(self.hi)
+        return out
+
+    def split(self, view, w, u_far, run: Run):
+        """Pieces cut off by one stretch, R first, then the pockets; advances
+        the region to the side of the new diagonal that keeps the midpoint."""
+        m = view.m
+        i = len(w) - 1
+        far = u_far is not None
+        lo, hi = self.lo, self.hi
+        ulen = interval_len(lo, hi, m)
+        if run.audit and any((v - lo) % m >= ulen for v in w):
+            raise InternalInvariantError("walked vertex left the region")
+
+        if isinstance(u_far, tuple):
+            u_new = None
+            nxt, left, right = self.extend(view, w, u_far, ulen)
+        else:
+            u_new = u_far if far else w[i - 1]
+            if {u_new, w[i]} == {lo, hi} and self.u_other is not None:
+                # the walk stepped onto the far endpoint of the current
+                # diagonal: nothing is split off, the region merely re-anchors
+                if run.audit and i != 1:
+                    raise InternalInvariantError(
+                        "a re-anchoring stretch took more than one step")
+                self.u_other = u_new
+                self.lo_cut = self.hi_cut = True
+                return []
+            nxt_lo, nxt_hi = pick_side(m, u_new, w[i], lo)
+            # both diagonal endpoints are handled: walked now, or (for an
+            # exact extension hit) owned by R's subtree below
+            nxt = (nxt_lo, nxt_hi, True, True, None, None)
+            if (nxt_lo - lo) % m <= (nxt_hi - lo) % m:
+                # both cut endpoints stay on R's ring even when they coincide
+                # with the region endpoints (then the part is a single vertex)
+                left, right = (lo, nxt_lo), (nxt_hi, hi)
+            else:
+                # the midpoint's side runs through hi and lo, so R wraps
+                # round: only the first split of a full cycle may do that
+                if run.audit and not (ulen == m and self.cut_side is None):
+                    raise InternalInvariantError(
+                        "midpoint outside the forward side of the cut")
+                left, right = (nxt_hi, nxt_lo), None
+
+        pockets = walk_pockets(w, far, lo, m)
+        cutset = self.cutset(w)
+        new_v = nxt[-1]       # the split's virtual vertex, if any
+        # R's ring: [old lo-side virtual] left part [new virtual] right part
+        # [old hi-side virtual], pockets jumped, closed by the old diagonal
+        segs = [("cut", self.cut_v)] if self.cut_side == "lo" else []
+        if left is not None:
+            segs += part_segs(left[0], left[1], cutset, w, pockets, m)
+        if new_v is not None:
+            segs.append(("cut", new_v))
+        if right is not None:
+            segs += part_segs(right[0], right[1], cutset, w, pockets, m)
+        if self.cut_side == "hi":
+            segs.append(("cut", self.cut_v))
+
+        pieces = []
+        if segs_size(segs, m) >= 3:
+            child = rooted_piece(view, segs, self.r_root(w, u_new))
+            if run.audit:
+                # every view vertex on R's ring is walked (i + 1 of them) or
+                # lies in the half of the view across the walked chain, so a
+                # proper alternating diagonal obeys the half+i bound (+2
+                # because closed components share the diagonal endpoints).
+                # A virtual vertex on R's ring, the region's old one or the
+                # split's new one, is no view vertex, so each adds one.  A
+                # boundary-edge cut splits off nothing, so only the 6/10
+                # decay binds.
+                if u_new is None or (w[i] - u_new) % m not in (1, m - 1):
+                    bound = -(-m // 2) + i + 2 \
+                        + (self.cut_side is not None) + (new_v is not None)
+                    if child.m > bound:
+                        raise InternalInvariantError(
+                            f"R size {child.m} breaks the split bound {bound}")
+                if child.m > 0.6 * m + 3:
+                    raise InternalInvariantError(
+                        f"R size {child.m} breaks the 6/10 decay")
+            pieces.append(child)
+        for (pa, pb, s) in pockets:
+            child = rooted_piece(view, part_segs(pa, pb, cutset, (), (), m), s)
+            # the half bound implies the 6/10 decay: ceil(m/2) + 1 <=
+            # 0.6m + 2 for every m
+            if run.audit and child.m > -(-m // 2) + 1:
+                raise InternalInvariantError("pocket breaks the half bound")
+            pieces.append(child)
+        (self.lo, self.hi, self.lo_cut, self.hi_cut, self.cut_side,
+         self.cut_v) = nxt
+        self.u_other = self.next_other(w, u_new, far)
+        return pieces
+
+    def terminal(self, view, run: Run):
+        """The region left when the walk reaches the midpoint, rooted at the
+        strategy's terminal_root."""
+        m = view.m
+        segs = part_segs(self.lo, self.hi, self.cutset(()), (), (), m)
+        if self.cut_side == "lo":
+            segs.insert(0, ("cut", self.cut_v))
+        elif self.cut_side == "hi":
+            segs.append(("cut", self.cut_v))
+        if segs_size(segs, m) < 3:
+            return None
+        child = rooted_piece(view, segs, self.terminal_root(m))
+        # one half of the view, plus its virtual vertex
+        bound = -(-m // 2) + 1 + (self.cut_side is not None)
+        if run.audit and child.m > bound:
+            raise InternalInvariantError("terminal piece too large")
+        return child
+
+
 # ---------------------------------------------------------------------------
 # the triangulation strategy
 
-class WalkState:
-    """Triangulation strategy and one level's bookkeeping: the far endpoint
-    of the current alternating diagonal (None while it is degenerate) and
-    the untriangulated region lo..hi that the diagonal closes."""
+class WalkState(Region):
+    """Triangulation strategy: `u_other` is the far endpoint of the current
+    alternating diagonal; R is rooted at the new diagonal's far endpoint and
+    the terminal piece at the midpoint."""
 
-    __slots__ = ("u_other", "reg_lo", "reg_hi")
-
-    def __init__(self, m: int):
-        self.u_other: Optional[int] = None
-        self.reg_lo = 1
-        self.reg_hi = m
+    __slots__ = ()
 
     @staticmethod
     def base(view, run: Run) -> None:
@@ -707,80 +849,17 @@ class WalkState:
         _maybe_emit(view, u, w[-1], self._current_diagonal(w), run)
         return u
 
-    def split(self, view, w, u_far, run: Run):
-        """Pieces cut off by one stretch, R first, then the pockets; advances
-        the region to the side of the new diagonal that keeps the midpoint."""
-        m = view.m
-        i = len(w) - 1
-        far = u_far is not None
-        u_new = u_far if far else w[i - 1]
-        lo, hi = self.reg_lo, self.reg_hi
-        ulen = interval_len(lo, hi, m)
-        if run.audit and any((v - lo) % m >= ulen for v in w):
-            raise InternalInvariantError("walked vertex left the open region")
+    @staticmethod
+    def r_root(w, u_new):
+        return u_new
 
-        x, y = u_new, w[i]
-        if {x, y} == {lo, hi} and self.u_other is not None:
-            # the walk stepped onto the far endpoint of the current diagonal:
-            # nothing is split off, the region merely re-anchors
-            if run.audit and i != 1:
-                raise InternalInvariantError(
-                    "a re-anchoring stretch took more than one step")
-            self.u_other = u_new
-            return []
-        nxt_lo, nxt_hi = pick_side(m, x, y, lo, ulen, run)
-        if (nxt_lo - lo) % m <= (nxt_hi - lo) % m:
-            # both cut endpoints stay on R's ring even when they coincide
-            # with the region endpoints (then the part is a single vertex)
-            r_parts = [(lo, nxt_lo), (nxt_hi, hi)]
-        else:
-            r_parts = [(nxt_hi, nxt_lo)]
+    @staticmethod
+    def next_other(w, u_new, far):
+        return u_new
 
-        pockets = walk_pockets(w, far, lo, m)
-        segs = []
-        for (plo, phi) in r_parts:
-            segs.extend(part_segs(plo, phi, (), w, pockets, m))
-
-        pieces = []
-        if segs_size(segs, m) >= 3:
-            child = rooted_piece(view, segs, u_new)
-            if run.audit:
-                # a boundary-edge cut splits off nothing, so only the 6/10
-                # decay binds; a proper alternating diagonal obeys the
-                # half+k bound (+2 because closed components share the
-                # diagonal endpoints)
-                if (y - x) % m not in (1, m - 1):
-                    bound = -(-m // 2) + i + 2
-                    if child.m > bound:
-                        raise InternalInvariantError(
-                            f"R size {child.m} breaks the split bound {bound}")
-                if child.m > 0.6 * m + 3:
-                    raise InternalInvariantError(
-                        "R size breaks the 6/10 decay")
-            pieces.append(child)
-        for (pa, pb, s) in pockets:
-            if interval_len(pa, pb, m) >= 3:
-                child = rooted_piece(view, [("range", pa, pb)], s)
-                # the half bound implies the 6/10 decay: ceil(m/2) + 1 <=
-                # 0.6m + 2 for every m
-                if run.audit and child.m > -(-m // 2) + 1:
-                    raise InternalInvariantError(
-                        "pocket breaks the half bound")
-                pieces.append(child)
-        self.reg_lo, self.reg_hi = nxt_lo, nxt_hi
-        self.u_other = u_new
-        return pieces
-
-    def terminal(self, view, run: Run):
-        """The region left when the walk reaches the midpoint, rooted there."""
-        m = view.m
-        lo, hi = self.reg_lo, self.reg_hi
-        if interval_len(lo, hi, m) < 3:
-            return None
-        child = rooted_piece(view, [("range", lo, hi)], m // 2)
-        if run.audit and child.m > -(-m // 2) + 1:
-            raise InternalInvariantError("terminal piece too large")
-        return child
+    @staticmethod
+    def terminal_root(m):
+        return m // 2
 
 
 def _maybe_emit(view, a, b, a_c, run: Run):

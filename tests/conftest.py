@@ -107,7 +107,7 @@ def one_virtual_twins(v, seed, min_m=130):
             continue
         break
     cut = ("cut", CutVertex(None, hit.point, virtual=True))
-    k = 1 + (q - 1 + ((e1 - q) % m) // 2) % m
+    k = 1 + (q - 1 + max(1, ((e1 - q) % m) // 2)) % m
     pieces = [[cut, ("range", q, e1)],
               [("range", k, e1), cut, ("range", q, 1 + (k - 2) % m)],
               [("range", q, e1), cut],

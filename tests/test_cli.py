@@ -431,19 +431,22 @@ def test_golden_outputs_byte_identical(tmp_path):
     assert _golden_outputs(tmp_path) == GOLDEN_SHA256
 
 
-def test_audit_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("cmd", ["spt", "triangulate"])
+def test_audit_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                             cmd):
     # the walk's audit checks raise InternalInvariantError instead of using
     # assert, so python -O keeps them and the CLI reports a failed one with
-    # exit 3 and one error line; here every piece that an SPT split cuts
-    # off is the whole view again, which breaks the split bound
-    spt_mod = importlib.import_module("polyws.spt")
-    monkeypatch.setattr(spt_mod, "rooted_piece",
+    # exit 3 and one error line; here every piece that the shared split cuts
+    # off is the whole view again, which breaks R's size bounds
+    tri_mod = importlib.import_module("polyws.triangulate")
+    monkeypatch.setattr(tri_mod, "rooted_piece",
                         lambda view, segs, root: view)
     poly = str(tmp_path / "comb.poly")
     assert main(["generate", "--kind", "comb", "--n", "400", "--seed", "1",
                  "--out", poly]) == 0
     capsys.readouterr()
-    assert main(["spt", poly, "--root", "1", "--s", "16", "--mode",
-                 "permissive", "--out", str(tmp_path / "tree")]) == 3
+    root = ["--root", "1"] if cmd == "spt" else []
+    assert main([cmd, poly] + root + ["--s", "16", "--mode", "permissive",
+                                      "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "breaks the split bound" in err[0], err
+    assert len(err) == 1 and "internal invariant violated:" in err[0], err

@@ -163,23 +163,38 @@ def test_point_roots_random():
         assert edges == ref_spt(poly, p), (kind, n, seed, p)
 
 
-# (kind, n, generator seed, s, root) whose far case's edge extension lands on
-# the sub-edge between the region's old virtual vertex and the end of its arc:
-# twice at the low end for root 249, twice at the high end for root 86
-CLOSING_HITS = [("comb", 260, 2001, 13, 249), ("comb", 260, 1, 16, 86)]
+# (kind, n, generator seed, s, root) whose far splits put virtual vertices
+# on the closing structure.  For roots 249 and 86 the edge extension lands on
+# the sub-edge between the region's old virtual vertex and the end of its
+# arc, twice at the low end and twice at the high end.  At roots n/2 of combs
+# 260 and 500, R's ring holds the new virtual vertex besides the walked
+# vertices and one half of the view, one more than a split bound that did
+# not count virtual vertices allowed.
+CLOSING_HITS = [("comb", 260, 2001, 13, 249), ("comb", 260, 1, 16, 86),
+                ("comb", 260, 1, 16, 130), ("comb", 500, 1, 40, 250)]
 
 
 def test_far_split_landing_on_the_closing_structure():
     # regression: the edge extension can legally end on the region's closing
     # sub-edge, between the previous virtual vertex and the region end (both
     # virtuals then share one original edge); the split must keep the region
-    # representable and the emitted tree exact
+    # representable, its audited size bounds must count virtual vertices, and
+    # the emitted tree must be exact
     for kind, n, seed, s, root in CLOSING_HITS:
         poly = generate(kind, n, seed)
         edges, meter, stats = run_spt(poly, root, s, seed=seed, audit=True)
         assert edges == ref_spt(poly, root), (kind, n, seed, root)
         assert stats.far_calls >= 2
         assert meter.current_words == 0
+
+
+def test_split_bound_counts_the_virtual_vertex():
+    # regression: one far split whose virtual vertex lies on R's ring broke
+    # the R size bound on a random polygon too, not only on combs
+    poly = generate("random", 520, 11)
+    edges, meter, _ = run_spt(poly, 246, 12, seed=11, audit=True)
+    assert edges == ref_spt(poly, 246)
+    assert meter.current_words == 0
 
 
 def test_randomized_spt_sweep():
