@@ -288,11 +288,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    poly = oracle.generate(args.kind, args.n, _seed(args))
     with _output(args.csv) as out:
         out.write("kind,n,s,ms,peak_words,depth,links,farcases\n")
         for s_str in args.s.split(","):
             s = _int(s_str, "--s")
-            poly = oracle.generate(args.kind, args.n, _seed(args))
             t0 = time.perf_counter()
             sink, meter, stats = triangulate_polygon(
                 poly, s, mode=_mode(args), seed=_seed(args), audit=False)

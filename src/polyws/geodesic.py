@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import geom
 from .errors import InternalInvariantError, PolygonInputError, UsageError
@@ -241,7 +241,8 @@ def _still_in_cone(pts, q: int, cone: Cone, kept: list) -> list:
 def first_link(view, q: int, t: int, rng: random.Random,
                stats: Optional[RunStats] = None,
                meter: Optional[WorkspaceMeter] = None,
-               prev: Optional[int] = None) -> int:
+               prev: Optional[int] = None, *,
+               hints: Iterable[int] = ()) -> int:
     """Second vertex of the geodesic from q to t (t itself when q sees t).
 
     One candidate scan keeps up to k reflex vertices inside the cone (see
@@ -263,6 +264,15 @@ def first_link(view, q: int, t: int, rng: random.Random,
     or without `prev`; the narrower start only saves shots: on the
     benchmark's comb 4000 triangulation walk 3.9 rounds per link instead of
     6.5.
+
+    `hints` are vertices the caller expects to be the answer, shot at in
+    order before the first candidate scan.  A hint is shot at only when the
+    candidate scan could list it (reflex, and strictly inside the cone or
+    q's neighbor on a bound still on its edge) or when it is t strictly
+    inside the cone; others, q among them, are skipped.  A shot at a hint
+    runs the round logic of any shot: it certifies the hint or returns t,
+    or else halves the cone, so a wrong hint costs one ray scan and no
+    draw.  The answer is the same with any hints.
     """
     m = view.m
     if q == t:
@@ -270,12 +280,12 @@ def first_link(view, q: int, t: int, rng: random.Random,
     if (t - q) % m == 1 or (q - t) % m == 1:
         return t  # boundary edges are trivially geodesics
     if meter is None:
-        return _cone_search(view, q, t, rng, stats, SAMPLE_K, prev)
+        return _cone_search(view, q, t, rng, stats, SAMPLE_K, prev, hints)
     extra = max(0, min(SAMPLE_K - 1,
                        meter.budget_words - meter.current_words))
     meter.alloc(extra)
     try:
-        return _cone_search(view, q, t, rng, stats, 1 + extra, prev)
+        return _cone_search(view, q, t, rng, stats, 1 + extra, prev, hints)
     finally:
         meter.release(extra)
 
@@ -331,7 +341,7 @@ def _narrow_past(cone: Cone, pts, q: int, prev: int) -> None:
 
 def _cone_search(view, q: int, t: int, rng: random.Random,
                  stats: Optional[RunStats], k: int,
-                 prev: Optional[int]) -> int:
+                 prev: Optional[int], hints: Iterable[int] = ()) -> int:
     m = view.m
     pts = view.scan_points()
     cone = _initial_cone(view, q, pts)
@@ -341,21 +351,27 @@ def _cone_search(view, q: int, t: int, rng: random.Random,
     t_off = (t - q) % m
     kept = []
     complete = False
+    hints = iter(hints)
     guard = 4 * m + 16
     for _ in range(guard):
-        if not kept:
-            if not complete:
-                if stats is not None:
-                    stats.scans += 1
-                kept, complete = _sample_candidates(view, q, cone, k, rng,
-                                                    pts)
+        # the hints go before the first scan, each only if it could be listed
+        r = None if kept else next(
+            (h for h in hints if h != q and (h == t or _is_reflex_at(pts, h))
+             and _still_in_cone(pts, q, cone, [h])), None)
+        if r is None:
             if not kept:
-                if stats is not None:
-                    stats.rounds += 1   # the empty-cone check
-                return t
+                if not complete:
+                    if stats is not None:
+                        stats.scans += 1
+                    kept, complete = _sample_candidates(view, q, cone, k,
+                                                        rng, pts)
+                if not kept:
+                    if stats is not None:
+                        stats.rounds += 1   # the empty-cone check
+                    return t
+            r = kept[rng.randrange(len(kept))]
         if stats is not None:
             stats.rounds += 1
-        r = kept[rng.randrange(len(kept))]
         hit = geom.ray_scan_light(view, q, r, pts)
         if hit is None:
             raise InternalInvariantError(

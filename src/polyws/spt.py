@@ -18,9 +18,11 @@ that created it.  That makes the exactly-once guarantee structural rather
 than bookkept.
 
 Base cases: an in-memory funnel propagation over an ear-clipped triangulation
-when the piece fits the budget, else a constant-workspace pass that asks the
-cone search for the first link of every vertex separately.  Both produce the
-same unique tree, and the tests cross-check them.
+when the piece fits the budget, else a constant-workspace pass that runs the
+cone search for the first link of every vertex in turn, its first shots aimed
+at the previous vertex and at that vertex's parent (boundary neighbours
+nearly always share a parent, or one is the other's).  Both produce the same
+unique tree, and the tests cross-check them.
 """
 from __future__ import annotations
 
@@ -79,15 +81,23 @@ def spt_constant_workspace(view, root_local: int, sink: SptSink, *,
                            rng: Optional[random.Random] = None,
                            stats: Optional[RunStats] = None,
                            meter: Optional[WorkspaceMeter] = None) -> None:
-    """Emit (first-link-toward-root, q) for every chain vertex q of the view;
-    each link is recomputed by the cone search, whose candidate sample is
-    charged to the meter while the link runs."""
+    """Emit (first-link-toward-root, q) for every chain vertex q of the view,
+    in ascending q.  Each link is recomputed by the cone search, whose
+    candidate sample is charged to the meter while the link runs.  Its first
+    shots aim at q - 1 and at `hop`, the parent emitted for the previous
+    chain vertex (the root before the first): neighbours along the boundary
+    mostly share a parent, or one is the other's.  The words held, all
+    within the caller's 32-word scope: the loop index, the root, `hop`, the
+    two hints and the generator."""
     rng = rng if rng is not None else random.Random(0)
     link_rng = random.Random(rng.getrandbits(64))
-    for q in range(1, view.m + 1):
+    m = view.m
+    hop = root_local
+    for q in range(1, m + 1):
         if q == root_local or view.is_cut(q):
             continue
-        hop = first_link(view, q, root_local, link_rng, stats, meter)
+        hop = first_link(view, q, root_local, link_rng, stats, meter,
+                         hints=(1 + (q - 2) % m, hop))
         _emit_for(sink, view, hop, q)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import scan_cutover
 from polyws import geom
-from polyws.errors import UsageError
+from polyws.errors import InternalInvariantError, UsageError
 from polyws.geodesic import GeodesicCursor, first_link
 from polyws.oracle import generate, ref_geodesic
 from polyws.workspace import BasePolygon, RunStats, SubpolygonView
@@ -239,7 +239,6 @@ def test_sample_words_fit_a_strict_meter(monkeypatch):
     # less room than SAMPLE_K - 1 never refuses them; they are released on
     # return and when first_link raises
     from polyws import geodesic
-    from polyws.errors import InternalInvariantError
     from polyws.workspace import MeterMode, WorkspaceMeter
     poly = generate("comb", 120, 3)
     v = SubpolygonView.whole(poly)
@@ -390,3 +389,125 @@ def test_narrowed_bound_keeps_a_vertex_on_the_extension():
                                                   random.Random(draw)))
             assert path == _plain_walk(v, corner, t, random.Random(draw))
     assert straight >= 4 * 20
+
+
+def _hinted_links(v, rng):
+    """(q, t, plain answer, hinted answers) for every pair of the view.  The
+    hint pool holds q, t, q's neighbors, a random vertex, a non-reflex
+    vertex and a reflex vertex outside q's initial cone (the last two when
+    the view has one); each pair is hinted with a random ordered draw from
+    the pool and with the whole pool in a random order."""
+    from polyws.geodesic import _initial_cone, _still_in_cone
+    m = v.m
+    pts = v.scan_points()
+    reflex = [geom.is_reflex(v, w) for w in range(1, m + 1)]
+    convex = [w for w in range(1, m + 1) if not reflex[w - 1]]
+    for q in range(1, m + 1):
+        cone = _initial_cone(v, q, pts)
+        outside = [w for w in range(1, m + 1) if w != q and reflex[w - 1]
+                   and not _still_in_cone(pts, q, cone, [w])]
+        for t in range(1, m + 1):
+            if q == t:
+                continue
+            plain = first_link(v, q, t, random.Random(q * m + t))
+            pool = [q, t, 1 + (q - 2) % m, 1 + q % m, rng.randrange(1, m + 1)]
+            pool += [rng.choice(c) for c in (convex, outside) if c]
+            draw = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+            rng.shuffle(pool)
+            hinted = [first_link(v, q, t, random.Random(q * m + t),
+                                 hints=hints) for hints in (draw, pool)]
+            yield q, t, plain, hinted
+
+
+def test_hints_never_change_the_answer():
+    # every pair of generated 16- to 80-gons, hinted with q, t, q +- 1,
+    # random, non-reflex and out-of-cone vertices in random orders, against
+    # the unhinted search and the oracle's tree toward t
+    from polyws.oracle import ref_spt
+    checked = 0
+    for kind, n, seed in [("random", 16, 1), ("comb", 40, 2),
+                          ("spiral", 40, 3), ("monotone", 40, 4),
+                          ("random", 80, 5)]:
+        poly = generate(kind, n, seed)
+        v = SubpolygonView.whole(poly)
+        parent = {}
+        for t in range(1, n + 1):
+            for p, c in ref_spt(poly, t):
+                parent[c, t] = p
+        for q, t, plain, hinted in _hinted_links(v, random.Random(seed)):
+            assert plain == parent[q, t], (kind, n, q, t)
+            assert hinted == [plain, plain], (kind, n, q, t)
+            checked += 1
+    assert checked > 10000
+
+
+def test_hints_never_change_the_answer_with_a_virtual_vertex():
+    # the same on views with one rational vertex, where the virtual vertex
+    # is q - 1 for the vertex after it; the oracle is the funnel's tree.
+    # Next to the straight virtual vertex (H inserted into an edge) the
+    # search misses the reflex vertex beyond it on q's bound, hinted or not,
+    # so the oracle is checked only at q away from it
+    from conftest import one_virtual_twins
+    from polyws.spt import funnel_parents
+    after_virtual = 0
+    for n, seed in [(30, 1), (24, 2)]:
+        v = SubpolygonView.whole(generate("random", n, seed))
+        for w in one_virtual_twins(v, seed, n // 2)[0]:
+            m = w.m
+            h = w.rational_slot + 1
+            pts = w.scan_points()
+            straight = geom.orient(pts[h - 2], pts[h - 1], pts[h % m]) == \
+                geom.COLLINEAR
+            parents = {t: funnel_parents(w, t) for t in range(1, m + 1)}
+            for q, t, plain, hinted in _hinted_links(w, random.Random(m)):
+                assert hinted == [plain, plain], (m, q, t)
+                if not (straight and (q - h) % m in (1, m - 1)):
+                    assert plain == parents[t][q], (m, q, t)
+                after_virtual += q == 1 + h % m
+    assert after_virtual > 100
+
+
+def test_a_hint_that_is_the_answer_costs_one_round():
+    # shot first, the answer certifies itself: one round, no candidate scan
+    for kind, n, seed in [("random", 40, 1), ("comb", 42, 2),
+                          ("spiral", 40, 3)]:
+        poly = generate(kind, n, seed)
+        v = SubpolygonView.whole(poly)
+        for q in range(1, n + 1):
+            for t in range(1, n + 1):
+                if (t - q) % n in (0, 1, n - 1):
+                    continue
+                answer = first_link(v, q, t, random.Random(t))
+                stats = RunStats()
+                assert first_link(v, q, t, random.Random(t), stats,
+                                  hints=(q, answer)) == answer
+                assert (stats.rounds, stats.scans) == (1, 0), (kind, q, t)
+
+
+def test_hints_add_no_collinear_misses():
+    # on the straight-through ring some pairs miss a vertex lying on a shot
+    # ray, or raise, for some draws (a known defect of the exact-direction
+    # bounds); at every pair where the plain search answers right on all of
+    # 60 draws, every single hint answers right too
+    pts = [STRAIGHT_THROUGH[0]] + STRAIGHT_THROUGH[:0:-1]
+    poly = BasePolygon(pts)
+    v = SubpolygonView.whole(poly)
+    m = v.m
+    clean = 0
+    for q in range(1, m + 1):
+        for t in range(1, m + 1):
+            if q == t:
+                continue
+            answer = ref_geodesic(poly, q, t)[1]
+            try:
+                if any(first_link(v, q, t, random.Random(d)) != answer
+                       for d in range(60)):
+                    continue
+            except InternalInvariantError:
+                continue
+            for h in range(1, m + 1):
+                for d in range(3):
+                    assert first_link(v, q, t, random.Random(d),
+                                      hints=(h,)) == answer, (q, t, h)
+            clean += 1
+    assert clean > 80

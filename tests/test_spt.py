@@ -5,7 +5,7 @@ import pytest
 
 from polyws.errors import PolygonInputError
 from polyws.oracle import generate, ref_spt
-from polyws.spt import (CollectingSptSink, funnel_parents, spt,
+from polyws.spt import (CollectingSptSink, _Region, funnel_parents, spt,
                         spt_constant_workspace, spt_in_memory)
 from polyws.workspace import (BasePolygon, MeterMode, RunStats,
                               SubpolygonView)
@@ -40,16 +40,76 @@ def test_triangle_base():
     assert sink.edge_set() == {(1, 2), (1, 3)}
 
 
-def test_constant_workspace_matches_in_memory():
+def _both_base_cases(view, root, seed):
+    """The edge lists of the funnel and of the constant-workspace pass."""
+    s1 = CollectingSptSink()
+    s2 = CollectingSptSink()
+    spt_in_memory(view, root, s1)
+    spt_constant_workspace(view, root, s2, rng=random.Random(seed))
+    return s1.edges, s2.edges
+
+
+def _spt_pieces(monkeypatch, kind, n, seed, s):
+    """Every piece an SPT run from vertex 1 hands to its base case."""
+    pieces = []
+    base = _Region.base
+
+    def record(view, run):
+        pieces.append(view)
+        base(view, run)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_Region, "base", staticmethod(record))
+        run_spt(generate(kind, n, seed), 1, s, seed=seed)
+    return pieces
+
+
+def test_constant_workspace_matches_in_memory(monkeypatch):
+    # whole polygons of four kinds from three roots; then views holding cut
+    # items and a convex virtual vertex, at several roots, and the pieces
+    # with a virtual vertex that SPT runs hand to their base case, from
+    # their root; both base cases emit in ascending child order
+    from conftest import one_virtual_twins
     for seed in range(10):
         n = 20 + 12 * seed
-        poly = generate("random", n, seed)
-        view = SubpolygonView.whole(poly)
-        s1 = CollectingSptSink()
-        s2 = CollectingSptSink()
-        spt_in_memory(view, 1, s1)
-        spt_constant_workspace(view, 1, s2, rng=random.Random(seed))
-        assert s1.edge_set() == s2.edge_set(), seed
+        for kind in ("random", "comb", "spiral", "monotone"):
+            view = SubpolygonView.whole(generate(kind, n, seed))
+            for root in (1, -(-n // 3), -(-n // 2)):
+                funnel, const = _both_base_cases(view, root, seed)
+                assert funnel == const, (kind, n, root)
+    virtual = 0
+    for n, seed in [(60, 1), (90, 2)]:
+        v = SubpolygonView.whole(generate("random", n, seed))
+        for w in one_virtual_twins(v, seed, n // 2)[0][:3]:
+            h = w.rational_slot + 1
+            for root in (1, -(-w.m // 3), -(-w.m // 2), 1 + h % w.m):
+                if root != h:
+                    funnel, const = _both_base_cases(w, root, seed)
+                    assert funnel == const, (n, w.m, root)
+                    virtual += 1
+    for n, s in [(200, 12), (260, 11)]:
+        for w in _spt_pieces(monkeypatch, "spiral", n, 3, s):
+            if not w.all_int:
+                funnel, const = _both_base_cases(w, 1, w.m)
+                assert funnel == const, (n, w.m)
+                virtual += 1
+    assert virtual > 40
+
+
+def test_hinted_constant_workspace_takes_fewer_rounds():
+    # the pass against its own loop replayed with unhinted first links on
+    # comb 1000: the same parents from fewer rounds; a pass that stops
+    # passing its hints fails this
+    from polyws.geodesic import first_link
+    view = SubpolygonView.whole(generate("comb", 1000, 1))
+    hinted, plain = RunStats(), RunStats()
+    sink = CollectingSptSink()
+    spt_constant_workspace(view, 1, sink, rng=random.Random(5), stats=hinted)
+    link_rng = random.Random(random.Random(5).getrandbits(64))
+    replay = [(first_link(view, q, 1, link_rng, plain), q)
+              for q in range(2, 1001)]
+    assert sink.edges == replay
+    assert hinted.rounds < plain.rounds, (hinted.rounds, plain.rounds)
 
 
 def test_funnel_matches_oracle():
