@@ -10,7 +10,10 @@ first_link runs twice from the same vertex, once given the previous path
 vertex (as the cursor calls it) and once without it, each with its own
 generator; the two answers must be equal.  Each row records the view size,
 the link, its ray shots and empty-cone checks (rounds), candidate scans and
-milliseconds on both searches.  On a comb that top-level walk is a few links
+milliseconds on both searches; each summary counts the links whose first ray
+shot certified the answer (one round, no candidate scan), which given the
+previous vertex is mostly the shot at the next reflex vertex along q's
+boundary chain.  On a comb that top-level walk is a few links
 long, so each polygon's triangulation entry also runs triangulate_polygon at
 the strict floor budget, as the walk workload does: once as it is, once with
 the previous vertex withheld from every link, and once with every cursor link
@@ -90,7 +93,11 @@ def walk_rows(poly):
 
 
 def summary(rows):
-    out = {"links": len(rows)}
+    """Per-column means and medians, and `first_shot`: the links certified
+    by their first ray shot (one round, no candidate scan)."""
+    rounds, scans = COLUMNS.index("rounds"), COLUMNS.index("scans")
+    out = {"links": len(rows),
+           "first_shot": sum(r[rounds] == 1 and r[scans] == 0 for r in rows)}
     for key in COLUMNS[4:]:
         vals = [r[COLUMNS.index(key)] for r in rows]
         out[key] = {"mean": round(statistics.fmean(vals), 3),

@@ -6,7 +6,10 @@ recomputed from scratch by a randomized cone-shrinking search.  Between links
 the cursor keeps a constant number of words, among them the previous path
 vertex: a geodesic wraps each reflex vertex it bends at like a string round a
 peg, so the next link leaves beyond the extension of the one that arrived,
-and the search starts from the part of the vertex's cone on that side.
+and the search starts from the part of the vertex's cone on that side.  The
+string meets its bends on one boundary chain in chain order, so the first
+ray shot aims at the next reflex vertex along the chain the path is heading
+for, which mostly certifies the link without a candidate scan.
 Within one link the search keeps up to SAMPLE_K reflex candidates from each
 O(m) candidate scan, charged to the run's meter for the length of the link,
 and aims several ray shots at them before it scans again; reflex-vertex
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
+from itertools import chain
 from typing import Iterable, Optional
 
 from . import geom
@@ -173,6 +177,9 @@ def _candidate_scan_bulk(view, q: int, cone: Cone, pts=None) -> list:
 # the scan had more than SAMPLE_K of them.  Words beyond the cursor's own (one
 # candidate) are charged for the length of each link, and fewer are kept when
 # the meter has less room.
+# The table below predates the ring shot (see _cone_search), which answers
+# most links that have a previous vertex before any candidate scan, so K now
+# matters mainly for links without one.
 # CPU time per job relative to SAMPLE_K = 1 (the one-draw search), best of 7
 # interleaved in-process runs, and candidate scans per link, on the
 # benchmark's walk jobs (seed 1: comb 4000 at s = 96, spiral 2000 at s = 88)
@@ -238,6 +245,16 @@ def _still_in_cone(pts, q: int, cone: Cone, kept: list) -> list:
     return out
 
 
+def _check_vertices(m: int, **named) -> None:
+    """Refuse any given local vertex index outside 1..m; a value is an index,
+    a tuple of them or None."""
+    for name, val in named.items():
+        for v in val if isinstance(val, tuple) else (val,):
+            if v is not None and not 1 <= v <= m:
+                raise PolygonInputError(
+                    f"{name} {v} is not a vertex of the {m}-vertex view")
+
+
 def first_link(view, q: int, t: int, rng: random.Random,
                stats: Optional[RunStats] = None,
                meter: Optional[WorkspaceMeter] = None,
@@ -260,10 +277,13 @@ def first_link(view, q: int, t: int, rng: random.Random,
     t through q (the cursor passes its previous vertex).  The path bends at
     q around q's exterior angle, so its next link leaves on the far side of
     the extension of prev -> q, and the search starts from that part of q's
-    cone (see _narrow_past).  The answer is the unique geodesic vertex with
-    or without `prev`; the narrower start only saves shots: on the
-    benchmark's comb 4000 triangulation walk 3.9 rounds per link instead of
-    6.5.
+    cone (see _narrow_past).  When one cone bound is then still on its edge,
+    the path heads along the boundary that way, and the first shot aims at
+    the first reflex vertex (or t) past q in that direction, before any
+    hint.  The answer is the unique geodesic vertex with or without `prev`;
+    the narrower start and the shot only save work: on the benchmark's comb
+    4000 triangulation walk 1.04 rounds and 0.01 candidate scans per link,
+    against 6.5 and 1.85 without `prev` (BENCH_cone.json).
 
     `hints` are vertices the caller expects to be the answer, shot at in
     order before the first candidate scan.  A hint is shot at only when the
@@ -275,6 +295,8 @@ def first_link(view, q: int, t: int, rng: random.Random,
     draw.  The answer is the same with any hints.
     """
     m = view.m
+    hints = tuple(hints)
+    _check_vertices(m, q=q, t=t, prev=prev, hint=hints)
     if q == t:
         raise PolygonInputError("first_link needs distinct endpoints")
     if (t - q) % m == 1 or (q - t) % m == 1:
@@ -339,6 +361,18 @@ def _narrow_past(cone: Cone, pts, q: int, prev: int) -> None:
         cone.b_edge = False
 
 
+def _ring_shot(pts, q: int, step: int, t: int) -> int:
+    """The first vertex after q, stepping `step` (+1 or -1) along the ring,
+    that is reflex or is t; q itself when a full turn meets neither."""
+    m = len(pts)
+    v = q
+    for _ in range(m - 1):
+        v = 1 + (v - 1 + step) % m
+        if v == t or _is_reflex_at(pts, v):
+            return v
+    return q
+
+
 def _cone_search(view, q: int, t: int, rng: random.Random,
                  stats: Optional[RunStats], k: int,
                  prev: Optional[int], hints: Iterable[int] = ()) -> int:
@@ -347,6 +381,18 @@ def _cone_search(view, q: int, t: int, rng: random.Random,
     cone = _initial_cone(view, q, pts)
     if prev is not None:
         _narrow_past(cone, pts, q, prev)
+        if cone.a_edge != cone.b_edge:
+            # The path bends at q and heads along the boundary on the side
+            # whose bound still lies on its edge.  A geodesic wraps each
+            # chain like a string round pegs, meeting its bends on one chain
+            # in chain order, so the next bend is mostly the first reflex
+            # vertex past q that way: shoot there first.  A wrong shot only
+            # halves the cone.  No bend lies strictly between q and that
+            # vertex, so the runs stepped from successive bends on one chain
+            # are disjoint: at most 2m steps per geodesic, one per vertex and
+            # direction, against an O(m) scan per link.
+            hints = chain((_ring_shot(pts, q, -1 if cone.a_edge else 1, t),),
+                          hints)
     qx, qy = pts[q - 1]
     t_off = (t - q) % m
     kept = []
@@ -414,11 +460,13 @@ class GeodesicCursor:
 
     Stored state between links is O(1) words beyond the view: the previous
     and the current path vertex, the target, and the generator seed (WORDS,
-    which also covers one sampled candidate).  Each link passes the previous
-    vertex to first_link, which starts its search beyond the extension of
-    the last link, and charges its further candidate words to `meter` while
-    it runs.  Iteration yields each vertex of the path after the source,
-    ending with the target.
+    which also covers one sampled candidate: the ring shot's vertex, or one
+    drawn from a candidate scan).  Each link passes the previous vertex to
+    first_link, which starts its search beyond the extension of the last
+    link with a shot at the next reflex vertex along q's boundary chain,
+    and charges its further candidate words to `meter` while it runs.
+    Iteration yields each vertex of the path after the source, ending with
+    the target.
     """
 
     WORDS = 16
@@ -427,6 +475,7 @@ class GeodesicCursor:
                  rng: Optional[random.Random] = None,
                  stats: Optional[RunStats] = None,
                  meter: Optional[WorkspaceMeter] = None):
+        _check_vertices(view.m, source=source, target=target)
         if source == target:
             raise PolygonInputError("cursor endpoints must differ")
         self.view = view

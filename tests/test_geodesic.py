@@ -6,7 +6,8 @@ import pytest
 
 from conftest import scan_cutover
 from polyws import geom
-from polyws.errors import InternalInvariantError, UsageError
+from polyws.errors import (InternalInvariantError, PolygonInputError,
+                           UsageError)
 from polyws.geodesic import GeodesicCursor, first_link
 from polyws.oracle import generate, ref_geodesic
 from polyws.workspace import BasePolygon, RunStats, SubpolygonView
@@ -24,6 +25,23 @@ def test_first_link_lpolygon_bend():
     v = SubpolygonView.whole(BasePolygon(LPOLY))
     for seed in range(10):
         assert first_link(v, 2, 6, random.Random(seed)) == 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: first_link(v, 5, 0, random.Random(0)),
+    lambda v: first_link(v, 5, 45, random.Random(0)),
+    lambda v: first_link(v, 41, 20, random.Random(0)),
+    lambda v: first_link(v, 5, 20, random.Random(0), hints=(41,)),
+    lambda v: first_link(v, 5, 20, random.Random(0), prev=0),
+    lambda v: GeodesicCursor(v, 0, 20),
+    lambda v: GeodesicCursor(v, 5, 41),
+], ids=["t0", "t45", "q41", "hint41", "prev0", "source0", "target41"])
+def test_indices_outside_the_view_are_refused(call):
+    # local vertices are 1..m: anything else is a clean input error, never
+    # a wrapped answer, a vertex that does not exist or an IndexError
+    v = SubpolygonView.whole(generate("random", 40, 1))
+    with pytest.raises(PolygonInputError, match="not a vertex"):
+        call(v)
 
 
 def test_cursor_square():
@@ -359,6 +377,53 @@ def test_narrowed_search_takes_fewer_rounds():
     assert narrowed.rounds < plain.rounds, (narrowed.rounds, plain.rounds)
 
 
+def test_ring_shot_takes_about_one_round_per_link():
+    # a spiral's geodesic bends at each reflex vertex of its inner chain in
+    # turn: after the first link each link is certified by the shot at the
+    # next reflex vertex along the ring, with no candidate scan
+    v = SubpolygonView.whole(generate("spiral", 2000, 1))
+    stats = RunStats()
+    list(GeodesicCursor(v, 1, v.m // 2, random.Random(1), stats))
+    assert stats.links > 900
+    assert stats.rounds <= stats.links + 2, (stats.rounds, stats.links)
+    assert stats.scans <= 2, stats.scans
+    # a comb's geodesics bend round tooth after tooth, each next bend one or
+    # three vertices on along the ring
+    poly = generate("comb", 1000, 1)
+    v = SubpolygonView.whole(poly)
+    stats = RunStats()
+    for t in (500, 333, 667):
+        list(GeodesicCursor(v, 1, t, random.Random(t), stats))
+    assert stats.links > 50
+    assert stats.scans < stats.links / 10, (stats.scans, stats.links)
+
+
+def test_ring_walk_steps_at_most_twice_the_ring_per_geodesic(monkeypatch):
+    # the ring steps from successive bends on one chain cover disjoint runs
+    from polyws import geodesic
+    ring_shot = geodesic._ring_shot
+    steps = [0]
+
+    def counted(pts, q, step, t):
+        h = ring_shot(pts, q, step, t)
+        # h == q only after a full turn of m - 1 steps
+        steps[0] += (h - q) * step % len(pts) or len(pts) - 1
+        return h
+
+    monkeypatch.setattr(geodesic, "_ring_shot", counted)
+    walked = 0
+    for kind in ("comb", "spiral", "random", "monotone"):
+        for n, seed in [(200, 1), (500, 2), (1000, 3)]:
+            v = SubpolygonView.whole(generate(kind, n, seed))
+            for q, t in [(1, n // 2), (n // 3, n), (n // 5, 3 * n // 4),
+                         (n // 2, 1)]:
+                steps[0] = 0
+                list(GeodesicCursor(v, q, t, random.Random(q + t)))
+                assert steps[0] <= 2 * n, (kind, n, q, t, steps[0])
+                walked += steps[0]
+    assert walked > 2000
+
+
 # Counterclockwise: a floor, a right wall and a sawtooth ceiling whose first
 # two tips, (10, 10) and (20, 20), lie on the line y = x through the corner
 # (0, 0), so geodesics from the corner pass straight through (10, 10).  The
@@ -511,3 +576,29 @@ def test_hints_add_no_collinear_misses():
                                       hints=(h,)) == answer, (q, t, h)
             clean += 1
     assert clean > 80
+    # the same for the ring shot of a cursor's narrowed search: at every
+    # bend (prev, q) of an oracle path where the narrowed search without the
+    # shot answers right on all of 60 draws, the search with it does too
+    from polyws import geodesic
+    with_shot = 0
+    for s in range(1, m + 1):
+        for t in range(1, m + 1):
+            if s == t:
+                continue
+            path = ref_geodesic(poly, s, t)
+            for prev, q, nxt in zip(path, path[1:], path[2:]):
+                try:
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(geodesic, "_ring_shot",
+                                   lambda pts, q, step, t: q)
+                        if any(first_link(v, q, t, random.Random(d),
+                                          prev=prev) != nxt
+                               for d in range(60)):
+                            continue
+                except InternalInvariantError:
+                    continue
+                for d in range(60):
+                    assert first_link(v, q, t, random.Random(d),
+                                      prev=prev) == nxt, (prev, q, t)
+                with_shot += 1
+    assert with_shot > 20
