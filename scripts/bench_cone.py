@@ -23,16 +23,12 @@ three runs must give the same diagonals.
 from __future__ import annotations
 
 import json
-import os
-import platform
 import random
 import re
 import statistics
 import sys
 import time
 from pathlib import Path
-
-import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -42,6 +38,7 @@ from polyws.triangulate import (CollectingSink, required_budget,   # noqa: E402
                                 triangulate_polygon)
 from polyws.workspace import RunStats, SubpolygonView  # noqa: E402
 from workloads import general_polygon                # noqa: E402
+from bench_machine import machine                   # noqa: E402
 
 FIRST_LINK = geodesic.first_link
 
@@ -147,19 +144,6 @@ def triangulation(poly):
         raise AssertionError("triangulations differ")
     return {"with_prev": with_prev, "without_prev": plain_totals,
             "cursor_links": summary(rows)}, rows
-
-
-def machine() -> dict:
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return {"cpu": cpu, "cores": os.cpu_count(),
-            "python": platform.python_version(), "numpy": numpy.__version__,
-            "platform": platform.platform()}
 
 
 def main() -> int:

@@ -42,13 +42,13 @@ import argparse
 import hashlib
 import json
 import math
-import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from bench_machine import machine
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -195,20 +195,6 @@ def summary(runs) -> dict:
     if runs[0]["run"] == "tenth":
         out["ratio"] = round(runs[0]["wall_s"] / runs[1]["wall_s"], 2)
     return out
-
-
-def machine() -> dict:
-    import numpy
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return {"cpu": cpu, "cores": os.cpu_count(),
-            "python": platform.python_version(), "numpy": numpy.__version__,
-            "platform": platform.platform()}
 
 
 def main(argv=None) -> int:

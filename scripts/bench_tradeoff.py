@@ -31,13 +31,13 @@ import argparse
 import hashlib
 import json
 import math
-import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from bench_machine import machine
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -128,20 +128,6 @@ def exponents(entries, tree: str) -> dict:
                 n_exp[f"{kind}/{job}/{label}"] = round(slope(
                     [e["n"] for e in mine], [r["wall_s"] for r in rows]), 3)
     return {"time_vs_s": s_exp, "time_vs_n": n_exp}
-
-
-def machine() -> dict:
-    import numpy
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return {"cpu": cpu, "cores": os.cpu_count(),
-            "python": platform.python_version(), "numpy": numpy.__version__,
-            "platform": platform.platform()}
 
 
 def main(argv=None) -> int:

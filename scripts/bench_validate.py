@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
-
-import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -31,6 +28,7 @@ from polyws import cli, oracle                      # noqa: E402
 from polyws.errors import PolygonInputError         # noqa: E402
 from polyws.workspace import BasePolygon            # noqa: E402
 from test_oracle import _check_simple_reference, _turned   # noqa: E402
+from bench_machine import machine                   # noqa: E402
 
 SEED = 1
 SIZES = (2000, 4000, 6000, 20000)
@@ -63,19 +61,6 @@ def load(path: str):
     except PolygonInputError:
         ok = False
     return time.perf_counter() - t0, ok
-
-
-def machine() -> dict:
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return {"cpu": cpu, "cores": os.cpu_count(),
-            "python": platform.python_version(), "numpy": numpy.__version__,
-            "platform": platform.platform()}
 
 
 def main() -> int:

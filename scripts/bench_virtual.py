@@ -4,12 +4,15 @@ BENCH_virtual.json at the repository root.
     PYTHONPATH=src python3 scripts/bench_virtual.py [--parent DIR] [--reps 5]
 
 SPT's far case splits a piece at the extension of its last walked edge, which
-makes a virtual vertex with rational coordinates.  This script runs spt() from
-vertex 1 at the strict floor budget s = 8*ceil(log2 n) on comb 4000 and comb
-8000, made as perfbench/workloads.py makes them from seed 1, and times every
-first_link call (the cursor's and the constant-workspace pass's).  Each call
-is filed by its view: "integer" (every vertex has integer coordinates),
-"one_rational" (exactly one does not) or "multi_rational" (two or more).  A
+makes a virtual vertex with rational coordinates.  This script runs spt() and
+times every first_link call (the cursor's and the constant-workspace pass's):
+from vertex 1 at the strict floor budget s = 8*ceil(log2 n) on comb 4000 and
+comb 8000, made as perfbench/workloads.py makes them from seed 1; and from
+vertex 166 at s = 16 (permissive) on spiral 500 from generator seeds 1 and 2,
+the runs of scripts/output_digests.py's corpus whose constant-workspace
+passes hold views with two virtual vertices.  Each call is filed by its view,
+by the view's own count of vertices whose coordinates are not integers:
+"integer" (none), "one_rational" (one) or "multi_rational" (two or more).  A
 row gives the links and milliseconds per link of each kind, the run's wall
 time, its RunStats scans and rounds, its meter peak and a digest of the tree
 edges in emission order.
@@ -24,33 +27,34 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+from bench_machine import machine
+
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
-# (name, kind, n, generation seed): the walk workload's comb 4000, and a
-# comb 8000 from the same generation seed
-POLYGONS = (("comb-4000", "comb", 4000, SEED * 1000),
-            ("comb-8000", "comb", 8000, SEED * 1000))
+# (name, kind, n, generation seed, root, s): the walk workload's comb 4000
+# and a comb 8000 from the same generation seed at the strict floor (s
+# None), and two spiral 500 runs at s = 16 in permissive mode
+POLYGONS = (("comb-4000", "comb", 4000, SEED * 1000, 1, None),
+            ("comb-8000", "comb", 8000, SEED * 1000, 1, None),
+            ("spiral-500-g1", "spiral", 500, 1, 166, 16),
+            ("spiral-500-g2", "spiral", 500, 2, 166, 16))
 KINDS = ("integer", "one_rational", "multi_rational")
 
 
 def view_kind(view) -> str:
     """The view's class by how many of its vertices are not integer points,
-    read from the descriptor's stored cut vertices."""
-    rational = 0
-    for it in view.items:
-        cv = it[1]
-        if it[0] != 0 and cv.base is None and not (
-                isinstance(cv.point[0], int) and isinstance(cv.point[1], int)):
-            rational += 1
-    return KINDS[min(rational, 2)]
+    as the view counts them (rational_slots; a checkout from before that
+    attribute has all_int, and rational_slot for exactly one)."""
+    if hasattr(view, "rational_slots"):
+        return KINDS[min(len(view.rational_slots), 2)]
+    return KINDS[0 if view.all_int else 1 if view.rational_slot is not None
+                 else 2]
 
 
 def worker(src: str, name: str) -> dict:
@@ -60,10 +64,11 @@ def worker(src: str, name: str) -> dict:
 
     from polyws import geodesic
     from polyws.triangulate import required_budget
+    from polyws.workspace import MeterMode
     from workloads import general_polygon
 
     spt_mod = importlib.import_module("polyws.spt")
-    _, kind, n, gen_seed = next(p for p in POLYGONS if p[0] == name)
+    _, kind, n, gen_seed, root, s = next(p for p in POLYGONS if p[0] == name)
     poly = general_polygon(kind, n, gen_seed)
     first_link = geodesic.first_link
     links = {k: 0 for k in KINDS}
@@ -80,12 +85,14 @@ def worker(src: str, name: str) -> dict:
             links[k] += 1
 
     geodesic.first_link = spt_mod.first_link = timed
-    s = required_budget(n)
+    mode = MeterMode.PERMISSIVE if s else MeterMode.STRICT
+    s = s or required_budget(n)
     t0 = clock()
-    sink, meter, stats = spt_mod.spt(poly, 1, s)
+    sink, meter, stats = spt_mod.spt(poly, root, s, mode=mode)
     wall = clock() - t0
     digest = hashlib.sha256(repr(sink.edges).encode()).hexdigest()[:16]
-    return {"polygon": name, "n": n, "gen_seed": gen_seed, "s": s,
+    return {"polygon": name, "n": n, "gen_seed": gen_seed, "root": root,
+            "s": s, "mode": mode.value,
             "wall_s": wall, "links": links,
             "ms_per_link": {k: secs[k] * 1e3 / links[k] if links[k] else None
                             for k in KINDS},
@@ -115,20 +122,6 @@ def medians(rows) -> dict:
             "edges_sha": head["edges_sha"]}
 
 
-def machine() -> dict:
-    import numpy
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return {"cpu": cpu, "cores": os.cpu_count(),
-            "python": platform.python_version(), "numpy": numpy.__version__,
-            "platform": platform.platform()}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path,
@@ -144,13 +137,14 @@ def main(argv=None) -> int:
     if args.parent is not None:
         trees = {"parent": args.parent / "src", **trees}
     results = []
-    for name, kind, n, gen_seed in POLYGONS:
+    for name, kind, n, gen_seed, root, _ in POLYGONS:
         rows = {tree: [] for tree in trees}
         for _ in range(args.reps):
             for tree, src in trees.items():
                 rows[tree].append(run(src, name))
-        entry = {"polygon": name, "n": n, "gen_seed": gen_seed,
-                 "s": rows["change"][0]["s"]}
+        first = rows["change"][0]
+        entry = {"polygon": name, "n": n, "gen_seed": gen_seed, "root": root,
+                 "s": first["s"], "mode": first["mode"]}
         for tree in trees:
             entry[tree] = medians(rows[tree])
         if "parent" in entry:
@@ -161,8 +155,9 @@ def main(argv=None) -> int:
                                          f"parent's")
         print(json.dumps(entry), flush=True)
         results.append(entry)
-    out = {"what": "SPT from vertex 1 at the strict floor: first_link calls "
-                   "and milliseconds per link by view kind (medians over "
+    out = {"what": "SPT runs whose walks and constant-workspace passes hold "
+                   "views with virtual vertices: first_link calls and "
+                   "milliseconds per link by view kind (medians over "
                    "alternating fresh-process runs)",
            "seed": SEED, "reps": args.reps, "machine": machine(),
            "results": results}

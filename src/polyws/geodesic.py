@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from . import geom
@@ -43,13 +44,47 @@ class Cone:
 
 
 def _initial_cone(view, q: int, pts=None) -> Cone:
+    """q's cone between its two boundary edges.  The apex is an integer
+    vertex: a virtual vertex is convex or straight, so it is neither a
+    bend of a geodesic nor, being a cut vertex, a vertex of the
+    constant-workspace pass or a piece's root."""
     if pts is None:
         pts = view.scan_points()
     m = len(pts)
-    qx, qy = pts[q - 1]
-    px, py = pts[(q - 2) % m]
-    nx, ny = pts[q % m]
-    return Cone((px - qx, py - qy), (nx - qx, ny - qy))
+    if q - 1 in view.rational_slots:
+        raise InternalInvariantError(f"cone apex {q} is a rational vertex")
+    q_pt = pts[q - 1]
+    return Cone(_direction(q_pt, pts[(q - 2) % m]),
+                _direction(q_pt, pts[q % m]))
+
+
+# A cone bound's components stay below this, so that the int64 candidate
+# scan's products, a bound component times a coordinate of at most 2**26,
+# stay below 2**62.
+_BOUND_LIMIT = 1 << 36
+
+
+def _direction(q, v) -> tuple:
+    """The direction from the integer point q to the vertex v as an integer
+    vector: v - q itself, or, for a rational v (a virtual neighbour), its
+    primitive integer multiple.  That one is short, because v lies on a line
+    through q and another integer point: q is an endpoint of the edge that v
+    splits, or the walked vertex whose extension made v.  A direction too
+    long for the int64 scan raises InternalInvariantError."""
+    dx = v[0] - q[0]
+    dy = v[1] - q[1]
+    if type(dx) is int and type(dy) is int:
+        return dx, dy
+    d = lcm(dx.denominator, dy.denominator)
+    dx = int(dx * d)
+    dy = int(dy * d)
+    g = gcd(dx, dy)
+    dx //= g
+    dy //= g
+    if max(abs(dx), abs(dy)) >= _BOUND_LIMIT:
+        raise InternalInvariantError(
+            "cone bound toward a rational vertex is too long for int64")
+    return dx, dy
 
 
 def _cone_kind(cone: Cone) -> int:
@@ -87,46 +122,16 @@ def _bound_candidates(pts, q: int, cone: Cone, found: list) -> None:
             insort(found, i)
 
 
-def _candidate_scan_scalar(view, q: int, cone: Cone, pts=None) -> list:
+def _candidate_scan(view, q: int, cone: Cone, pts=None) -> list:
     """Reflex cone candidates of q, in ascending local order.
 
     A vertex is a candidate when it is reflex and either strictly inside the
     cone or the boundary neighbor still flagged on a cone bound.  `pts` is
-    the scan ring when the caller already holds it for this round.
-    """
-    if pts is None:
-        pts = view.scan_points()
-    kind = _cone_kind(cone)
-    qx, qy = pts[q - 1]
-    ax, ay = cone.a
-    bx, by = cone.b
-    # strictly inside bound a: a x (v - q) > 0, i.e. ax*y - ay*x > ka;
-    # bound b: (v - q) x b > 0, i.e. by*x - bx*y > kb (q is on both)
-    ka = ax * qy - ay * qx
-    kb = by * qx - bx * qy
-    found = []
-    i = 0
-    px, py = pts[-1]
-    for (cx, cy), (nx, ny) in zip(pts, pts[1:] + pts[:1]):
-        i += 1
-        if (cx - px) * (ny - py) > (cy - py) * (nx - px):
-            if ax * cy - ay * cx > ka:
-                if kind <= 0 or by * cx - bx * cy > kb:
-                    found.append(i)
-            elif kind < 0 and by * cx - bx * cy > kb:
-                found.append(i)
-        px = cx
-        py = cy
-    if cone.a_edge or cone.b_edge:
-        _bound_candidates(pts, q, cone, found)
-    return found
-
-
-def _candidate_scan_bulk(view, q: int, cone: Cone, pts=None) -> list:
-    """int64 twin of _candidate_scan_scalar with the same result: the cone
-    and reflex tests run as array arithmetic over the whole ring; local
+    the scan ring when the caller already holds it for this round.  The
+    cone and reflex tests run as array arithmetic over the whole ring; local
     vertices 1 and m, whose neighbors wrap around, are tested in Python, and
-    so are a rational slot and its two neighbors, on the scaled ring."""
+    so are the rational slots and their neighbors, on the scaled ring.
+    """
     if pts is None:
         pts = view.scan_points()
     kind = _cone_kind(cone)
@@ -135,35 +140,39 @@ def _candidate_scan_bulk(view, q: int, cone: Cone, pts=None) -> list:
     qx, qy = pts[q - 1]
     ax, ay = cone.a
     bx, by = cone.b
+    # strictly inside bound a: a x (v - q) > 0, i.e. ax*y - ay*x > ka;
+    # bound b: (v - q) x b > 0, i.e. by*x - bx*y > kb (q is on both)
     ka = ax * qy - ay * qx
     kb = by * qx - bx * qy
-    # every product is below 2**62 in magnitude (see _TILT_SCALE)
+    # every product is below 2**62 in magnitude (see _BOUND_LIMIT)
     inside = ax * ys - ay * xs > ka
     if kind > 0:
         inside &= by * xs - bx * ys > kb
     elif kind < 0:
         inside |= by * xs - bx * ys > kb
-    slot = view.rational_slot
+    rational = view.rational_slots
     ring = pts
-    # slots whose reflex test runs in Python, with their cone test
-    edge_slots = [(0, inside[0]), (m - 1, inside[-1])]
-    if slot is not None:
-        ring = geom._ScaledRing(pts, slot)
-        vx, vy = ring.virt
+    # slots whose reflex test reads a rational slot (or wraps round), run
+    # in Python with their cone test
+    near = set()
+    if rational:
+        ring = geom._ScaledRing(pts, rational)
         d = ring.d
-        a_in = ax * vy - ay * vx > ka * d
-        b_in = by * vx - bx * vy > kb * d
-        inside[slot] = (a_in and b_in) if kind > 0 else \
-            (a_in or b_in) if kind < 0 else a_in
-        edge_slots = [(k, inside[k]) for k in sorted(
-            {0, m - 1, *ring.near(-1, 1)})]
+        for k in rational:
+            vx, vy = ring.virt[k]
+            a_in = ax * vy - ay * vx > ka * d
+            b_in = by * vx - bx * vy > kb * d
+            inside[k] = (a_in and b_in) if kind > 0 else \
+                (a_in or b_in) if kind < 0 else a_in
+        near.update(ring.near(-1, 1))
+    edge_slots = [(k, inside[k]) for k in sorted(near | {0, m - 1})]
     ex = xs[1:] - xs[:-1]
     ey = ys[1:] - ys[:-1]
     mid = inside[1:-1]
     mid &= ex[:-1] * ey[1:] > ey[:-1] * ex[1:]
     found = (mid.nonzero()[0] + 2).tolist()
-    if slot is not None:
-        found = [i for i in found if (i - 1 - slot) % m not in (m - 1, 0, 1)]
+    if near:
+        found = [i for i in found if i - 1 not in near]
     for k, ins in edge_slots:
         if ins and _is_reflex_at(ring, k + 1):
             insort(found, k + 1)
@@ -202,13 +211,10 @@ def _sample_candidates(view, q: int, cone: Cone, k: int, rng: random.Random,
     """One candidate scan of the cone, cut down to at most k candidates:
     (kept, complete).  With at most k candidates all are kept, in ascending
     local order, and `complete` is True; otherwise k are drawn uniformly
-    without replacement.  The int64 and the scalar scan list the same
-    candidates in the same order, so the same generator state keeps the same
-    vertices on both paths."""
-    if geom.uses_bulk("pick", view, q, cone.a, cone.b):
-        found = _candidate_scan_bulk(view, q, cone, pts)
-    else:
-        found = _candidate_scan_scalar(view, q, cone, pts)
+    without replacement.  The draw reads only the candidate list, which the
+    int64 scan gives in ascending order on every view, so the same
+    generator state keeps the same vertices."""
+    found = _candidate_scan(view, q, cone, pts)
     if len(found) <= k:
         return found, True
     return rng.sample(found, k), False
@@ -316,9 +322,8 @@ def first_link(view, q: int, t: int, rng: random.Random,
 # the side it cuts off, k*e plus e turned by 90 degrees with k = 2**35 // |e|
 # (max norm), so that a vertex exactly on the extension stays strictly inside
 # the cone.  Coordinates are at most 2**26 in magnitude, so |e| <= 2**27, the
-# turn is below atan(2**-8) (about |e| * 2**-35 radians), the bound's
-# components stay below 2**35 + 2**27 and the int64 candidate scan's products
-# below 2**62.
+# turn is below atan(2**-8) (about |e| * 2**-35 radians) and the bound's
+# components stay below 2**35 + 2**27, within _BOUND_LIMIT.
 _TILT_SCALE = 1 << 35
 
 
@@ -400,9 +405,13 @@ def _cone_search(view, q: int, t: int, rng: random.Random,
     hints = iter(hints)
     guard = 4 * m + 16
     for _ in range(guard):
-        # the hints go before the first scan, each only if it could be listed
+        # the hints go before the first scan, each only if it could be
+        # listed; t only when it is an integer vertex, as a ray scan aims
+        # at integer points only
         r = None if kept else next(
-            (h for h in hints if h != q and (h == t or _is_reflex_at(pts, h))
+            (h for h in hints if h != q and (
+                h == t and t - 1 not in view.rational_slots
+                or _is_reflex_at(pts, h))
              and _still_in_cone(pts, q, cone, [h])), None)
         if r is None:
             if not kept:

@@ -3,7 +3,7 @@
 Everything here is computed in exact integer (or rational) arithmetic; there is
 no tolerance parameter anywhere in the package.  Input coordinates are limited
 to |x|, |y| <= 2**26, which keeps every 3-point orientation determinant within
-2**55, so the bulk scans can run on int64 arrays without overflow.  Ratio
+2**55, so the scans run on int64 arrays without overflow.  Ratio
 comparisons (nearest ray hit) are resolved in Python bigints on the few
 candidates that survive the vectorized filter.
 
@@ -12,24 +12,29 @@ Boundary scans accept any "view" object exposing
     m            -- vertex count
     point(i)     -- exact coordinates of local vertex i (1-based, clockwise)
     all_int      -- True when every vertex has integer coordinates
-    rational_slot  -- array slot (i - 1) of the view's one non-integer vertex,
-                      None when it has none or more than one
+    rational_slots -- array slots (i - 1) of the vertices with a coordinate
+                      whose denominator is not 1, in ascending order
     scan_points()  -- tuple of the exact points, index 0 holding vertex 1
     coord_arrays() -- (xs, ys) int64 arrays, index 0 holding local vertex 1,
-                      the rational slot masked
+                      the rational slots (at most two) masked
 
-A scan runs on int64 whenever every coordinate it reads is an integer, at
-any view size.  The candidate pick and the ray scans also take a view with
-one non-integer vertex (the virtual vertex of an SPT split): they mask its
-slot and settle the few results that read it (its own tests and those of its
-two edges) on Python ints, over the ring scaled by the vertex's common
-denominator (see _ScaledRing).  Every other scan takes its exact scalar twin
-(see uses_bulk), which is also the tests' oracle.
+Each scan has one kernel, on int64 arrays, at any view size.  The points a
+scan is given (a ray's ends, a sight line's first end, a containment query)
+are integer points: a local vertex index other than a rational slot, or a
+free point whose coordinates are integers; a non-integer free point is
+refused with PolygonInputError (see integer_point).  The candidate pick and
+the ray scans take a view with up to two rational vertices (the virtual
+vertices of an SPT split, at most its lo and hi cuts): they mask those slots
+and settle the few results that read them (their own tests and those of
+their edges) on Python ints, over the ring scaled by the slots' common
+denominator (see _ScaledRing).  Visibility, containment and the reflex
+search take views without rational vertices only (see _exact_arrays).  The
+exact scalar scans that the kernels are tested against live with the tests.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -42,61 +47,41 @@ CLOCKWISE = -1
 COLLINEAR = 0
 COUNTERCLOCKWISE = 1
 
-# The smallest view that scans on int64 arrays, which every view meets:
-# which path a scan takes depends on its coordinates alone (see uses_bulk).
-# The benchmark's per-layer labels read it.
+# The smallest view that scans on int64 arrays, which every view meets.
+# Only the benchmark's per-layer labels read it now.
 BULK_MIN_M = 3
-# the kernels that also scan a view with one non-integer vertex on int64
-_MASKING_KERNELS = ("pick", "ray")
-
-
-def uses_bulk(kernel: str, view, *points) -> bool:
-    """True when `kernel` ("pick", "ray", "visible", "point" or "reflex")
-    scans `view` on int64 arrays: every coordinate the scan reads is an
-    integer.  The candidate pick and the ray scan also take a view with one
-    non-integer vertex (view.rational_slot), which they mask and settle
-    exactly.  Each of the scan's own `points` (a ray's origin and target, a
-    sight line's ends, a cone's bounds) is an exact point, or a local vertex
-    index, which is an integer point unless it is the rational slot's
-    vertex."""
-    slot = view.rational_slot
-    if not view.all_int and (slot is None or kernel not in _MASKING_KERNELS):
-        return False
-    for pt in points:
-        if isinstance(pt, int):
-            if pt - 1 == slot:
-                return False
-        elif not (isinstance(pt[0], int) and isinstance(pt[1], int)):
-            return False
-    return True
 
 
 class _ScaledRing:
-    """A scan ring whose one rational vertex, at array slot `slot`, is
-    (X/d, Y/d) over its least common denominator d, read as the ring scaled
-    by d: that slot gives (X, Y) and every other its point times d, all
-    Python ints.  A common positive scale keeps every orientation sign and
-    every ratio of crossing parameters, so the exact ring helpers settle the
-    rational vertex on ints when the scan's own points are scaled alike."""
+    """A scan ring whose rational vertices, at the array slots `slots`, are
+    read over their least common denominator d, as the ring scaled by d:
+    a rational slot gives its point times d and every other slot its point
+    times d, all Python ints.  A common positive scale keeps every
+    orientation sign and every ratio of crossing parameters, so the exact
+    ring helpers settle the rational vertices on ints when the scan's own
+    points are scaled alike."""
 
-    __slots__ = ("pts", "slot", "d", "virt")
+    __slots__ = ("pts", "slots", "d", "virt")
 
-    def __init__(self, pts, slot: int):
-        x, y = pts[slot]
-        dx, dy = x.denominator, y.denominator
-        d = dx * dy // gcd(dx, dy)
+    def __init__(self, pts, slots):
+        d = 1
+        for k in slots:
+            for c in pts[k]:
+                d = lcm(d, c.denominator)
         self.pts = pts
-        self.slot = slot
+        self.slots = slots
         self.d = d
-        self.virt = (x.numerator * (d // dx), y.numerator * (d // dy))
+        self.virt = {k: (int(pts[k][0] * d), int(pts[k][1] * d))
+                     for k in slots}
 
     def __len__(self):
         return len(self.pts)
 
     def __getitem__(self, k):
         k %= len(self.pts)
-        if k == self.slot:
-            return self.virt
+        got = self.virt.get(k)
+        if got is not None:
+            return got
         x, y = self.pts[k]
         return x * self.d, y * self.d
 
@@ -104,10 +89,11 @@ class _ScaledRing:
         return p[0] * self.d, p[1] * self.d
 
     def near(self, lo: int, hi: int) -> list:
-        """The array slots from lo to hi places after the rational slot,
+        """The array slots from lo to hi places after each rational slot,
         each once."""
         m = len(self.pts)
-        return sorted({(self.slot + k) % m for k in range(lo, hi + 1)})
+        return sorted({(s + k) % m for s in self.slots
+                       for k in range(lo, hi + 1)})
 
 
 Coord = Union[int, Fraction]
@@ -136,6 +122,34 @@ def check_coord(v) -> int:
     if abs(v) > COORD_LIMIT:
         raise PolygonInputError(f"coordinate {v} outside |x| <= 2^26")
     return v
+
+
+def integer_point(p) -> Tuple[int, int]:
+    """The free point p of a scan as a pair of Python ints.  Raises
+    PolygonInputError unless each coordinate is an integer (a Fraction of
+    denominator 1 counts as one)."""
+    x, y = p
+    if type(x) is not int or type(y) is not int:
+        if getattr(x, "denominator", 0) != 1 \
+                or getattr(y, "denominator", 0) != 1:
+            raise PolygonInputError(f"point {tuple(p)!r} is not an integer "
+                                    f"point")
+        x, y = int(x), int(y)
+    return x, y
+
+
+def _exact_arrays(view):
+    """coord_arrays of a view without rational vertices.  Visibility,
+    containment and the reflex search read every slot as it stands, so a
+    view with a masked slot is refused.  The library never hands them one:
+    a triangulation piece has no virtual vertex (its far case answers with
+    a polygon vertex), SPT calls them on the whole polygon only (to place a
+    point root), and the oracles on whole polygons."""
+    if not view.all_int:
+        raise InternalInvariantError(
+            "visibility, containment and the reflex search take views "
+            "without virtual vertices")
+    return view.coord_arrays()
 
 
 def orient(a: Pt, b: Pt, c: Pt) -> int:
@@ -187,38 +201,16 @@ def is_reflex(view, i: int) -> bool:
 # point in polygon
 
 def point_in_closed(view, p: Pt) -> bool:
-    """True iff p lies inside or on the boundary of the view's polygon."""
-    if uses_bulk("point", view, p):
-        return _point_in_closed_bulk(view, p)
-    return _point_in_ring(view.scan_points(), p)
+    """True iff the integer point p lies inside or on the boundary of the
+    view's polygon."""
+    return _point_in_closed(view, integer_point(p))
 
 
-def _point_in_ring(pts, p: Pt, scale: int = 1) -> bool:
-    """point_in_closed over a ring of points, each multiplied by `scale`."""
-    px, py = p
-    inside = False
-    ax, ay = pts[-1]
-    ax *= scale
-    ay *= scale
-    for bx, by in pts:
-        bx *= scale
-        by *= scale
-        # on-edge counts as inside
-        cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if cr == 0 and min(ax, bx) <= px <= max(ax, bx) \
-                and min(ay, by) <= py <= max(ay, by):
-            return True
-        if (ay > py) != (by > py):
-            if (cr > 0) == (by > ay):
-                inside = not inside
-        ax, ay = bx, by
-    return inside
-
-
-def _point_in_closed_bulk(view, p: Pt, scale: int = 1) -> bool:
-    """int64 twin of _point_in_ring; with scale 2 the doubled coordinates
-    stay below 2**28 and every product below 2**57."""
-    xs, ys = view.coord_arrays()
+def _point_in_closed(view, p: Pt, scale: int = 1) -> bool:
+    """point_in_closed of the point p / scale, p an integer point; with
+    scale 2 the doubled coordinates stay below 2**28 and every product below
+    2**57."""
+    xs, ys = _exact_arrays(view)
     if scale != 1:
         xs = xs * scale
         ys = ys * scale
@@ -228,6 +220,7 @@ def _point_in_closed_bulk(view, p: Pt, scale: int = 1) -> bool:
     bx = np.concatenate((xs[1:], xs[:1]))
     by = np.concatenate((ys[1:], ys[:1]))
     cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    # on an edge counts as inside
     on = (cr == 0) & (np.minimum(ax, bx) <= px) & (px <= np.maximum(ax, bx)) \
         & (np.minimum(ay, by) <= py) & (py <= np.maximum(ay, by))
     hit = ((ay > py) != (by > py)) & ((cr > 0) == (by > ay))
@@ -254,105 +247,50 @@ def is_visible(view, i: int, j: int) -> bool:
 
 
 def point_sees_vertex(view, p: Pt, j: int) -> bool:
-    """Closed-set visibility between a point p of the closed polygon and
-    local vertex j: is_visible's scan with p as the first endpoint."""
-    return _visible(view, 0, p, j)
+    """Closed-set visibility between an integer point p of the closed
+    polygon and local vertex j: is_visible's scan with p as the first
+    endpoint."""
+    return _visible(view, 0, integer_point(p), j)
 
 
 def _visible(view, i: int, p: Optional[Pt], j: int) -> bool:
     """Visibility of vertex j from the first endpoint: local vertex i, or
-    the point p when i is 0."""
-    if uses_bulk("visible", view, p if i == 0 else i, j):
-        res = _visible_bulk(view, i, p, j)
-        if res is not None:
-            return res
-    return _visible_scalar(view, i, p, j)
-
-
-def _visible_scalar(view, i: int, p: Optional[Pt], j: int) -> bool:
-    m = view.m
-    pts = view.scan_points()
-    a = pts[i - 1] if i else p
-    b = pts[j - 1]
-    ax, ay = a
-    ux = b[0] - ax
-    uy = b[1] - ay
-    px, py = pts[m - 1]
-    ps = ux * (py - ay) - uy * (px - ax)
-    for k in range(1, m + 1):
-        cx, cy = pts[k - 1]
-        cs = ux * (cy - ay) - uy * (cx - ax)
-        if cs == 0 and k != i and k != j:
-            # crossing exactly at vertex k: neighbors strictly opposite
-            if _strictly_between(a, b, (cx, cy)):
-                kp = pts[k - 2]
-                kn = pts[k % m]
-                sp = ux * (kp[1] - ay) - uy * (kp[0] - ax)
-                sn = ux * (kn[1] - ay) - uy * (kn[0] - ax)
-                if (sp > 0 and sn < 0) or (sp < 0 and sn > 0):
-                    return False
-        elif (ps > 0 and cs < 0) or (ps < 0 and cs > 0):
-            # edge (k-1, k) straddles the segment's line: proper test
-            ex = cx - px
-            ey = cy - py
-            o3 = ex * (ay - py) - ey * (ax - px)
-            o4 = ex * (b[1] - py) - ey * (b[0] - px)
-            if (o3 > 0 and o4 < 0) or (o3 < 0 and o4 > 0):
-                return False
-        px, py, ps = cx, cy, cs
-    mid = ((a[0] + b[0]), (a[1] + b[1]))
-    return _midpoint_inside(view, mid)
-
-
-def _strictly_between(a: Pt, b: Pt, p: Pt) -> bool:
-    # assumes p collinear with ab
-    if a[0] != b[0]:
-        return min(a[0], b[0]) < p[0] < max(a[0], b[0])
-    return min(a[1], b[1]) < p[1] < max(a[1], b[1])
-
-
-def _midpoint_inside(view, doubled: Pt) -> bool:
-    """Point-in-closed test for (x, y) given as doubled coordinates."""
-    if uses_bulk("point", view, doubled):
-        return _point_in_closed_bulk(view, doubled, 2)
-    return _point_in_ring(view.scan_points(), doubled, 2)
-
-
-def _visible_bulk(view, i: int, p: Optional[Pt], j: int) -> Optional[bool]:
-    """Vectorized visibility; returns None to request the scalar fallback."""
-    xs, ys = view.coord_arrays()
+    the integer point p when i is 0.  The segment is blocked by an edge that
+    crosses it properly, or by a third vertex on the open segment whose two
+    neighbors lie strictly on opposite sides of its line; otherwise its
+    midpoint decides."""
+    xs, ys = _exact_arrays(view)
     if i:
         ax, ay = int(xs[i - 1]), int(ys[i - 1])
     else:
         ax, ay = p
     bx, by = int(xs[j - 1]), int(ys[j - 1])
     s = np.sign((bx - ax) * (ys - ay) - (by - ay) * (xs - ax))
-    # any third vertex exactly on the open segment -> rare, resolve scalar
+    m = len(s)
     col = (s == 0)
     if i:
         col[i - 1] = False
     col[j - 1] = False
     if col.any():
-        cx = xs[col]
-        cy = ys[col]
+        ks = col.nonzero()[0]
         if ax != bx:
-            between = (min(ax, bx) < cx) & (cx < max(ax, bx))
+            c, lo, hi = xs[ks], min(ax, bx), max(ax, bx)
         else:
-            between = (min(ay, by) < cy) & (cy < max(ay, by))
-        if between.any():
-            return None
+            c, lo, hi = ys[ks], min(ay, by), max(ay, by)
+        for k in ks[(lo < c) & (c < hi)].tolist():
+            if s[k - 1] * s[(k + 1) % m] < 0:
+                return False
     # edges whose endpoints lie strictly on opposite sides of the segment's
     # line: the one from slot k to slot k+1, and the closing edge m -> 1
     ks = (s[:-1] * s[1:] < 0).nonzero()[0].tolist()
     if s[-1] * s[0] < 0:
-        ks.append(len(s) - 1)
+        ks.append(m - 1)
     if ks:
         pts = view.scan_points()
-        m = len(pts)
         for k in ks:
             if _crosses_segment(pts[k], pts[(k + 1) % m], (ax, ay), (bx, by)):
                 return False
-    return _point_in_closed_bulk(view, (ax + bx, ay + by), 2)
+    return _point_in_closed(view, (ax + bx, ay + by), 2)
 
 
 def _crosses_segment(p: Pt, c: Pt, a: Pt, b: Pt) -> bool:
@@ -372,7 +310,7 @@ def _crosses_segment(p: Pt, c: Pt, a: Pt, b: Pt) -> bool:
 def ray_shoot(view, origin, toward) -> RayHit:
     """First proper boundary crossing of the ray from `origin`.
 
-    `origin` and `toward` are each a local vertex index or an exact point;
+    `origin` and `toward` are each a local vertex index or an integer point;
     `toward` only fixes the ray direction.  Edges through the origin are
     never reported (they touch the ray at its apex).  Grazing a vertex does
     not stop the ray; crossing the boundary exactly at a vertex (derived
@@ -404,32 +342,17 @@ def ray_scan_light(view, origin: int, toward, pts=None):
 
 def _ray_dispatch(view, origin, toward, light: bool, pts=None):
     """The ray scans' common front: `origin` and `toward` are each a local
-    vertex index or an exact point.  A free origin masks no slot, and the
-    int64 kernel runs only when both of the ray's points are integers."""
+    vertex index or an integer point (a free origin masks no slot)."""
     if pts is None:
         pts = view.scan_points()
-    m = len(pts)
-    if isinstance(toward, int):
-        if not 1 <= toward <= m:
-            raise PolygonInputError(f"ray target {toward} outside 1..{m}")
-        T = pts[toward - 1]
-    else:
-        T = toward
-    bulk = uses_bulk("ray", view, origin, toward)
-    if isinstance(origin, int):
-        if not 1 <= origin <= m:
-            raise PolygonInputError(f"ray origin {origin} outside 1..{m}")
-        O = pts[origin - 1]
-    else:
-        O = origin
+    T = _ray_end(view, pts, toward, "target")
+    O = _ray_end(view, pts, origin, "origin")
+    if not isinstance(origin, int):
         origin = 0
     D = (T[0] - O[0], T[1] - O[1])
     if D[0] == 0 and D[1] == 0:
         raise PolygonInputError("ray direction is degenerate")
-    if bulk:
-        found = _ray_scan_bulk(view, pts, origin, O, D)
-    else:
-        found = _ray_scan_scalar(pts, origin, O, D)
+    found = _ray_kernel(view, pts, origin, O, D)
     if found is None:
         return None
     num, den, edge, vertex = found
@@ -441,29 +364,28 @@ def _ray_dispatch(view, origin, toward, light: bool, pts=None):
     if vertex is not None:
         return RayHit(None, vertex, t, pts[vertex - 1])
     # an edge hit comes from a strict straddle of the ray's line, so the
-    # crossing lies strictly inside the edge
-    return RayHit(edge, None, t, (O[0] + t * D[0], O[1] + t * D[1]))
+    # crossing lies strictly inside the edge; a coordinate that is an
+    # integer is stored as an int, so a view counts its vertex as one
+    return RayHit(edge, None, t, tuple(
+        c.numerator if c.denominator == 1 else c
+        for c in (O[0] + t * D[0], O[1] + t * D[1])))
 
 
-def _ray_scan_scalar(pts, origin: int, O: Pt, D: Pt):
-    """Nearest forward boundary crossing as (num, den, edge, vertex), the ray
-    parameter num/den with den > 0 and exactly one of edge (its start
-    vertex) / vertex set; None when the ray crosses nothing."""
-    m = len(pts)
-    best = None
-    ox, oy = O
-    dx, dy = D
-    px, py = pts[m - 1]
-    ps = dx * (py - oy) - dy * (px - ox)
-    for k in range(1, m + 1):
-        cx, cy = pts[k - 1]
-        cs = dx * (cy - oy) - dy * (cx - ox)
-        if (ps > 0 and cs < 0) or (ps < 0 and cs > 0):
-            best = _edge_crossing(best, k - 1 or m, px, py, cx, cy, O, D)
-        elif cs == 0 and k != origin:
-            best = _vertex_crossing(best, pts, k, O, D)
-        px, py, ps = cx, cy, cs
-    return best
+def _ray_end(view, pts, end, what: str):
+    """The point of a ray's origin or target: a local vertex index, or an
+    integer point.  The kernel reads the ray's line on int64, so neither end
+    may be a rational vertex; the library never aims one there: rays leave
+    the cone's apex or a walked vertex, and aim at reflex vertices, at the
+    walk's target only when it is an integer vertex, or at integer points,
+    while a virtual vertex is never reflex (it splits an edge, so it is
+    convex or straight) nor an apex (see geodesic._initial_cone)."""
+    if not isinstance(end, int):
+        return integer_point(end)
+    if not 1 <= end <= len(pts):
+        raise PolygonInputError(f"ray {what} {end} outside 1..{len(pts)}")
+    if end - 1 in view.rational_slots:
+        raise InternalInvariantError(f"ray {what} {end} is a rational vertex")
+    return pts[end - 1]
 
 
 def _resolve_edges(best, pts, slots, origin: int, O: Pt, D: Pt):
@@ -490,27 +412,33 @@ def _resolve_edges(best, pts, slots, origin: int, O: Pt, D: Pt):
     return best
 
 
-def _settle_rational(best, pts, slot: int, origin: int, O: Pt, D: Pt):
-    """`best` or the nearest crossing that reads the rational vertex at
-    array slot `slot`: at the four edges with an end within one slot of it,
-    resolved on the scaled ring (the ray's origin and direction scaled
-    alike), the parameter reduced to lowest terms."""
-    ring = _ScaledRing(pts, slot)
+def _settle_rational(best, pts, slots, origin: int, O: Pt, D: Pt):
+    """`best` or the nearest crossing that reads a rational vertex at one of
+    the array slots `slots`: at the four edges with an end within one slot
+    of it, resolved on the scaled ring (the ray's origin and direction
+    scaled alike), the parameter reduced to lowest terms."""
+    ring = _ScaledRing(pts, slots)
     m = len(pts)
     ox, oy = O
     dx, dy = D
-    vx, vy = ring.virt
-    sv = dx * (vy - oy * ring.d) - dy * (vx - ox * ring.d)
-    if sv:
-        # nothing to settle when the five slots lie strictly on one side
-        for k in (slot - 2, slot - 1, slot + 1, slot + 2):
-            x, y = pts[k % m]
-            sk = dx * (y - oy) - dy * (x - ox)
-            if sk == 0 or (sk > 0) != (sv > 0):
-                break
-        else:
-            return best
-    got = _resolve_edges(None, ring, ring.near(-2, 1), origin, ring.scale(O),
+    todo = []
+    for slot in slots:
+        vx, vy = ring.virt[slot]
+        sv = dx * (vy - oy * ring.d) - dy * (vx - ox * ring.d)
+        if sv:
+            # nothing to settle when the five slots lie strictly on one side
+            for k in (slot - 2, slot - 1, slot + 1, slot + 2):
+                x, y = pts[k % m]
+                sk = dx * (y - oy) - dy * (x - ox)
+                if sk == 0 or (sk > 0) != (sv > 0):
+                    break
+            else:
+                continue
+        todo.append(slot)
+    if not todo:
+        return best
+    edges = sorted({(s + k) % m for s in todo for k in (-2, -1, 0, 1)})
+    got = _resolve_edges(None, ring, edges, origin, ring.scale(O),
                          ring.scale(D))
     if got is None:
         return best
@@ -566,8 +494,12 @@ def _vertex_crossing(best, pts, k, O, D):
     return best
 
 
-def _ray_scan_bulk(view, pts, origin: int, O: Pt, D: Pt):
-    """int64 twin of _ray_scan_scalar with the same result.
+def _ray_kernel(view, pts, origin: int, O: Pt, D: Pt):
+    """Nearest forward boundary crossing of the ray from the integer point O
+    (local vertex `origin`, 0 for a free point) along the integer direction
+    D, as (num, den, edge, vertex): the ray parameter num/den with den > 0
+    and exactly one of edge (its start vertex) / vertex set; None when the
+    ray crosses nothing.
 
     One vectorized pass marks the vertices strictly left of the ray's line.
     An edge that straddles the line joins a marked and an unmarked vertex,
@@ -580,25 +512,25 @@ def _ray_scan_bulk(view, pts, origin: int, O: Pt, D: Pt):
     m = view.m
     ox, oy = O
     dx, dy = D
-    slot = view.rational_slot
+    rational = view.rational_slots
     # dx*(y-oy) - dy*(x-ox) > 0; each product is below 2**54 in magnitude
     left = dx * ys - dy * xs > dx * oy - dy * ox
     changes = (left[:-1] != left[1:]).nonzero()[0]
     if changes.size > _RAY_LOOP_MAX:
-        best = _ray_scan_many(xs, ys, pts, origin, O, D, slot)
+        best = _ray_scan_many(xs, ys, pts, origin, O, D, rational)
     else:
         slots = changes.tolist()
         slots.append(m - 1)    # the closing edge m -> 1 is always tested
-        if slot is not None:
+        for slot in rational:
             slots = [j for j in slots
                      if (j - slot) % m not in (m - 2, m - 1, 0, 1)]
         best = _resolve_edges(None, pts, slots, origin, O, D)
-    if slot is None:
+    if not rational:
         return best
-    return _settle_rational(best, pts, slot, origin, O, D)
+    return _settle_rational(best, pts, rational, origin, O, D)
 
 
-# Above this many mark changes the bulk ray scan computes the crossing
+# Above this many mark changes the ray kernel computes the crossing
 # parameters of the straddling edges as arrays rather than one by one.
 # Microseconds per call, loop / arrays (each including the mark pass), by the
 # ray's mark changes, on every int64 ray scan of the benchmark's walk
@@ -616,12 +548,11 @@ def _ray_scan_bulk(view, pts, origin: int, O: Pt, D: Pt):
 _RAY_LOOP_MAX = 48
 
 
-def _ray_scan_many(xs, ys, pts, origin: int, O: Pt, D: Pt,
-                   slot: Optional[int]):
-    """_ray_scan_bulk for rays that meet many edges: int64 crossing
+def _ray_scan_many(xs, ys, pts, origin: int, O: Pt, D: Pt, rational):
+    """_ray_kernel for rays that meet many edges: int64 crossing
     parameters of every straddling edge, a float prefilter, and exact
     bigint resolution of the near-minimal ones.  The crossings that read a
-    rational slot are skipped, for _settle_rational."""
+    rational slot (one of `rational`) are skipped, for _settle_rational."""
     m = xs.shape[0]
     ox, oy = O
     dx, dy = D
@@ -629,7 +560,7 @@ def _ray_scan_many(xs, ys, pts, origin: int, O: Pt, D: Pt,
     online = side == 0
     straddle = side[:-1] * side[1:] < 0
     closing = side[-1] * side[0] < 0
-    if slot is not None:
+    for slot in rational:
         for k in (slot - 1, slot, slot + 1 - m):
             online[k] = False
         for k in (slot - 2, slot - 1, slot, slot + 1):
@@ -684,15 +615,7 @@ def max_angle_reflex_in_triangle(view, apex, p_n,
     triangle contains no reflex vertex.
     """
     m = view.m
-    # the int64 pass is only a float prefilter whose every candidate is
-    # verified exactly below, so the corners (the hit point is rational as
-    # a rule) need not be integers
-    bulk = uses_bulk("reflex", view)
-    if bulk:
-        at = view.point
-    else:
-        pts = view.scan_points()
-        at = lambda k: pts[k - 1]  # noqa: E731
+    at = view.point
     A = at(apex) if isinstance(apex, int) else apex
     P = at(p_n) if isinstance(p_n, int) else p_n
     H = hit_point
@@ -701,9 +624,10 @@ def max_angle_reflex_in_triangle(view, apex, p_n,
         raise PolygonInputError("degenerate reflex-search triangle")
     best = None
     best_dir = None
-    indices = _triangle_candidates_prefilter(view, A, P, H) if bulk \
-        else range(1, m + 1)
-    for k in indices:
+    # the int64 pass is only a float prefilter whose every candidate is
+    # verified exactly below, so the corners (the hit point is rational as
+    # a rule) need not be integers
+    for k in _triangle_candidates_prefilter(view, A, P, H):
         if k == apex or k == p_n:
             continue
         X = at(k)
@@ -734,7 +658,7 @@ def _triangle_candidates_prefilter(view, A, P, H):
     Float filter with a conservative margin; every returned index is
     re-verified exactly by the caller.  Works for rational A/P/H too.
     """
-    xs, ys = view.coord_arrays()
+    xs, ys = _exact_arrays(view)
     xf = xs.astype(np.float64)
     yf = ys.astype(np.float64)
     ax, ay = float(A[0]), float(A[1])

@@ -209,8 +209,8 @@ def ref_geodesic(polygon: BasePolygon, a: int, b: int) -> List[int]:
 def ref_spt(polygon: BasePolygon, p) -> set:
     """Edge set of the shortest-path tree from p as (parent, child) pairs.
 
-    p is a 1-based vertex index, or an exact point inside the polygon (then
-    parents referencing p use the sentinel 0).
+    p is a 1-based vertex index, or an integer point inside the polygon
+    (then parents referencing p use the sentinel 0).
     """
     if isinstance(p, int):
         sp = _paths_from(polygon, p)

@@ -318,9 +318,10 @@ def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
         stats: Optional[RunStats] = None,
         meter: Optional[WorkspaceMeter] = None,
         audit: Optional[bool] = None):
-    """Shortest-path tree of p (a 1-based vertex index or an exact point of
-    the closed polygon).  Emits (parent, child) base-reference pairs; a
-    non-vertex root appears as parent 0.  Returns (sink, meter, stats)."""
+    """Shortest-path tree of p (a 1-based vertex index or an integer point
+    of the closed polygon; a non-integer point raises PolygonInputError).
+    Emits (parent, child) base-reference pairs; a non-vertex root appears
+    as parent 0.  Returns (sink, meter, stats)."""
     n = polygon.n
     tau, meter, stats = setup_budget(n, s, mode, meter, stats)
     if sink is None:
@@ -336,7 +337,7 @@ def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
         sink.finish()
         return sink, meter, stats
 
-    px, py = p
+    px, py = geom.integer_point(p)
     whole = SubpolygonView.whole(polygon)
     if not geom.point_in_closed(whole, (px, py)):
         raise PolygonInputError("root point lies outside the polygon")

@@ -240,7 +240,7 @@ class SubpolygonView:
     lookup is O(1) through a prefix table of one entry per item.
     """
 
-    __slots__ = ("base", "items", "prefix", "m", "all_int", "rational_slot")
+    __slots__ = ("base", "items", "prefix", "m", "all_int", "rational_slots")
 
     def __init__(self, base: BasePolygon, items):
         self.base = base
@@ -260,25 +260,23 @@ class SubpolygonView:
                 norm.append(it)
         self.items = tuple(norm)
         prefix = [0]
-        rational = []     # array slots of the vertices with a non-integer point
+        # array slots (local index - 1) of the vertices with a coordinate
+        # whose denominator is not 1, which the int64 candidate pick and ray
+        # scans mask and settle exactly
+        rational = []
         for it in self.items:
             if it[0] == _ARC:
                 prefix.append(prefix[-1] + it[2])
             else:
                 cv = it[1]
-                if cv.base is None:
-                    px, py = cv.point
-                    if not (isinstance(px, int) and isinstance(py, int)):
-                        rational.append(prefix[-1])
+                if cv.base is None and (cv.point[0].denominator != 1
+                                        or cv.point[1].denominator != 1):
+                    rational.append(prefix[-1])
                 prefix.append(prefix[-1] + 1)
         self.prefix = tuple(prefix)
         self.m = prefix[-1]
         self.all_int = not rational
-        # the one non-integer vertex's array slot (local index - 1), which the
-        # int64 candidate pick and ray scans mask and settle exactly; None
-        # for an all-integer view and for one with two or more non-integer
-        # vertices
-        self.rational_slot = rational[0] if len(rational) == 1 else None
+        self.rational_slots = tuple(rational)
         if self.m < 3:
             raise PolygonInputError(f"view with {self.m} vertices is degenerate")
 
@@ -378,14 +376,16 @@ class SubpolygonView:
 
     def coord_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """(xs, ys) int64 arrays, index 0 holding local vertex 1, for one
-        bulk scan.  A view made of one unwrapped arc returns read-only
-        slices of the base arrays; any other view builds fresh arrays.  On a
-        view with one non-integer vertex its slot (rational_slot) is masked:
-        it holds the floors of the vertex's coordinates, which keep the int64
-        arithmetic in range, and a scan settles that slot exactly itself."""
-        if not self.all_int and self.rational_slot is None:
+        scan.  A view made of one unwrapped arc returns read-only slices of
+        the base arrays; any other view builds fresh arrays.  A view may
+        hold at most two non-integer vertices, as an SPT split makes at most
+        two (its lo and hi cuts); their slots (rational_slots) are masked:
+        they hold the floors of the vertices' coordinates, which keep the
+        int64 arithmetic in range, and a scan settles those slots exactly
+        itself."""
+        if len(self.rational_slots) > 2:
             raise InternalInvariantError(
-                "coord_arrays on a view with several rational vertices")
+                "coord_arrays on a view with more than two rational vertices")
         items = self.items
         n = self.base.n
         bxs = self.base.xs

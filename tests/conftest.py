@@ -1,7 +1,8 @@
 """Shared fixtures: a polygon cache (generation is the slow part of the
 acceptance suite), a terminal summary that echoes one line per acceptance
-criterion, the scan-path switch and the views with one virtual vertex that
-the scan and ear-clipping agreement tests share."""
+criterion, and the views with one and with two virtual vertices that the
+scan, link and ear-clipping tests share.  The exact scalar scans that the
+int64 kernels are compared with are in scan_oracles.py."""
 import random
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from polyws.workspace import CutVertex
 
 _POLY_CACHE = {}
 ACCEPTANCE_LINES = []
-_USES_BULK = geom.uses_bulk
 
 
 def cached_polygon(kind, n, seed):
@@ -48,15 +48,6 @@ def separates(i, j, m):
         if 0 < off < (j - i) % m:
             inside += 1
     return inside == 1
-
-
-def scan_cutover(monkeypatch, cutover):
-    """Patch geom.uses_bulk so that views of fewer than `cutover` vertices
-    take the exact scalar scans, and the library's rule decides the rest: 0
-    keeps the rule, 1 << 30 sends every scan to its scalar twin."""
-    monkeypatch.setattr(geom, "uses_bulk", lambda kernel, view, *points:
-                        view.m >= cutover
-                        and _USES_BULK(kernel, view, *points))
 
 
 def dir_in_interior_wedge(v, q, d):
@@ -129,7 +120,77 @@ def one_virtual_twins(v, seed, min_m=130):
                    ("range", r + 1, m)])
     views = [v.subview(segs) for segs in pieces]
     for w, slot in zip(views, (0, None, -1, e1, r - 1)):
-        assert not w.all_int and w.rational_slot is not None
+        assert len(w.rational_slots) == 1
         if slot is not None:
-            assert w.rational_slot == slot % w.m
+            assert w.rational_slots == (slot % w.m,)
+    return views, q, P
+
+
+def two_virtual_twins(v, seed, min_m=130):
+    """Views with exactly two rational vertices, as an SPT piece holds its
+    lo and hi cuts.  From one_virtual_twins' piece A (H at slot 0, then
+    q..e1), the ray from a vertex q2 of A toward an integer point P2 first
+    crosses A's boundary at H2, inside an edge e2, with a coordinate
+    denominator above 2**20, and A's part q2..e2 runs through H.  Returns
+    (views, q, P): that part closed by H2 (a convex virtual vertex, next to
+    H when e2 is one of H's edges) with H2 at slot 0, at a middle slot and
+    at slot m - 1; `v` with H inserted into edge e1 and a straight rational
+    vertex into another edge (lines through q and P cross the boundary
+    exactly at H); and `v` with two straight rational vertices inserted
+    into its closing edge (m, 1), at the adjacent slots m and m + 1 and at
+    slots m + 1 and 0."""
+    from scan_oracles import ray_hit
+    rng = random.Random(seed)
+    ones, q, P = one_virtual_twins(v, seed, min_m)
+    a = ones[0]
+    m = a.m
+    pts = a.scan_points()
+    xs = [int(p[0]) for p in pts]
+    ys = [int(p[1]) for p in pts]
+    while True:
+        q2 = rng.randrange(2, m + 1)
+        P2 = (rng.randrange(min(xs), max(xs) + 1),
+              rng.randrange(min(ys), max(ys) + 1))
+        vq = pts[q2 - 1]
+        if P2 == vq or not dir_in_interior_wedge(
+                a, q2, (P2[0] - vq[0], P2[1] - vq[1])):
+            continue
+        hit = ray_hit(a, q2, P2)
+        e2 = hit.edge
+        if e2 is None or (1 - q2) % m > (e2 - q2) % m \
+                or (e2 - q2) % m + 2 < min_m // 2 or max(
+                    hit.point[0].denominator,
+                    hit.point[1].denominator) <= 1 << 20:
+            continue
+        break
+    cut = ("cut", CutVertex(None, hit.point, virtual=True))
+    k = 1 + (q2 - 1 + max(1, ((e2 - q2) % m) // 2)) % m
+    pieces = [[cut, ("range", q2, e2)],
+              [("range", k, e2), cut, ("range", q2, 1 + (k - 2) % m)],
+              [("range", q2, e2), cut]]
+    views = [a.subview(segs) for segs in pieces]
+    # straight rational vertices on v's edges, at a fraction of the edge
+    # with a denominator above 2**20
+    n = v.m
+    vpts = v.scan_points()
+
+    def on_edge(e, u):
+        (ax, ay), (bx, by) = vpts[e - 1], vpts[e % n]
+        point = (ax + u * (bx - ax), ay + u * (by - ay))
+        return ("cut", CutVertex(None, point, virtual=True))
+    den = 2 ** 21 + 17
+    lo, hi = (Fraction(rng.randrange(1, den // 2), den),
+              Fraction(rng.randrange(den // 2, den), den))
+    e1 = ones[3].rational_slots[0]
+    h = ("cut", ones[3].items[1][1])
+    ea = rng.choice([e for e in range(1, n) if e != e1])
+    first, second = sorted([(e1, h), (ea, on_edge(ea, lo))])
+    pieces = [[("range", 1, first[0]), first[1],
+               ("range", first[0] + 1, second[0]), second[1]]
+              + ([("range", second[0] + 1, n)] if second[0] < n else []),
+              [("range", 1, n), on_edge(n, lo), on_edge(n, hi)],
+              [on_edge(n, hi), ("range", 1, n), on_edge(n, lo)]]
+    views += [v.subview(segs) for segs in pieces]
+    for w in views:
+        assert len(w.rational_slots) == 2, w.rational_slots
     return views, q, P

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dir_in_interior_wedge, one_virtual_twins, scan_cutover
+import scan_oracles
+from conftest import (dir_in_interior_wedge, one_virtual_twins,
+                      two_virtual_twins)
 from polyws import geom
 from polyws.errors import InternalInvariantError, PolygonInputError
 from polyws.workspace import BasePolygon, SubpolygonView
@@ -192,15 +194,17 @@ def test_max_angle_reflex_randomized_instances():
                     assert geom.is_reflex(v, r)
                     # a point apex: the vertex's own point gives the same
                     # answer; from the midpoint M of the clear segment A-H
-                    # the answer (or p_n when the smaller triangle holds no
-                    # reflex vertex) is visible, reflex and inside
+                    # (a rational corner, which the search takes) the
+                    # answer (or p_n when the smaller triangle holds no
+                    # reflex vertex) is visible by the exact oracle, reflex
+                    # and inside
                     assert geom.max_angle_reflex_in_triangle(v, A, pn, H) == r
                     M = (Fraction(A[0] + H[0], 2), Fraction(A[1] + H[1], 2))
                     rm = geom.max_angle_reflex_in_triangle(v, M, pn, H)
                     if rm is None:
-                        assert geom.point_sees_vertex(v, M, pn)
+                        assert scan_oracles.visible(v, 0, M, pn)
                     else:
-                        assert geom.point_sees_vertex(v, M, rm)
+                        assert scan_oracles.visible(v, 0, M, rm)
                         assert geom.is_reflex(v, rm)
                         X = v.point(rm)
                         assert geom.orient(M, P, X) == ot
@@ -212,12 +216,51 @@ def test_max_angle_reflex_randomized_instances():
     assert checked >= 100
 
 
+def test_scans_refuse_what_the_int64_kernels_cannot_read():
+    # every public scan refuses a free point that is not an integer point;
+    # on a view with a rational vertex, visibility, containment and the
+    # reflex search refuse the view, and the ray scans and the cone refuse
+    # that vertex as an end or an apex
+    from polyws.geodesic import _initial_cone
+    from polyws.oracle import generate
+    v = view_of(LPOLY)
+    for p in [(Fraction(1, 2), 1), (1, Fraction(5, 3)), (0.5, 1)]:
+        for scan, args in [(geom.point_in_closed, (v, p)),
+                           (geom.point_sees_vertex, (v, p, 2)),
+                           (geom.ray_shoot, (v, p, 2)),
+                           (geom.ray_scan_light, (v, p, 2)),
+                           (geom.ray_shoot, (v, 1, p)),
+                           (geom.ray_scan_light, (v, 1, p))]:
+            with pytest.raises(PolygonInputError):
+                scan(*args)
+    w = one_virtual_twins(SubpolygonView.whole(generate("random", 60, 1)),
+                          1, 30)[0][0]
+    h = w.rational_slots[0] + 1
+    i, j = 1 + h % w.m, 1 + (h + 2) % w.m
+    x, y = w.point(i)
+    for scan, args in [(geom.is_visible, (w, i, j)),
+                       (geom.point_in_closed, (w, (x, y))),
+                       (geom.point_sees_vertex, (w, (x, y), j)),
+                       (geom.max_angle_reflex_in_triangle,
+                        (w, i, j, w.point(h))),
+                       (geom.ray_shoot, (w, h, j)),
+                       (geom.ray_scan_light, (w, i, h)),
+                       (_initial_cone, (w, h))]:
+        with pytest.raises(InternalInvariantError):
+            scan(*args)
+
+
 def test_point_in_closed():
+    # integer points, a Fraction of denominator 1 among them; a non-integer
+    # point is refused, and the exact oracle places it
     v = view_of(LPOLY)
     assert geom.point_in_closed(v, (1, 1))      # on boundary vertex
-    assert geom.point_in_closed(v, (2, Fraction(1, 2)))
     assert not geom.point_in_closed(v, (2, 2))
-    assert geom.point_in_closed(v, (Fraction(1, 2), 2))
+    assert geom.point_in_closed(v, (Fraction(2), Fraction(0)))
+    for p in [(2, Fraction(1, 2)), (Fraction(1, 2), 2)]:
+        with pytest.raises(PolygonInputError):
+            geom.point_in_closed(v, p)
+        assert scan_oracles.point_in_ring(v.scan_points(), p)
 
 
 def _notched_comb(k):
@@ -238,12 +281,13 @@ CLOSING_EDGE_UP = [("random", 0, (47478, 21713)),
                    ("spiral", 33, (46688, 394))]
 
 
-def test_bulk_and_scalar_ray_scans_agree(monkeypatch):
-    # the int64 ray scan reports the same crossing as the exact scalar scan,
+def test_bulk_and_scalar_ray_scans_agree():
+    # the int64 ray scan reports the crossing of the exact scalar oracle,
     # on views of 3 to 8 vertices and around 48, for vertex and point
     # targets, rays through collinear vertices and rays crossing many edges;
-    # rays from free points (integer or Fraction) cross first where an exact
-    # scan of all edges says, the closing edge (n, 1) included
+    # rays from integer free points cross first where an exact scan of all
+    # edges says, the closing edge (n, 1) included; a non-integer origin is
+    # refused, and the oracle's first crossing from it is the exact scan's
     from polyws.oracle import generate
     cases = []
     for m in (3, 4, 5, 6, 7, 8, 39, 48, 150):
@@ -254,6 +298,7 @@ def test_bulk_and_scalar_ray_scans_agree(monkeypatch):
               for kind, seed, p in CLOSING_EDGE_UP]
     most_hits = 0
     closing = 0
+    refused = 0
     for poly, roots in cases:
         v = SubpolygonView.whole(poly)
         rng = random.Random(v.m)
@@ -277,28 +322,33 @@ def test_bulk_and_scalar_ray_scans_agree(monkeypatch):
         rays += [(v.m, (240, 3)), (v.m, (240, 5))]   # shallow, notched comb
         rays += [(p, (p[0], p[1] + d)) for p in roots for d in (1, -1)]
         for o, toward in rays:
-            got = []
-            for cutover in (0, 1 << 30):
-                scan_cutover(monkeypatch, cutover)
-                got.append((geom.ray_scan_light(v, o, toward),
-                            geom._ray_scan(v, o, toward)))
-            assert got[0] == got[1], (v.m, o, toward)
-            light = got[0][0]
-            if light is not None and light[0] == "edge":
+            want = scan_oracles.ray_hit(v, o, toward)
+            if isinstance(o, tuple) and isinstance(o[0], Fraction):
+                for scan in (geom.ray_scan_light, geom._ray_scan):
+                    with pytest.raises(PolygonInputError):
+                        scan(v, o, toward)
+                refused += 1
+            else:
+                assert _light(geom.ray_scan_light(v, o, toward)) == \
+                    scan_oracles.light(want), (v.m, o, toward)
+                assert geom._ray_scan(v, o, toward) == want
+            if want is not None and want.edge is not None:
                 T = pts[toward - 1] if isinstance(toward, int) else toward
                 hits = brute_ray_hits(list(pts), o, T)
-                assert hits and Fraction(light[2], light[3]) == hits[0][0]
-                assert light[1] == hits[0][1], (v.m, o, toward)
+                assert hits and want.ray_t == hits[0][0]
+                assert want.edge == hits[0][1], (v.m, o, toward)
                 most_hits = max(most_hits, len(hits))
-                closing += isinstance(o, tuple) and light[1] == v.m
+                closing += isinstance(o, tuple) and want.edge == v.m
     assert most_hits > geom._RAY_LOOP_MAX   # the arrays-of-crossings branch
     assert closing >= len(CLOSING_EDGE_UP)
+    assert refused >= 100
 
 
 def _rational_twin(v):
     """View of the same ring as the integer view `v`, with every fifth vertex
-    stored as a free point of Fraction coordinates: a multi-item view that
-    always takes the exact scalar path."""
+    stored as a free point of Fraction coordinates of denominator 1: a
+    multi-item view that counts those vertices as integer points, as its
+    rule has it."""
     from polyws.workspace import _ARC, _CUT, CutVertex
     items = []
     for i, (x, y) in enumerate(v.scan_points(), 1):
@@ -308,216 +358,291 @@ def _rational_twin(v):
         else:
             items.append((_ARC, v.base_ref(i), 1))
     twin = SubpolygonView(v.base, items)
-    assert not twin.all_int and len(twin.items) > 2
+    assert twin.all_int and len(twin.items) > 2
     return twin
 
 
 def _light(hit):
     """ray_scan_light's answer with the parameter as one Fraction: the
-    int64 kernels give it in lowest terms when it reads a rational vertex,
-    the scalar kernel as a ratio of Fractions."""
+    int64 kernel gives it in lowest terms when it reads a rational vertex."""
     return hit if hit is None else hit[:2] + (Fraction(hit[2], hit[3]),)
 
 
-def test_one_virtual_ray_scans_agree(monkeypatch):
-    # on views with one rational vertex the int64 ray scans (loop and
-    # arrays branch) mask its slot and settle it: they report the crossing
-    # of the exact scalar scan, for vertex and point targets, from vertices
-    # and from free points (integer or Fraction), the rational vertex at
-    # slot 0, at slot m - 1 (its edges are then the closing edge and the
-    # one before) and in the middle, crossings of its two edges and at the
-    # vertex itself included
-    from polyws.oracle import generate
+def _refusal(w, o, toward):
+    """The error a ray scan of `w` raises for these ends, None when it scans:
+    an end at a rational vertex is an internal error, a non-integer free
+    point a refused input; the target is read first."""
+    for end in (toward, o):
+        if isinstance(end, int):
+            if end - 1 in w.rational_slots:
+                return InternalInvariantError
+        elif end[0].denominator != 1 or end[1].denominator != 1:
+            return PolygonInputError
+    return None
+
+
+def _check_virtual_ray_scans(monkeypatch, cases):
+    """The int64 ray scans (loop and arrays branch) of views with rational
+    vertices mask their slots and settle them: they report the oracle's
+    crossing, for vertex and point targets, from vertices and from integer
+    free points, crossings of the rational vertices' edges and at the
+    vertices themselves included; a ray with an end at a rational vertex or
+    at a non-integer point is refused, and the oracle's edge crossings are
+    those of an exact scan of every edge.  `cases` holds (view, extra rays);
+    returns the counts of crossings at the rational vertices and of arrays
+    scans with slots masked."""
     many = []
     scan_many = geom._ray_scan_many
 
-    def counting(xs, ys, pts, origin, O, D, slot):
-        many.append(slot)
-        return scan_many(xs, ys, pts, origin, O, D, slot)
+    def counting(xs, ys, pts, origin, O, D, rational):
+        many.append(rational)
+        return scan_many(xs, ys, pts, origin, O, D, rational)
     monkeypatch.setattr(geom, "_ray_scan_many", counting)
-    at_virtual = {"edge": 0, "vertex": 0, "closing": 0}
+    at_virtual = {"edge": 0, "vertex": 0, "closing": 0, "refused": 0}
+    for w, extra in cases:
+        rng = random.Random(w.m)
+        pts = w.scan_points()
+        hs = [k + 1 for k in w.rational_slots]
+        m = w.m
+        xs = [int(p[0]) for p in pts]
+        ys = [int(p[1]) for p in pts]
+        near = sorted({1 + (h - 1 + k) % m for h in hs for k in (-2, -1, 1, 2)}
+                      - set(hs))
+        rays = [(o, t) for o in near for t in range(1, m + 1, 4) if t != o]
+        for _ in range(100):
+            o = rng.randrange(1, m + 1)
+            t = rng.randrange(1, m + 1)
+            if t != o:
+                rays.append((o, t))
+            pt = (rng.randrange(min(xs), max(xs) + 1),
+                  rng.randrange(min(ys), max(ys) + 1))
+            if pt != pts[o - 1]:
+                rays.append((o, pt))
+            rays.append((pt, (pt[0], pt[1] + 1)))
+            h = rng.choice(hs)
+            rays.append((pt, pts[h - 1 + rng.choice((-1, 1 - m))]))
+            rays.append(((pt[0] + Fraction(1, 3), pt[1]), o))
+        rays += extra
+        for r, (o, toward) in enumerate(rays):
+            O = pts[o - 1] if isinstance(o, int) else o
+            T = pts[toward - 1] if isinstance(toward, int) else toward
+            if O == T:
+                continue
+            want = scan_oracles.ray_hit(w, o, toward)
+            refusal = _refusal(w, o, toward)
+            if refusal is not None:
+                for scan in (geom.ray_scan_light, geom._ray_scan):
+                    with pytest.raises(refusal):
+                        scan(w, o, toward)
+                at_virtual["refused"] += 1
+            else:
+                assert _light(geom.ray_scan_light(w, o, toward)) == \
+                    scan_oracles.light(want), (w.m, hs, o, toward)
+                assert geom._ray_scan(w, o, toward) == want
+            if want is None:
+                continue
+            settled = want.edge is not None and any(
+                want.edge in (h - 1 or m, h) for h in hs)
+            if refusal is None:
+                if want.vertex in hs:
+                    at_virtual["vertex"] += 1
+                elif settled:
+                    at_virtual["edge"] += 1
+                    at_virtual["closing"] += want.edge == m
+            if want.edge is not None and (settled or r % 8 == 0):
+                hits = brute_ray_hits(list(pts), o, T)
+                assert hits and want.ray_t == hits[0][0]
+                assert want.edge == hits[0][1], (w.m, o, toward)
+    at_virtual["many"] = sum(bool(rational) for rational in many)
+    return at_virtual
+
+
+def test_one_virtual_ray_scans_agree(monkeypatch):
+    # views with one rational vertex, at slot 0, at slot m - 1 (its edges
+    # are then the closing edge and the one before) and in the middle;
+    # straight in v's own ring, where the ray from q toward P crosses the
+    # boundary exactly at it
+    from polyws.oracle import generate
+    cases = []
     for kind, seed in [("random", 1), ("comb", 2), ("spiral", 3)]:
         v = SubpolygonView.whole(generate(kind, 300, seed))
         views, q, P = one_virtual_twins(v, seed)
         for w in views:
-            rng = random.Random(w.m)
-            pts = w.scan_points()
-            h = w.rational_slot + 1
-            m = w.m
-            xs = [int(p[0]) for p in pts]
-            ys = [int(p[1]) for p in pts]
-            near = [1 + (h - 1 + k) % m for k in (-2, -1, 1, 2)]
-            rays = [(o, t) for o in near for t in range(1, m + 1, 4)
-                    if t != o]
-            for _ in range(100):
-                o = rng.randrange(1, m + 1)
-                t = rng.randrange(1, m + 1)
-                if t != o:
-                    rays.append((o, t))
-                pt = (rng.randrange(min(xs), max(xs) + 1),
-                      rng.randrange(min(ys), max(ys) + 1))
-                if pt != pts[o - 1]:
-                    rays.append((o, pt))
-                rays.append((pt, (pt[0], pt[1] + 1)))
-                rays.append((pt, pts[h - 1 + rng.choice((-1, 1 - m))]))
-                rays.append(((pt[0] + Fraction(1, 3), pt[1]), o))
-            if w.m == v.m + 1:
-                # from q, where it sits on this ring, the ray crosses the
-                # boundary exactly at H
-                rays.append((q if q < h else q + 1, P))
-            for r, (o, toward) in enumerate(rays):
-                got = []
-                for cutover in (0, 1 << 30):
-                    scan_cutover(monkeypatch, cutover)
-                    try:
-                        got.append((_light(geom.ray_scan_light(w, o, toward)),
-                                    geom._ray_scan(w, o, toward)))
-                    except PolygonInputError:
-                        got.append("degenerate")
-                assert got[0] == got[1], (w.m, h, o, toward)
-                light = got[0][0] if got[0] != "degenerate" else None
-                if light is None:
-                    continue
-                settled = light[1] in (h - 1 or m, h)
-                if light[:2] == ("vertex", h):
-                    at_virtual["vertex"] += 1
-                elif light[0] == "edge" and settled:
-                    at_virtual["edge"] += 1
-                    at_virtual["closing"] += light[1] == m
-                if light[0] == "edge" and (settled or r % 8 == 0):
-                    T = pts[toward - 1] if isinstance(toward, int) else toward
-                    hits = brute_ray_hits(list(pts), o, T)
-                    assert hits and light[2] == hits[0][0]
-                    assert light[1] == hits[0][1], (w.m, o, toward)
-    assert at_virtual["edge"] >= 50 and at_virtual["closing"] >= 10
-    assert at_virtual["vertex"] >= 1
+            h = w.rational_slots[0] + 1
+            cases.append((w, [(q if q < h else q + 1, P)]
+                          if w.m == v.m + 1 else []))
+    got = _check_virtual_ray_scans(monkeypatch, cases)
+    assert got["edge"] >= 50 and got["closing"] >= 10
+    assert got["vertex"] >= 1 and got["refused"] >= 300
     # the arrays-of-crossings branch ran with the slot masked
-    assert sum(slot is not None for slot in many) >= 20
+    assert got["many"] >= 20
+
+
+def test_two_virtual_ray_scans_agree(monkeypatch):
+    # views with two rational vertices: an SPT-like piece closed by a
+    # virtual vertex and holding another, which may be its neighbor, and
+    # two straight ones in one edge or in two
+    from polyws.oracle import generate
+    cases = []
+    for kind, seed in [("random", 1), ("comb", 2), ("spiral", 3)]:
+        v = SubpolygonView.whole(generate(kind, 300, seed))
+        views, q, P = two_virtual_twins(v, seed)
+        for w in views:
+            ring = w.scan_points()
+            cases.append((w, [(ring.index(v.point(q)) + 1, P)]
+                          if v.point(q) in ring else []))
+    got = _check_virtual_ray_scans(monkeypatch, cases)
+    assert got["edge"] >= 50 and got["closing"] >= 10
+    assert got["vertex"] >= 1 and got["refused"] >= 300
+    assert got["many"] >= 20
+
+
+def _exact_cone(w, q, pts):
+    """q's initial cone with its bounds as exact, maybe rational, vectors."""
+    from polyws.geodesic import Cone
+    m = w.m
+    (qx, qy), (px, py), (nx, ny) = pts[q - 1], pts[(q - 2) % m], pts[q % m]
+    return Cone((px - qx, py - qy), (nx - qx, ny - qy))
+
+
+def _long_bounds(w, pts):
+    """The ring neighbors q of w's rational vertices whose direction toward
+    one has no integer multiple with components below 2**36, within the
+    int64 candidate scan's reach: q's cone is refused.  The library's
+    virtual vertices lie on a line through each neighbor and another
+    integer point; one_virtual_twins' vertex moved off the lattice does
+    not."""
+    m = w.m
+    out = set()
+    for k in w.rational_slots:
+        for q in (1 + (k - 1) % m, 1 + (k + 1) % m):
+            dx = Fraction(pts[k][0] - pts[q - 1][0])
+            dy = Fraction(pts[k][1] - pts[q - 1][1])
+            d = math.lcm(dx.denominator, dy.denominator)
+            g = math.gcd(int(dx * d), int(dy * d))
+            if max(abs(dx), abs(dy)) * d / g >= 1 << 36:
+                out.add(q)
+    return out
+
+
+def _reflex_rational(w, pts):
+    """True when one of w's rational vertices is reflex, so that a search
+    may shoot at it, which the ray scans refuse; the library's virtual
+    vertices split an edge and are convex or straight."""
+    m = w.m
+    return any(geom.orient(pts[k - 1], pts[k], pts[(k + 1) % m])
+               == geom.COUNTERCLOCKWISE for k in w.rational_slots)
 
 
 def test_one_virtual_candidate_scans_and_links_agree(monkeypatch):
-    # the int64 candidate scan of a view with one rational vertex lists the
-    # scalar scan's candidates, for initial, narrowed and halved cones of
-    # every vertex, those next to the rational vertex included: their
-    # initial cone has a rational bound and takes the scalar scan, a cone
-    # whose bound on that side has been replaced takes the int64 one; and
-    # first_link gives the same answer on both paths
+    # the int64 candidate scan of a view with one or two rational vertices
+    # lists the oracle's candidates, for initial, narrowed and halved cones
+    # of every vertex, those next to a rational vertex included: their
+    # initial cone bound toward it is its primitive integer direction, and
+    # the scan lists what the oracle lists for the exact rational bound; a
+    # reflex rational vertex's neighbors are refused; and first_link gives
+    # the same answer with the int64 kernels as with the oracles
     from polyws import geodesic
     from polyws.oracle import generate
-    bulk_next_to = 0
+    next_to = refused = 0
     for kind, seed in [("random", 4), ("comb", 5), ("spiral", 6)]:
         v = SubpolygonView.whole(generate(kind, 300, seed))
-        views, _, _ = one_virtual_twins(v, seed)
+        views = one_virtual_twins(v, seed)[0] + two_virtual_twins(v, seed)[0]
         for w in views:
             m = w.m
-            h = w.rational_slot + 1
-            h_prev, h_next = h - 1 or m, h % m + 1
+            hs = [k + 1 for k in w.rational_slots]
             pts = w.scan_points()
+            long_bound = _long_bounds(w, pts)
             rng = random.Random(m)
             cones = []
             for q in range(1, m + 1):
-                if q == h:
+                if q in hs:
+                    with pytest.raises(InternalInvariantError):
+                        geodesic._initial_cone(w, q, pts)
+                    continue
+                if q in long_bound:
+                    with pytest.raises(InternalInvariantError):
+                        geodesic._initial_cone(w, q, pts)
+                    refused += 1
                     continue
                 cone = geodesic._initial_cone(w, q, pts)
+                exact = _exact_cone(w, q, pts)
+                assert geodesic._candidate_scan(w, q, cone, pts) == \
+                    scan_oracles.candidate_scan(w, q, exact, pts), (m, q)
+                next_to += (cone.a, cone.b) != (exact.a, exact.b)
                 cones.append((q, cone))
                 prev = rng.randrange(1, m + 1)
-                if prev not in (q, h):
+                if prev != q and prev not in hs:
                     narrowed = geodesic._initial_cone(w, q, pts)
                     geodesic._narrow_past(narrowed, pts, q, prev)
                     cones.append((q, narrowed))
-                if q not in (h_prev, h_next):
+                if not any((q - h) % m in (1, m - 1) for h in hs):
                     continue
                 for r in rng.sample(range(1, m + 1), 12):
-                    if r in (q, h):
+                    if r == q or r in hs:
                         continue
-                    # the bound on the rational vertex's side turned to
-                    # the direction of an integer vertex
-                    half = geodesic._initial_cone(w, q, pts)
-                    d = (pts[r - 1][0] - pts[q - 1][0],
-                         pts[r - 1][1] - pts[q - 1][1])
-                    if q == h_prev:
-                        half.b, half.b_edge = d, False
-                    else:
-                        half.a, half.a_edge = d, False
-                    try:
-                        geodesic._cone_kind(half)
-                    except InternalInvariantError:
+                    # a bound beside the rational vertex turned to the
+                    # direction of an integer vertex
+                    for side in "ab":
+                        half = geodesic._initial_cone(w, q, pts)
+                        setattr(half, side, (pts[r - 1][0] - pts[q - 1][0],
+                                             pts[r - 1][1] - pts[q - 1][1]))
+                        setattr(half, side + "_edge", False)
+                        try:
+                            geodesic._cone_kind(half)
+                        except InternalInvariantError:
+                            continue
+                        cones.append((q, half))
+            # cones with a bound through a rational vertex's masked int64
+            # slot, which the strict cone test leaves out while the vertex
+            # itself may lie inside
+            for h in hs:
+                fl = (math.floor(pts[h - 1][0]), math.floor(pts[h - 1][1]))
+                for q in rng.sample(range(1, m + 1), 20):
+                    d = (fl[0] - pts[q - 1][0], fl[1] - pts[q - 1][1])
+                    if q in hs or q in long_bound or d == (0, 0):
                         continue
-                    cones.append((q, half))
-                    bulk_next_to += geom.uses_bulk("pick", w, q, half.a,
-                                                   half.b)
-            # cones with a bound through H's masked int64 slot, which the
-            # strict cone test leaves out while H itself may lie inside
-            fl = (math.floor(pts[h - 1][0]), math.floor(pts[h - 1][1]))
-            for q in rng.sample(range(1, m + 1), 20):
-                d = (fl[0] - pts[q - 1][0], fl[1] - pts[q - 1][1])
-                if q in (h, h_prev, h_next) or d == (0, 0):
-                    continue
-                for side in "ab":
-                    cone = geodesic._initial_cone(w, q, pts)
-                    setattr(cone, side, d)
-                    setattr(cone, side + "_edge", False)
-                    try:
-                        geodesic._cone_kind(cone)
-                    except InternalInvariantError:
-                        continue
-                    cones.append((q, cone))
+                    for side in "ab":
+                        cone = geodesic._initial_cone(w, q, pts)
+                        setattr(cone, side, d)
+                        setattr(cone, side + "_edge", False)
+                        try:
+                            geodesic._cone_kind(cone)
+                        except InternalInvariantError:
+                            continue
+                        cones.append((q, cone))
             for q, cone in cones:
-                got = []
-                for cutover in (0, 1 << 30):
-                    scan_cutover(monkeypatch, cutover)
-                    got.append(geodesic._sample_candidates(
-                        w, q, cone, 10 ** 9, random.Random(0), pts))
-                assert got[0] == got[1], (m, h, q, cone.a, cone.b)
+                assert geodesic._candidate_scan(w, q, cone, pts) == \
+                    scan_oracles.candidate_scan(w, q, cone, pts), \
+                    (m, hs, q, cone.a, cone.b)
+            if _reflex_rational(w, pts):
+                continue
             links = [(rng.randrange(1, m + 1), rng.randrange(1, m + 1))
                      for _ in range(40)]
-            links += [(h_prev, t) for t in range(1, m + 1, 7)]
+            links += [(1 + (h - 2) % m, t) for h in hs
+                      for t in range(1, m + 1, 7)]
             for q, t in links:
-                if q == t or h in (q, t):
+                if q == t or q in hs:
                     continue
                 got = []
                 for cutover in (0, 1 << 30):
-                    scan_cutover(monkeypatch, cutover)
+                    scan_oracles.use_oracles_below(monkeypatch, cutover)
                     got.append(geodesic.first_link(w, q, t,
                                                    random.Random(q * t)))
-                assert got[0] == got[1], (m, h, q, t)
-    assert bulk_next_to >= 6
-
-
-def test_uses_bulk_reads_coordinates_only():
-    # the int64 path runs whenever every coordinate a scan reads is an
-    # integer, at any size; of a view with one rational vertex only the
-    # candidate pick and the ray scan read int64 arrays
-    from polyws.oracle import generate
-    tri = view_of([(0, 0), (0, 2), (2, 0)])
-    big = SubpolygonView.whole(generate("random", 300, 1))
-    for v in (tri, big):
-        assert geom.uses_bulk("pick", v, 1, (0, 1), (1, 0))
-        assert geom.uses_bulk("ray", v, 1, 2)
-        assert geom.uses_bulk("visible", v, 1, 2)
-        assert geom.uses_bulk("point", v, (1, 1))
-        assert geom.uses_bulk("reflex", v)
-        assert not geom.uses_bulk("point", v, (Fraction(1, 2), 1))
-        assert not geom.uses_bulk("ray", v, (Fraction(1, 2), 1), 2)
-    for w in one_virtual_twins(big, 1)[0]:
-        h = w.rational_slot + 1
-        i, j = 1 + h % w.m, 1 + (h + 1) % w.m
-        assert geom.uses_bulk("pick", w, i, (0, 1), (1, 0))
-        assert geom.uses_bulk("ray", w, i, j)
-        assert not geom.uses_bulk("ray", w, h, j)
-        assert not geom.uses_bulk("visible", w, i, j)
-        assert not geom.uses_bulk("point", w, (1, 1))
-        assert not geom.uses_bulk("reflex", w)
+                assert got[0] == got[1], (m, hs, q, t)
+    assert next_to >= 60 and refused >= 6
 
 
 def test_small_views_agree_on_both_paths(monkeypatch):
     # views of 3 to 10 vertices, integer and with one rational vertex, give
-    # the same answers on the int64 path as on the scalar one: visibility of
-    # every vertex pair, containment and point-to-vertex sight lines of
-    # vertices and random points, the ray scans and first links of every
-    # pair, candidate scans of initial and narrowed cones, and the reflex
-    # search inside blocking and random triangles; edge hits are the first
-    # crossings of an exact scan of every edge
+    # the oracles' answers: visibility of every vertex pair, containment and
+    # point-to-vertex sight lines of vertices and random points (on integer
+    # views), the ray scans of every pair and from random points, candidate
+    # scans of initial and narrowed cones, first links with the int64
+    # kernels and with the oracles (on views whose rational vertex is not
+    # reflex, as the library's are not), and the reflex search inside
+    # blocking and random triangles; edge hits are the first crossings of
+    # an exact scan of every edge
     from polyws import geodesic
     from polyws.oracle import generate
     views = [SubpolygonView.whole(generate(kind, m, seed))
@@ -530,35 +655,72 @@ def test_small_views_agree_on_both_paths(monkeypatch):
             views += one_virtual_twins(
                 SubpolygonView.whole(generate("random", n, seed)), seed,
                 n // 2)[0]
-    queries = []
+    crossings = 0
     for w in views:
         m = w.m
         pts = w.scan_points()
         rng = random.Random(m)
-        h = w.rational_slot + 1 if w.rational_slot is not None else 0
+        hs = [k + 1 for k in w.rational_slots]
+        long_bound = _long_bounds(w, pts)
         xs = [int(p[0]) for p in pts]
         ys = [int(p[1]) for p in pts]
         points = [(rng.randrange(min(xs), max(xs) + 1),
                    rng.randrange(min(ys), max(ys) + 1)) for _ in range(40)]
-        points += list(pts)
+        if w.all_int:
+            points += list(pts)
         pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)
                  if i != j]
-        rays = pairs + [(p, j) for p in points[:20] for j in range(1, m + 1)
-                        if p != pts[j - 1]]
-        cones = []
+        rays = [(o, t) for o, t in pairs if o not in hs and t not in hs]
+        rays += [(p, j) for p in points[:20] for j in range(1, m + 1)
+                 if p != pts[j - 1] and j not in hs]
+        for o, t in rays:
+            want = scan_oracles.ray_hit(w, o, t)
+            assert _light(geom.ray_scan_light(w, o, t)) == \
+                scan_oracles.light(want), (m, o, t)
+            if want is not None and want.edge is not None:
+                T = pts[t - 1] if isinstance(t, int) else t
+                hits = brute_ray_hits(list(pts), o, T)
+                assert hits[0][:2] == (want.ray_t, want.edge), (m, o, t)
+                crossings += 1
         for q in range(1, m + 1):
-            if q == h:
+            if q in hs or q in long_bound:
                 continue
-            cones.append((q, geodesic._initial_cone(w, q, pts)))
+            cones = [geodesic._initial_cone(w, q, pts)]
             for prev in range(1, m + 1):
-                if prev not in (q, h):
+                if prev != q and prev not in hs:
                     cone = geodesic._initial_cone(w, q, pts)
                     geodesic._narrow_past(cone, pts, q, prev)
-                    cones.append((q, cone))
+                    cones.append(cone)
+            for cone in cones:
+                assert geodesic._sample_candidates(
+                    w, q, cone, 10 ** 9, random.Random(0), None) == (
+                        scan_oracles.candidate_scan(w, q, cone), True)
+        if not _reflex_rational(w, pts):
+            for q, t in pairs:
+                if q in hs or q in long_bound:
+                    continue
+                got = []
+                for cutover in (0, 1 << 30):
+                    scan_oracles.use_oracles_below(monkeypatch, cutover)
+                    got.append(geodesic.first_link(w, q, t,
+                                                   random.Random(q * t)))
+                assert got[0] == got[1], (m, q, t)
+            monkeypatch.undo()
+        if not w.all_int:
+            continue
+        inside = [p for p in points if geom.point_in_closed(w, p)]
+        assert [geom.is_visible(w, i, j) for i, j in pairs] == \
+            [scan_oracles.visible(w, i, None, j) for i, j in pairs]
+        assert [geom.point_in_closed(w, p) for p in points] == \
+            [scan_oracles.point_in_ring(pts, p) for p in points]
+        assert [geom.point_sees_vertex(w, p, j) for p in inside
+                for j in range(1, m + 1)] == \
+            [scan_oracles.visible(w, 0, p, j) for p in inside
+             for j in range(1, m + 1)]
         blocked = []
         for q, t in pairs:
             vq, vt = pts[q - 1], pts[t - 1]
-            if q == h or geom.is_visible(w, q, t) or not dir_in_interior_wedge(
+            if geom.is_visible(w, q, t) or not dir_in_interior_wedge(
                     w, q, (vt[0] - vq[0], vt[1] - vq[1])):
                 continue
             hit = geom.ray_shoot(w, q, t)
@@ -571,52 +733,23 @@ def test_small_views_agree_on_both_paths(monkeypatch):
         # and triangles on a vertex pair and a random point
         blocked += [(q, t, p) for q, t in pairs for p in points[:3]
                     if geom.orient(pts[q - 1], pts[t - 1], p)]
-        queries.append((w, points, pairs, rays, cones, blocked))
-
-    def answers():
-        out = []
-        for w, points, pairs, rays, cones, blocked in queries:
-            inside = [p for p in points if geom.point_in_closed(w, p)]
-            links = [(q, t) for q, t in pairs
-                     if w.rational_slot not in (q - 1, t - 1)]
-            out.append((
-                [geom.is_visible(w, i, j) for i, j in pairs],
-                [geom.point_in_closed(w, p) for p in points],
-                [geom.point_sees_vertex(w, p, j) for p in inside
-                 for j in range(1, w.m + 1)],
-                [_light(geom.ray_scan_light(w, o, t)) for o, t in rays],
-                [geodesic._sample_candidates(w, q, cone, 10 ** 9,
-                                             random.Random(0), None)
-                 for q, cone in cones],
-                [geodesic.first_link(w, q, t, random.Random(q * t))
-                 for q, t in links],
-                [geom.max_angle_reflex_in_triangle(w, *b) for b in blocked]))
-        return out
-    got = answers()
-    scan_cutover(monkeypatch, 1 << 30)
-    assert answers() == got
-    crossings = 0
-    for (w, _, _, rays, _, _), ans in zip(queries, got):
-        pts = w.scan_points()
-        for (o, t), light in zip(rays, ans[3]):
-            if light is not None and light[0] == "edge":
-                T = pts[t - 1] if isinstance(t, int) else t
-                hits = brute_ray_hits(list(pts), o, T)
-                assert hits[0][:2] == (light[2], light[1]), (w.m, o, t)
-                crossings += 1
+        assert [geom.max_angle_reflex_in_triangle(w, *b) for b in blocked] \
+            == [scan_oracles.max_angle_reflex(w, *b) for b in blocked]
     assert crossings >= 100
 
 
-def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
+def test_bulk_and_scalar_visibility_and_containment_agree():
     # is_visible, point_in_closed, the reflex search inside a blocking
-    # triangle and point-to-vertex visibility give the same answers on the
-    # int64 and the scalar path, including points on edges and at vertices,
-    # and the same again on a rational twin of each view
+    # triangle and point-to-vertex visibility give the oracles' answers,
+    # including points on edges and at vertices and sight lines that run
+    # through third vertices (the notched comb's floor line), and the same
+    # again on a twin of each view that stores some vertices as Fractions
+    # of denominator 1
     from polyws.oracle import generate
     views = [SubpolygonView.whole(generate(kind, 120, seed))
              for kind, seed in [("random", 4), ("comb", 5), ("spiral", 6)]]
     views.append(view_of(_notched_comb(30)))
-    searches = 0
+    searches = through = 0
     for v in views:
         rng = random.Random(v.m)
         pts = v.scan_points()
@@ -624,7 +757,15 @@ def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
         ys = [p[1] for p in pts]
         pairs = [(rng.randrange(1, v.m + 1), rng.randrange(1, v.m + 1))
                  for _ in range(300)]
+        floor = [k for k in range(1, v.m + 1) if pts[k - 1][1] == 2]
+        pairs += [(i, j) for i in floor[::3] for j in floor]
         pairs = [(i, j) for i, j in pairs if i != j]
+        through += sum(any(
+            k not in (i, j) and geom.orient(pts[i - 1], pts[j - 1],
+                                            pts[k - 1]) == geom.COLLINEAR
+            and min(pts[i - 1][0], pts[j - 1][0]) < pts[k - 1][0]
+            < max(pts[i - 1][0], pts[j - 1][0]) for k in floor)
+            for i, j in pairs if i in floor and j in floor)
         points = [(rng.randrange(min(xs) - 1, max(xs) + 2),
                    rng.randrange(min(ys) - 1, max(ys) + 2))
                   for _ in range(300)]
@@ -648,24 +789,23 @@ def test_bulk_and_scalar_visibility_and_containment_agree(monkeypatch):
         inside = [p for p in points if geom.point_in_closed(v, p)]
         sights = [(p, rng.randrange(1, v.m + 1)) for p in inside[:60]]
         sights += [(p, j) for p in inside[:2] for j in range(1, v.m + 1)]
-
-        def answers(w):
-            return ([geom.is_visible(w, i, j) for i, j in pairs],
+        want = ([scan_oracles.visible(v, i, None, j) for i, j in pairs],
+                [scan_oracles.point_in_ring(pts, p) for p in points],
+                [scan_oracles.max_angle_reflex(v, *b) for b in blocked],
+                [scan_oracles.visible(v, 0, p, j) for p, j in sights])
+        for w in (v, _rational_twin(v)):
+            assert ([geom.is_visible(w, i, j) for i, j in pairs],
                     [geom.point_in_closed(w, p) for p in points],
                     [geom.max_angle_reflex_in_triangle(w, *b)
                      for b in blocked],
-                    [geom.point_sees_vertex(w, p, j) for p, j in sights])
-        got = []
-        for cutover in (0, 1 << 30):
-            scan_cutover(monkeypatch, cutover)
-            got.append(answers(v))
-        got.append(answers(_rational_twin(v)))
-        assert got[0] == got[1] == got[2]
-        assert any(got[0][3]) and not all(got[0][3])
-        assert any(got[0][0]) and not all(got[0][0])
-        assert any(got[0][1]) and not all(got[0][1])
+                    [geom.point_sees_vertex(w, p, j) for p, j in sights]) \
+                == want
+        assert any(want[3]) and not all(want[3])
+        assert any(want[0]) and not all(want[0])
+        assert any(want[1]) and not all(want[1])
         searches += len(blocked)
     assert searches >= 20
+    assert through >= 100
 
 
 def _point_sees_vertex_reference(view, p, j):
@@ -691,22 +831,23 @@ def _point_sees_vertex_reference(view, p, j):
         if geom.segments_properly_intersect(p, b, pv, cv):
             return False
         pv = cv
-    mid = (Fraction(p[0] + b[0], 2), Fraction(p[1] + b[1], 2))
-    return geom.point_in_closed(view, mid)
+    return scan_oracles.point_in_ring(pts, (p[0] + b[0], p[1] + b[1]), 2)
 
 
-def test_point_sees_vertex_matches_reference(monkeypatch):
-    # point_sees_vertex runs is_visible's kernels with a free first
-    # endpoint: it agrees with the per-vertex reference, and with
-    # is_visible when p is vertex i, on the int64 and the scalar path and on
-    # a rational twin of each view; points include vertices, points on
-    # edges, on the notched comb's floor line and with Fraction coordinates
+def test_point_sees_vertex_matches_reference():
+    # point_sees_vertex runs is_visible's kernel with a free first
+    # endpoint: it agrees with the per-vertex reference and the oracle, and
+    # with is_visible when p is vertex i, also on a twin of each view that
+    # stores some vertices as Fractions of denominator 1; points include
+    # vertices, points on edges and on the notched comb's floor line; a
+    # point with non-integer coordinates is refused, and the oracle agrees
+    # with the reference there
     from polyws.oracle import generate
     views = [SubpolygonView.whole(generate(kind, m, seed))
              for kind, m, seed in [("random", 90, 1), ("comb", 150, 2),
                                    ("spiral", 140, 3), ("monotone", 160, 4)]]
     views.append(view_of(_notched_comb(30)))
-    blocked_through = 0
+    blocked_through = refused = 0
     for v in views:
         rng = random.Random(v.m)
         pts = v.scan_points()
@@ -719,7 +860,7 @@ def test_point_sees_vertex_matches_reference(monkeypatch):
         cands += [(x, 2) for x in range(0, 121, 3)]
         cands += [(Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2))
                   for a, b in zip(pts[::7], pts[3::7])]
-        inside = [p for p in cands if geom.point_in_closed(v, p)]
+        inside = [p for p in cands if scan_oracles.point_in_ring(pts, p)]
         sights = [(p, rng.randrange(1, v.m + 1)) for p in inside]
         sights += [(p, j) for p in inside[:2] for j in range(1, v.m + 1)]
         verts = [(rng.randrange(1, v.m + 1), rng.randrange(1, v.m + 1))
@@ -728,6 +869,14 @@ def test_point_sees_vertex_matches_reference(monkeypatch):
         verts += [(1, j) for j in range(2, v.m + 1)]
         want = [_point_sees_vertex_reference(v, p, j) for p, j in sights]
         assert any(want) and not all(want)
+        assert [scan_oracles.visible(v, 0, p, j) for p, j in sights] == want
+        integer = [p[0].denominator == p[1].denominator == 1
+                   for p, _ in sights]
+        refused += integer.count(False)
+        for (p, j), ok in zip(sights, integer):
+            if not ok:
+                with pytest.raises(PolygonInputError):
+                    geom.point_sees_vertex(v, p, j)
         # sight lines through vertex c at their midpoint p/2 + b/2, on the
         # view that starts after c: c is its last slot
         through = []
@@ -741,13 +890,11 @@ def test_point_sees_vertex_matches_reference(monkeypatch):
         want_through = [_point_sees_vertex_reference(*t) for t in through]
         blocked_through += want_through.count(False)
         for w in (v, _rational_twin(v)):
-            for cutover in (0, 1 << 30):
-                scan_cutover(monkeypatch, cutover)
-                assert [geom.point_sees_vertex(w, p, j)
-                        for p, j in sights] == want
-                assert [geom.point_sees_vertex(w, pts[i - 1], j)
-                        for i, j in verts] == \
-                    [geom.is_visible(w, i, j) for i, j in verts]
-                assert [geom.point_sees_vertex(*t)
-                        for t in through] == want_through
-    assert blocked_through >= 10
+            assert [geom.point_sees_vertex(w, p, j)
+                    for (p, j), ok in zip(sights, integer) if ok] == \
+                [a for a, ok in zip(want, integer) if ok]
+            assert [geom.point_sees_vertex(w, pts[i - 1], j)
+                    for i, j in verts] == \
+                [geom.is_visible(w, i, j) for i, j in verts]
+        assert [geom.point_sees_vertex(*t) for t in through] == want_through
+    assert blocked_through >= 10 and refused >= 10

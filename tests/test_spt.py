@@ -1,5 +1,6 @@
 """Shortest-path trees: base cases, recursion, roots off the vertex set."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -81,7 +82,7 @@ def test_constant_workspace_matches_in_memory(monkeypatch):
     for n, seed in [(60, 1), (90, 2)]:
         v = SubpolygonView.whole(generate("random", n, seed))
         for w in one_virtual_twins(v, seed, n // 2)[0][:3]:
-            h = w.rational_slot + 1
+            h = w.rational_slots[0] + 1
             for root in (1, -(-w.m // 3), -(-w.m // 2), 1 + h % w.m):
                 if root != h:
                     funnel, const = _both_base_cases(w, root, seed)
@@ -166,9 +167,11 @@ def test_virtual_vertices_never_emitted():
 
 
 def test_interior_root():
+    # an integer point, also given as Fractions of denominator 1
     poly = BasePolygon(SQUARE)
     edges, _, _ = run_spt(poly, (1, 1), 4)
     assert edges == ref_spt(poly, (1, 1))
+    assert run_spt(poly, (Fraction(1), Fraction(1)), 4)[0] == edges
 
 
 def test_edge_interior_root():
@@ -272,9 +275,12 @@ def test_randomized_spt_sweep():
 
 
 def test_outside_root_rejected():
+    # a point outside the polygon, and points inside it that are not
+    # integer points
     poly = BasePolygon(SQUARE)
-    with pytest.raises(PolygonInputError):
-        spt(poly, (10, 10), 4, mode=MeterMode.PERMISSIVE)
+    for p in [(10, 10), (Fraction(1, 2), 1), (1, Fraction(4, 3)), (0.5, 1)]:
+        with pytest.raises(PolygonInputError):
+            spt(poly, p, 4, mode=MeterMode.PERMISSIVE)
 
 
 def test_edge_counts():

@@ -169,9 +169,27 @@ def test_view_with_cut_vertices():
 
 
 def test_view_rational_cut_flags_nonint():
+    # a cut vertex counts as non-integer only when a coordinate's
+    # denominator is not 1; coord_arrays masks up to two such vertices and
+    # refuses a third
     from fractions import Fraction
     poly = BasePolygon(OCTAGON)
     whole = SubpolygonView.whole(poly)
-    cut = CutVertex(None, point=(Fraction(1, 2), Fraction(3, 2)), virtual=True)
-    v = whole.subview([("range", 1, 4), ("cut", cut)])
-    assert not v.all_int
+
+    def cut(x, y):
+        return ("cut", CutVertex(None, point=(x, y), virtual=True))
+    v = whole.subview([("range", 1, 4), cut(Fraction(1, 2), Fraction(3, 2))])
+    assert not v.all_int and v.rational_slots == (4,)
+    v = whole.subview([("range", 1, 4), cut(Fraction(2), Fraction(3))])
+    assert v.all_int and v.rational_slots == ()
+    assert v.coord_arrays()[0][4] == 2
+    halves = [cut(Fraction(k, 2), Fraction(1, 2)) for k in (3, 5, 7)]
+    v = whole.subview([("range", 1, 4), halves[0], ("range", 5, 6),
+                       halves[1]])
+    assert v.rational_slots == (4, 7)
+    assert list(v.coord_arrays()[0][[4, 7]]) == [1, 2]
+    v = whole.subview([halves[2], ("range", 1, 4), halves[0],
+                       ("range", 5, 6), halves[1]])
+    assert v.rational_slots == (0, 5, 8)
+    with pytest.raises(InternalInvariantError):
+        v.coord_arrays()
