@@ -18,57 +18,37 @@ four times the floor at n = 2000 (b = -1 is the paper's shape, 0 a flat
 curve), and for each polygon kind, job and budget rule the exponent of
 time ~ n^b over the three sizes.
 
-Every run is a fresh process, one per polygon and source tree.  With
---parent DIR (a checkout of another commit, e.g. made with git archive),
-runs of that tree's src/ and of this one's alternate, each going first in
-every other repetition, and both must give the same outputs, links and
-peaks; rounds and scans are reported, not compared.  Reported times are
-medians over --reps runs.
+Runs are fresh processes, compared with --parent DIR (a checkout, e.g. made
+with git archive) as scripts/harness.py says: sides alternate, times are
+medians over --reps, and outputs, links and peaks must equal the parent's.
 """
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import math
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-from bench_machine import machine
+from harness import bench, digest, write_json
 
-ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 CASES = tuple((kind, n) for kind in ("spiral", "comb")
               for n in (2000, 4000, 8000))
 JOBS = ("tri", "spt")
 BUDGETS = ("floor", "4floor", "tenth", "n")
-EQUAL = ("digest", "links", "peak_words", "level_peaks")
 
 
-def budgets(n: int, floor: int) -> dict:
-    return {"floor": floor, "4floor": 4 * floor, "tenth": n // 10 - 1,
-            "n": n}
-
-
-def _digest(value) -> str:
-    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-
-
-def worker(src: str, kind: str, n: int) -> list:
-    """Both jobs at every budget on one polygon, against the polyws under
-    `src`: a list of runs."""
-    sys.path[:0] = [src]
+def worker(kind: str, n: str) -> list:
+    """Both jobs at every budget on one polygon: a list of runs."""
     from polyws import oracle
     from polyws.spt import spt
     from polyws.triangulate import required_budget, triangulate_polygon
 
+    n, floor = int(n), required_budget(int(n))
     poly = oracle.generate(kind, n, SEED)
     runs = []
     for job in JOBS:
-        for label, s in budgets(n, required_budget(n)).items():
+        for label, s in zip(BUDGETS, (floor, 4 * floor, n // 10 - 1, n)):
             t0 = time.perf_counter()
             if job == "tri":
                 sink, meter, stats = triangulate_polygon(poly, s, audit=False)
@@ -82,22 +62,8 @@ def worker(src: str, kind: str, n: int) -> list:
                          "rounds": stats.rounds, "scans": stats.scans,
                          "peak_words": meter.peak_words,
                          "level_peaks": list(meter.level_peaks),
-                         "digest": _digest(out)})
+                         "digest": digest(out)})
     return runs
-
-
-def run(src: Path, kind: str, n: int) -> list:
-    out = subprocess.run(
-        [sys.executable, __file__, "--worker", str(src), kind, str(n)],
-        check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
-
-
-def medians(reps) -> list:
-    """The first rep's runs with wall_s the median over all reps."""
-    return [dict(head, wall_s=round(statistics.median(
-                r[j]["wall_s"] for r in reps), 4))
-            for j, head in enumerate(reps[0])]
 
 
 def slope(xs, ys) -> float:
@@ -131,49 +97,20 @@ def exponents(entries, tree: str) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", type=Path,
-                    help="checkout of the commit to compare against")
-    ap.add_argument("--reps", type=int, default=3)
-    ap.add_argument("--worker", nargs=3, metavar=("SRC", "KIND", "N"),
-                    help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.worker:
-        src, kind, n = args.worker
-        print(json.dumps(worker(src, kind, int(n))))
-        return 0
-    trees = {"change": ROOT / "src"}
-    if args.parent is not None:
-        trees = {"parent": args.parent / "src", **trees}
-    entries = []
-    for kind, n in CASES:
-        reps = {tree: [] for tree in trees}
-        order = list(trees.items())
-        for _ in range(args.reps):
-            for tree, src in order:
-                reps[tree].append(run(src, kind, n))
-            order.reverse()     # the other tree goes first next time
-        entry = {"polygon": f"{kind}-{n}", "kind": kind, "n": n}
-        for tree in trees:
-            entry[tree] = medians(reps[tree])
-        if "parent" in entry:
-            for a, b in zip(entry["parent"], entry["change"]):
-                for key in EQUAL:
-                    if a[key] != b[key]:
-                        raise AssertionError(
-                            f"{kind}-{n} {a['job']} s={a['s']}: {key} "
-                            f"differs from the parent's")
-        print(json.dumps(entry), flush=True)
-        entries.append(entry)
-    out = {"what": "triangulation and SPT from vertex 1 against the budget "
-                   "s: wall time (median over alternating fresh-process "
-                   "runs), links, rounds, scans and meter peaks, with the "
-                   "fitted exponents of time over s and over n",
-           "seed": SEED, "reps": args.reps, "machine": machine(),
-           "exponents": {tree: exponents(entries, tree) for tree in trees},
-           "results": entries}
-    with open(ROOT / "BENCH_tradeoff.json", "w") as fh:
-        fh.write(json.dumps(out, indent=1) + "\n")
+    entries, args = bench(
+        argv, __file__, __doc__, 3, worker, CASES,
+        lambda case, got: {"polygon": "{}-{}".format(*case), "kind": case[0],
+                           "n": case[1], **got})
+    write_json("BENCH_tradeoff.json",
+               "triangulation and SPT from vertex 1 against the budget s: "
+               "wall time (median over alternating fresh-process runs), "
+               "links, rounds, scans and meter peaks, with the fitted "
+               "exponents of time over s and over n",
+               seed=SEED, reps=args.reps,
+               exponents={tree: exponents(entries, tree)
+                          for tree in ("parent", "change")
+                          if tree in entries[0]},
+               results=entries)
     return 0
 
 

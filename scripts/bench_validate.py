@@ -7,9 +7,8 @@ BENCH_validate.json at the repository root.
 Inputs are oracle.generate's comb, the comb turned by 90 and by 45 degrees
 (the sweep line then crosses a constant fraction of the edges), and the
 spiral, at n = 2000, 4000, 6000 and 20000, all from seed 1.  The new check
-is timed as the median of three loads, the reference as one.  Where the
-generator gives up, the first attempt's ring is timed instead, and both
-checks must refuse it.
+is timed as the median of three loads, the reference as one; both checks
+must give the same verdict.
 """
 from __future__ import annotations
 
@@ -26,9 +25,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from polyws import cli, oracle                      # noqa: E402
 from polyws.errors import PolygonInputError         # noqa: E402
-from polyws.workspace import BasePolygon            # noqa: E402
 from test_oracle import _check_simple_reference, _turned   # noqa: E402
-from bench_machine import machine                   # noqa: E402
+from harness import write_json                      # noqa: E402
 
 SEED = 1
 SIZES = (2000, 4000, 6000, 20000)
@@ -36,20 +34,12 @@ KINDS = ("comb", "comb-90", "comb-45", "spiral")
 
 
 def ring(kind: str, n: int):
-    base = kind.split("-")[0]
-    try:
-        pts = oracle.generate(base, n, SEED).points()
-        made = "generate"
-    except PolygonInputError:
-        pts = BasePolygon.clockwise(
-            {"comb": oracle._gen_comb, "spiral": oracle._gen_spiral}[base](
-                n, SEED)).points()
-        made = "first attempt (generate refuses)"
+    pts = oracle.generate(kind.split("-")[0], n, SEED).points()
     if kind.endswith("-90"):
         pts = _turned(pts, True)
     elif kind.endswith("-45"):
         pts = _turned(pts, False)
-    return pts, made
+    return pts
 
 
 def load(path: str):
@@ -68,7 +58,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for n in SIZES:
             for kind in KINDS:
-                pts, made = ring(kind, n)
+                pts = ring(kind, n)
                 path = os.path.join(tmp, f"{kind}-{n}.poly")
                 with open(path, "w") as fh:
                     fh.write(f"{n}\n")
@@ -82,7 +72,7 @@ def main() -> int:
                     old_s, old_ok = load(path)
                 finally:
                     oracle.check_simple = check_simple
-                row = {"kind": kind, "n": n, "seed": SEED, "input": made,
+                row = {"kind": kind, "n": n, "seed": SEED, "input": "generate",
                        "accepted": new_ok, "reference_accepted": old_ok,
                        "load_s": round(new_s, 4),
                        "reference_load_s": round(old_s, 4),
@@ -92,12 +82,9 @@ def main() -> int:
                     print("verdicts differ", file=sys.stderr)
                     return 1
                 rows.append(row)
-    out = {"what": "cli.load_polygon seconds: the sweep check against the "
-                   "quadratic reference check (tests/test_oracle.py)",
-           "machine": machine(), "rows": rows}
-    with open(ROOT / "BENCH_validate.json", "w") as fh:
-        json.dump(out, fh, indent=1)
-        fh.write("\n")
+    write_json("BENCH_validate.json",
+               "cli.load_polygon seconds: the sweep check against the "
+               "quadratic reference check (tests/test_oracle.py)", rows=rows)
     return 0
 
 

@@ -25,25 +25,19 @@ The corpus, all from generator seeds fixed here:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import random
-import subprocess
 import sys
 from math import gcd
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from harness import ROOT, digest, finish, start
+
 KINDS = ("comb", "spiral", "random", "monotone")
 # (n, generator seeds): more seeds where runs are cheap
 SIZES = ((60, (1, 2, 3, 4)), (130, (1, 2, 3)), (260, (1, 2, 3)),
          (500, (1, 2)), (1000, (1, 2)))
 LOOSE_S = (8, 16, 40)
-
-
-def _digest(value) -> str:
-    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 def _record(call):
@@ -53,7 +47,7 @@ def _record(call):
         outputs, meter, stats = call()
     except Exception as exc:  # every failure is part of the record
         return {"error": f"{type(exc).__name__}: {exc}"}
-    return {"outputs": _digest(outputs),
+    return {"outputs": digest(outputs),
             "stats": {k: getattr(stats, k) for k in type(stats).__slots__},
             "peak": meter.peak_words,
             "levels": list(meter.level_peaks)}
@@ -143,20 +137,14 @@ def _corpus():
                            lambda p=poly, s=s, g=seed: run_part(p, s, g))
 
 
-def worker(checkout: Path) -> None:
-    """Run the corpus on `checkout`'s src/ and print the records as JSON."""
+def worker(src: Path) -> None:
+    """Run the corpus on the polyws under `src` and print the records as
+    JSON."""
     import polyws
     where = Path(polyws.__file__).resolve().parent
-    if where != (checkout / "src" / "polyws").resolve():
+    if where != (src / "polyws").resolve():
         sys.exit(f"output_digests: polyws imported from {where}")
     json.dump({rid: _record(call) for rid, call in _corpus()}, sys.stdout)
-
-
-def _start(checkout: Path) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    return subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--worker",
-         str(checkout)], env=env, stdout=subprocess.PIPE, text=True)
 
 
 def main(argv=None) -> int:
@@ -172,16 +160,9 @@ def main(argv=None) -> int:
         return 0
     if args.against is None:
         ap.error("--against is required")
-    procs = [_start(p.resolve()) for p in (args.src, args.against)]
-    results = []
-    for proc in procs:
-        out, _ = proc.communicate()
-        if proc.returncode != 0:
-            print(f"worker failed with exit code {proc.returncode}",
-                  file=sys.stderr)
-            return 2
-        results.append(json.loads(out))
-    mine, theirs = results
+    procs = [start(__file__, p.resolve() / "src")
+             for p in (args.src, args.against)]
+    mine, theirs = results = [finish(proc) for proc in procs]
     differ = 0
     for rid in sorted(set(mine) | set(theirs)):
         a, b = mine.get(rid), theirs.get(rid)

@@ -43,7 +43,7 @@ def load_polygon(path: str) -> BasePolygon:
     try:
         n = int(tokens[0])
         pts = []
-        for line in tokens[1:n + 1]:
+        for line in tokens[1:]:
             xs, ys = line.split()
             pts.append((int(xs), int(ys)))
     except ValueError as exc:

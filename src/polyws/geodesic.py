@@ -186,23 +186,26 @@ def _candidate_scan(view, q: int, cone: Cone, pts=None) -> list:
 # the scan had more than SAMPLE_K of them.  Words beyond the cursor's own (one
 # candidate) are charged for the length of each link, and fewer are kept when
 # the meter has less room.
-# The table below predates the ring shot (see _cone_search), which answers
-# most links that have a previous vertex before any candidate scan, so K now
-# matters mainly for links without one.
-# CPU time per job relative to SAMPLE_K = 1 (the one-draw search), best of 7
-# interleaved in-process runs, and candidate scans per link, on the
-# benchmark's walk jobs (seed 1: comb 4000 at s = 96, spiral 2000 at s = 88)
-# on a shared 2-core Xeon.  Medians of 5 runs put K = 8..64 within 0.58-0.97
-# of K = 1 in no consistent order; the best-of-7 times favour 32:
-#   SAMPLE_K                   1     8     16    32    64
-#   tri comb 4000     time    1.00  0.70  0.73  0.55  0.73
-#                     scans   6.53  2.54  2.10  1.85  1.73
-#   spt comb 4000     time    1.00  0.74  0.68  0.61  0.63
-#                     scans  10.11  3.95  3.33  2.96  2.69
-#   tri spiral 2000   time    1.00  0.97  0.95  0.95  0.91
-#   spt spiral 2000   time    1.00  0.98  0.82  0.76  0.82
-#   both spiral jobs  scans   5.16  2.18  1.80  1.60  1.43
-# Meter peaks were the same at every K.
+# Candidate scans and rounds per link, by caller (the cursor or the
+# constant-workspace pass), on the benchmark's SPT jobs from vertex 1, seed 1:
+# walk (comb 4000 and spiral 2000 at the strict floor) and small (12
+# polygons, n 120-320, at s = 16, permissive), counted by scripts/harness.py's
+# link_log.  The ring shot answers almost every link that has a previous
+# vertex before any candidate scan, so K matters mainly for the pass on
+# small pieces, whose links have none:
+#   SAMPLE_K                        1      8      32     64
+#   walk   cursor, 1,812 links  scans   0.028  0.009  0.006  0.006
+#                               rounds  1.023  1.024  1.018  1.022
+#          pass, 537 links      scans   0.011  0.004  0.004  0.004
+#                               rounds  1.013  1.013  1.009  1.013
+#   small  cursor, 292 links    scans   0.514  0.147  0.116  0.106
+#                               rounds  1.462  1.373  1.425  1.366
+#          pass, 932 links      scans   1.214  0.523  0.430  0.381
+#                               rounds  2.398  2.373  2.451  2.414
+# In four alternating perfbench pairs (shared 2-core Xeon) K = 32 beat K = 1
+# in every pair: small spt_vps 15,580 against 13,580 (medians), wall_s 0.293
+# against 0.322 s; walk spt_vps 14,300 against 14,100.  Meter peaks: small
+# 20,863 words at K = 32 and 20,677 at K = 1, walk equal.
 SAMPLE_K = 32
 
 

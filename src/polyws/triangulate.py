@@ -658,7 +658,7 @@ def part_segs(plo, phi, cutset, walked, pockets, m):
     jumps = {(a, b) for a, b, _s in pockets}
     segs = []
     for si, st in enumerate(stations):
-        segs.append(("cutpos" if st in cutset else "pos", st))
+        segs.append(("cutpos", st) if st in cutset else ("range", st, st))
         if si + 1 < len(stations):
             nxt = stations[si + 1]
             if (st, nxt) in jumps:

@@ -449,7 +449,7 @@ class SubpolygonView:
         """Build a child view from ordered boundary segments.
 
         Each segment is ('range', lo, hi) for the closed local interval
-        lo..hi, ('pos', i) for a single local vertex, ('cutpos', i) for a
+        lo..hi (lo == hi for a single local vertex), ('cutpos', i) for a
         local vertex stored as an explicit cut vertex, or ('cut', CutVertex)
         for a new explicit vertex.  The child references the base polygon
         directly, so nesting never deepens indirection.
@@ -458,8 +458,6 @@ class SubpolygonView:
         for seg in segs:
             if seg[0] == "range":
                 items.extend(self.slice_positions(seg[1], seg[2]))
-            elif seg[0] == "pos":
-                items.extend(self.slice_positions(seg[1], seg[1]))
             elif seg[0] == "cutpos":
                 got = self.slice_positions(seg[1], seg[1])[0]
                 if got[0] == _CUT:

@@ -43,6 +43,16 @@ def test_load_rejects_bowtie(tmp_path):
         load_polygon(str(p))
 
 
+def test_header_count_must_match_vertex_lines(tmp_path, capsys):
+    # the header declares a square, and a fifth vertex line follows: the
+    # file is refused, not read as its first four vertices
+    path = tmp_path / "extra.poly"
+    path.write_text("4\n0 0\n0 2\n2 2\n2 0\n1 -1\n")
+    assert main(["triangulate", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: expected 4 vertices, got 5"], err
+
+
 def test_self_crossing_ring_refused_by_every_command(tmp_path, capsys):
     # every command that loads this self-crossing hexagon refuses it with
     # exit 1 and one error line; no flag skips the check
