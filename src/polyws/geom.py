@@ -125,10 +125,13 @@ def check_coord(v) -> int:
 
 
 def integer_point(p) -> Tuple[int, int]:
-    """The free point p of a scan as a pair of Python ints.  Raises
-    PolygonInputError unless each coordinate is an integer (a Fraction of
+    """The free point p of a scan as a pair of Python ints, of any size.
+    Raises PolygonInputError unless p is a pair of integers (a Fraction of
     denominator 1 counts as one)."""
-    x, y = p
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise PolygonInputError(f"point {p!r} is not a pair") from None
     if type(x) is not int or type(y) is not int:
         if getattr(x, "denominator", 0) != 1 \
                 or getattr(y, "denominator", 0) != 1:
@@ -136,6 +139,13 @@ def integer_point(p) -> Tuple[int, int]:
                                     f"point")
         x, y = int(x), int(y)
     return x, y
+
+
+def input_point(p) -> Tuple[int, int]:
+    """integer_point of a caller's point, within |x|, |y| <= 2**26 (a ray
+    may aim beyond: SPT's far case aims at 2b - a)."""
+    x, y = integer_point(p)
+    return check_coord(x), check_coord(y)
 
 
 def _exact_arrays(view):
@@ -201,9 +211,9 @@ def is_reflex(view, i: int) -> bool:
 # point in polygon
 
 def point_in_closed(view, p: Pt) -> bool:
-    """True iff the integer point p lies inside or on the boundary of the
-    view's polygon."""
-    return _point_in_closed(view, integer_point(p))
+    """True iff the integer point p (|x|, |y| <= 2**26) lies inside or on
+    the boundary of the view's polygon."""
+    return _point_in_closed(view, input_point(p))
 
 
 def _point_in_closed(view, p: Pt, scale: int = 1) -> bool:
@@ -247,10 +257,10 @@ def is_visible(view, i: int, j: int) -> bool:
 
 
 def point_sees_vertex(view, p: Pt, j: int) -> bool:
-    """Closed-set visibility between an integer point p of the closed
-    polygon and local vertex j: is_visible's scan with p as the first
-    endpoint."""
-    return _visible(view, 0, integer_point(p), j)
+    """Closed-set visibility between an integer point p (|x|, |y| <= 2**26)
+    of the closed polygon and local vertex j: is_visible's scan with p as
+    the first endpoint."""
+    return _visible(view, 0, input_point(p), j)
 
 
 def _visible(view, i: int, p: Optional[Pt], j: int) -> bool:

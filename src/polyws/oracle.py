@@ -212,7 +212,9 @@ def ref_spt(polygon: BasePolygon, p) -> set:
     p is a 1-based vertex index, or an integer point inside the polygon
     (then parents referencing p use the sentinel 0).
     """
-    if isinstance(p, int):
+    if type(p) is int:
+        if not 1 <= p <= polygon.n:
+            raise PolygonInputError(f"root vertex {p} out of range")
         sp = _paths_from(polygon, p)
         return {(sp.parent[v], v) for v in range(1, polygon.n + 1) if v != p}
     vg = VisibilityGraph(polygon, extra_point=p)

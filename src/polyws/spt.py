@@ -17,8 +17,9 @@ every cut vertex had its parent edge reported by the walk (or the split)
 that created it.  That makes the exactly-once guarantee structural rather
 than bookkept.
 
-Base cases: an in-memory funnel propagation over an ear-clipped triangulation
-when the piece fits the budget, else a constant-workspace pass that runs the
+Base cases: when the piece fits the budget, the funnel of Guibas et al.
+(1987) over the dual tree of its ear clip, which the clip's pop order fixes
+(triangulate.ear_neighbors); else a constant-workspace pass that runs the
 cone search for the first link of every vertex in turn, its first shots aimed
 at the previous vertex and at that vertex's parent (boundary neighbours
 nearly always share a parent, or one is the other's).  Both produce the same
@@ -32,8 +33,8 @@ from typing import List, Optional, Set, Tuple
 from . import geom
 from .errors import InternalInvariantError, PolygonInputError
 from .geodesic import first_link
-from .triangulate import (AUDIT_MAX_M, Region, Run, ear_clip, in_interval,
-                          setup_budget, solve)
+from .triangulate import (AUDIT_MAX_M, Region, Run, ear_clip, ear_neighbors,
+                          in_interval, setup_budget, solve)
 from .workspace import (BasePolygon, CutVertex, MeterMode, RunStats,
                         SubpolygonView, WorkspaceMeter)
 
@@ -113,15 +114,14 @@ def spt_in_memory(view, root_local: int, sink: SptSink) -> None:
 def funnel_parents(view, root: int) -> List[int]:
     """parent[q] for every vertex of the view, from the root, by walking the
     triangulation's dual tree with funnel splitting.  Strict turn tests make
-    straight vertices pass-through points, never parents."""
+    straight vertices pass-through points, never parents.  The dual graph is
+    a tree: a triangle entered across one side goes on across the other two,
+    and a vertex's parent is set at the triangle nearest the root that holds
+    it, whatever the order."""
     m = view.m
     pts = (None,) + view.scan_points()
     tris = ear_clip(view)
-    by_side = {}
-    for t, tri in enumerate(tris):
-        a, b, c = tri
-        for (u, v) in ((a, b), (b, c), (c, a)):
-            by_side.setdefault((min(u, v), max(u, v)), []).append(t)
+    nbrs = ear_neighbors(tris)
     parent = [0] * (m + 1)
 
     def set_parent(v, p):
@@ -148,45 +148,40 @@ def funnel_parents(view, root: int) -> List[int]:
             j -= 1
         return 0
 
-    start = next(t for t, tri in enumerate(tris) if root in tri)
-    seen = {start}
     stack = []
 
-    def push(u, v, cu, cv):
-        key = (min(u, v), max(u, v))
-        for nt in by_side.get(key, ()):
-            if nt not in seen:
-                stack.append((nt, u, v, cu, cv))
+    def push(t, w, u, v, cu, cv):
+        """Stack the triangle across tris[t]'s side (u, v), which faces w."""
+        nt = nbrs[t][(tris[t].index(w) + 1) % 3]
+        if nt:
+            stack.append((nt - 1, u, v, cu, cv))
 
-    a0 = [x for x in tris[start] if x != root]
-    u0, v0 = a0
+    start = next(t for t, tri in enumerate(tris) if root in tri)
+    u0, v0 = [x for x in tris[start] if x != root]
     set_parent(u0, root)
     set_parent(v0, root)
-    push(u0, v0, [root, u0], [root, v0])
-    push(root, u0, [root], [root, u0])
-    push(v0, root, [root, v0], [root])
+    push(start, root, u0, v0, [root, u0], [root, v0])
+    push(start, v0, root, u0, [root], [root, u0])
+    push(start, u0, v0, root, [root, v0], [root])
     while stack:
         t, u, v, cu, cv = stack.pop()
-        if t in seen:
-            continue
-        seen.add(t)
         c = next(x for x in tris[t] if x != u and x != v)
         ju = attach(cu, c, v) if len(cu) > 1 else 0
         if ju > 0:
             set_parent(c, cu[ju])
-            push(u, c, cu[ju:], [cu[ju], c])
-            push(c, v, cu[:ju + 1] + [c], cv)
+            push(t, v, u, c, cu[ju:], [cu[ju], c])
+            push(t, u, c, v, cu[:ju + 1] + [c], cv)
         else:
             jv = attach(cv, c, u) if len(cv) > 1 else 0
             if jv > 0:
                 set_parent(c, cv[jv])
-                push(c, v, [cv[jv], c], cv[jv:])
-                push(u, c, cu, cv[:jv + 1] + [c])
+                push(t, u, c, v, [cv[jv], c], cv[jv:])
+                push(t, v, u, c, cu, cv[:jv + 1] + [c])
             else:
                 apex = cu[0]
                 set_parent(c, apex)
-                push(u, c, cu, [apex, c])
-                push(c, v, [apex, c], cv)
+                push(t, v, u, c, cu, [apex, c])
+                push(t, u, c, v, [apex, c], cv)
     for q in range(1, m + 1):
         if q != root and parent[q] == 0:
             raise InternalInvariantError(f"funnel walk missed vertex {q}")
@@ -318,8 +313,9 @@ def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
         stats: Optional[RunStats] = None,
         meter: Optional[WorkspaceMeter] = None,
         audit: Optional[bool] = None):
-    """Shortest-path tree of p (a 1-based vertex index or an integer point
-    of the closed polygon; a non-integer point raises PolygonInputError).
+    """Shortest-path tree of p (a 1-based vertex index, an int, or an
+    integer point of the closed polygon within |x|, |y| <= 2**26; anything
+    else raises PolygonInputError).
     Emits (parent, child) base-reference pairs; a non-vertex root appears
     as parent 0.  Returns (sink, meter, stats)."""
     n = polygon.n
@@ -330,14 +326,14 @@ def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
         audit = n <= AUDIT_MAX_M
     run = Run(_Region, sink, meter, stats, random.Random(seed), audit)
 
-    if isinstance(p, int):
+    if type(p) is int:
         if not 1 <= p <= n:
             raise PolygonInputError(f"root vertex {p} out of range")
         solve(SubpolygonView.whole(polygon, start=p), tau, run)
         sink.finish()
         return sink, meter, stats
 
-    px, py = geom.integer_point(p)
+    px, py = geom.input_point(p)
     whole = SubpolygonView.whole(polygon)
     if not geom.point_in_closed(whole, (px, py)):
         raise PolygonInputError("root point lies outside the polygon")
@@ -345,19 +341,13 @@ def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
         if polygon.vertex(k) == (px, py):
             return spt(polygon, k, s, sink, mode=mode, seed=seed,
                        stats=stats, meter=meter, audit=audit)
-    on_edge = None
-    for k in range(1, n + 1):
-        a = polygon.vertex(k)
-        b = polygon.vertex(1 + k % n)
-        if geom.on_closed_segment((px, py), a, b):
-            on_edge = k
-            break
+    on_edge = next((k for k in range(1, n + 1) if geom.on_closed_segment(
+        (px, py), polygon.vertex(k), polygon.vertex(1 + k % n))), None)
     root_cv = CutVertex(None, point=(px, py), virtual=False)
     if on_edge is not None:
         q = _visible_vertex_from(whole, (px, py), avoid=None)
         sink.emit_edge(ROOT, q)
-        e1 = on_edge
-        e2 = 1 + e1 % n
+        e1, e2 = on_edge, 1 + on_edge % n
         half1 = [("cut", root_cv)]
         if q != e2:
             half1.append(("range", e2, 1 + (q - 2) % n))
@@ -386,8 +376,6 @@ def spt(polygon: BasePolygon, p, s: int, sink: Optional[SptSink] = None, *,
             child = whole.subview(segs)
         except PolygonInputError:
             continue  # a degenerate sliver with fewer than 3 vertices
-        if child.m < 3:
-            continue
         solve(child, tau, run)
     sink.finish()
     return sink, meter, stats

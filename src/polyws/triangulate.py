@@ -81,27 +81,29 @@ class Triangle:
 class PendingAdjacency:
     """Half-records for diagonals whose second side has not been built yet.
 
-    One constant-size entry per live delimiting diagonal; entries die when the
-    neighboring subproblem reports its triangle.
+    One constant-size entry per live delimiting diagonal, pointing at the
+    triangle that waits for it; entries die when the neighboring subproblem
+    reports its triangle.
     """
 
     ENTRY_WORDS = 5
 
     def __init__(self, meter: WorkspaceMeter):
         self.meter = meter
-        self.half: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self.half: Dict[Tuple[int, int], Tuple[Triangle, int]] = {}
         self.peak = 0
 
-    def deposit_or_join(self, key, tid, slot):
-        """Returns the partner (tid, slot) when this completes the pair."""
+    def deposit_or_join(self, key, tri: Triangle, slot: int):
+        """Returns the waiting partner (triangle, slot) when this completes
+        the pair."""
         if key in self.half:
             other = self.half.pop(key)
             self.meter.release(self.ENTRY_WORDS, level=0)
-            if other[0] == tid:
+            if other[0] is tri:
                 raise InternalInvariantError(
                     f"diagonal {key} deposited twice by one triangle")
             return other
-        self.half[key] = (tid, slot)
+        self.half[key] = (tri, slot)
         self.meter.alloc(self.ENTRY_WORDS, level=0)
         self.peak = max(self.peak, len(self.half))
         return None
@@ -110,7 +112,8 @@ class PendingAdjacency:
 class AdjacencySink(TriangulationSink):
     """Collects triangles with neighbor references; a record is released as
     soon as every neighbor id is known.  Cross-subproblem sides wait in a
-    PendingAdjacency keyed by the shared diagonal."""
+    PendingAdjacency keyed by the shared diagonal, whose entry holds the
+    waiting triangle."""
 
     RECORD_WORDS = 8
     adjacency = True
@@ -118,7 +121,6 @@ class AdjacencySink(TriangulationSink):
     def __init__(self, meter: Optional[WorkspaceMeter] = None):
         self.meter = meter if meter is not None else null_meter()
         self.pending = PendingAdjacency(self.meter)
-        self._hold: Dict[int, Triangle] = {}
         self.records: List[Tuple] = []      # (tid, corners, neighbors)
         self.diagonals: List[Tuple[int, int]] = []
         self._next = 1
@@ -136,40 +138,30 @@ class AdjacencySink(TriangulationSink):
         0 for a polygon edge, or ('cut', key) for a shared diagonal."""
         tri = Triangle(tid, corners)
         for k, side in enumerate(sides):
-            if side == 0 or isinstance(side, int):
+            if isinstance(side, int):
                 tri.neighbors[k] = side
-            else:
-                key = side[1]
-                other = self.pending.deposit_or_join(key, tid, k)
-                if other is None:
-                    tri.missing += 1
-                else:
-                    oid, oslot = other
-                    tri.neighbors[k] = oid
-                    holder = self._hold.get(oid)
-                    if holder is None:
-                        raise InternalInvariantError(
-                            f"partner triangle {oid} already finalized")
-                    holder.neighbors[oslot] = tid
-                    holder.missing -= 1
-                    if holder.missing == 0:
-                        self._flush(holder)
+                continue
+            other = self.pending.deposit_or_join(side[1], tri, k)
+            if other is None:
+                tri.missing += 1
+                continue
+            holder, oslot = other
+            tri.neighbors[k] = holder.tid
+            holder.neighbors[oslot] = tid
+            holder.missing -= 1
+            if holder.missing == 0:
+                self.meter.release(self.RECORD_WORDS, level=0)
+                self.records.append((holder.tid, holder.corners,
+                                     tuple(holder.neighbors)))
         if tri.missing == 0:
-            self.records.append((tri.tid, tri.corners, tuple(tri.neighbors)))
+            self.records.append((tid, corners, tuple(tri.neighbors)))
         else:
-            self._hold[tid] = tri
             self.meter.alloc(self.RECORD_WORDS, level=0)
 
-    def _flush(self, tri: Triangle) -> None:
-        del self._hold[tri.tid]
-        self.meter.release(self.RECORD_WORDS, level=0)
-        self.records.append((tri.tid, tri.corners, tuple(tri.neighbors)))
-
     def finish(self) -> None:
-        if self.pending.half or self._hold:
+        if self.pending.half:
             raise InternalInvariantError(
-                f"{len(self.pending.half)} pending diagonals and "
-                f"{len(self._hold)} buffered triangles at finish")
+                f"{len(self.pending.half)} pending diagonals at finish")
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +247,31 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
     v = next(i for i in range(1, m + 1) if not dead[i])
     out.append((prv[v], v, nxt[v]))
     return out
+
+
+def ear_neighbors(tris) -> List[List[int]]:
+    """The dual tree of ear_clip's triangles, read from their pop order in
+    O(m): row t holds the neighbors of tris[t] across its sides (a, b),
+    (b, c) and (c, a), each as 1 + the neighbor's position in tris, or 0
+    across a view edge."""
+    # Ear (p, v, n) is clipped with p -> v -> n on the ring, so its sides
+    # (p, v) and (v, n) are ring edges: view edges, or diagonals that earlier
+    # ears closed.  Its side (n, p) becomes the ring edge leaving p, closed by
+    # the next ear whose predecessor is p, or by the last triangle, whose
+    # three sides are all ring edges.  closer[u] is the triangle that closed
+    # the ring edge leaving u (0 while it is a view edge), so reading it pairs
+    # the two triangles of each diagonal, both ways.
+    closer = [0] * (len(tris) + 3)
+    rows = []
+    last = len(tris)
+    for t, (p, v, n) in enumerate(tris, 1):
+        row = [closer[p], closer[v], closer[n] if t == last else 0]
+        for s in row:
+            if s:
+                rows[s - 1][2] = t
+        closer[p] = t
+        rows.append(row)
+    return rows
 
 
 class _BlockIndex:
@@ -346,40 +363,21 @@ def triangulate_in_memory(view, sink: TriangulationSink,
 
 
 def _emit_adjacency(view, tris, sink: TriangulationSink) -> None:
-    """Resolve the triangles' local adjacency, then report the records with
-    global ids."""
-    m = view.m
+    """Report the triangles with global ids, each side's neighbor a triangle
+    of this view, 0 across a polygon edge, or the cut diagonal that the
+    sink pairs with the neighboring piece's triangle."""
     n = view.base.n
     ids = [sink.alloc_id() for _ in tris]
-    local: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    sides_of = []
-    for t, (a, b, c) in enumerate(tris):
+    for t, (tri, row) in enumerate(zip(tris, ear_neighbors(tris))):
         sides = []
-        for (u, v) in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            if (v - u) % m in (1, m - 1):
-                ru = view.base_ref(u)
-                rv = view.base_ref(v)
-                if (rv - ru) % n in (1, n - 1):
-                    sides.append(0)  # polygon edge
-                else:
-                    sides.append(("cut", (min(ru, rv), max(ru, rv))))
-            else:
-                other = local.get(key)
-                if other is None:
-                    local[key] = (t, len(sides))
-                    sides.append(("local", key))
-                else:
-                    sides.append(ids[other[0]])
-                    sides_of[other[0]][other[1]] = ids[t]
-        sides_of.append(sides)
-    for t, (a, b, c) in enumerate(tris):
-        sides = sides_of[t]
-        for k, s in enumerate(sides):
-            if isinstance(s, tuple) and s[0] == "local":
-                raise InternalInvariantError(f"unpaired local diagonal {s[1]}")
-        corners = (view.base_ref(a), view.base_ref(b), view.base_ref(c))
-        sink.add_triangle(ids[t], corners, sides)
+        for u, v, nb in zip(tri, tri[1:] + tri[:1], row):
+            if nb:
+                sides.append(ids[nb - 1])
+                continue
+            ru, rv = view.base_ref(u), view.base_ref(v)
+            sides.append(0 if (rv - ru) % n in (1, n - 1)     # polygon edge
+                         else ("cut", (min(ru, rv), max(ru, rv))))
+        sink.add_triangle(ids[t], tuple(map(view.base_ref, tri)), sides)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,23 @@ def test_malformed_root_and_seed(square, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: POLYWS_SEED")
 
 
+def test_out_of_range_roots_refused(square, tmp_path, capsys):
+    # a point root beyond the coordinate limit is refused like an input
+    # coordinate, and a vertex root outside 1..n, by spt and by verify
+    # --what spt alike, with one error line
+    tree = tmp_path / "tree.out"
+    tree.write_text("1 2\n1 3\n1 4\n")
+    big = "99999999999999999999999"
+    for root, msg in ((f"{big},5", f"coordinate {big} outside |x| <= 2^26"),
+                      ("5", "root vertex 5 out of range"),
+                      ("-1", "root vertex -1 out of range")):
+        for argv in (["spt", square], ["verify", square, "--against",
+                                        str(tree), "--what", "spt"]):
+            assert main(argv + ["--root", root]) == 1, (argv, root)
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {msg}"], err
+
+
 def test_generate_and_pipeline(tmp_path):
     poly_path = str(tmp_path / "g.poly")
     assert main(["generate", "--kind", "comb", "--n", "42", "--seed", "5",

@@ -250,6 +250,20 @@ def test_scans_refuse_what_the_int64_kernels_cannot_read():
             scan(*args)
 
 
+def test_free_points_must_be_pairs_within_the_input_limit():
+    # the public point queries refuse a point that is not a pair and one
+    # beyond |x|, |y| <= 2**26; a ray may aim past the limit (SPT's far case
+    # aims at 2b - a)
+    v = view_of(LPOLY)
+    for p in [5, None, "1", (1, 2, 3), (1 << 26 | 1, 0), (0, -(1 << 26) - 1)]:
+        for scan, args in [(geom.point_in_closed, (v, p)),
+                           (geom.point_sees_vertex, (v, p, 2))]:
+            with pytest.raises(PolygonInputError):
+                scan(*args)
+    assert geom.point_in_closed(v, (1 << 26, 0)) is False
+    assert geom.ray_shoot(v, 1, (1 << 30, 1)).edge == 5
+
+
 def test_point_in_closed():
     # integer points, a Fraction of denominator 1 among them; a non-integer
     # point is refused, and the exact oracle places it

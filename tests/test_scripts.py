@@ -116,3 +116,26 @@ def test_link_log_records_every_link_and_restores_the_bindings():
     assert sum(r["scans"] for r in log) == stats.scans
     passes = [r["pass"] for r in log if r["caller"] == "pass"]
     assert passes == sorted(passes) and passes[0] == 1
+
+
+def test_tracer_wraps_and_restores_every_library_name(monkeypatch):
+    # perfbench's traced run patches library names by attribute; a renamed
+    # one would break only `perfbench/run.py --trace 1`, so install() must
+    # find and wrap every name it patches and uninstall() put each back
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._undo)
+        assert patched
+        for owner, attr, orig in patched:
+            assert getattr(owner, attr) is not orig, (owner, attr)
+    finally:
+        tracer.uninstall()
+    for owner, attr, orig in patched:
+        assert getattr(owner, attr) is orig, (owner, attr)
+    names = {(getattr(o, "__name__", o), a) for o, a, _ in patched}
+    assert {("polyws.spt", "ear_clip"), ("polyws.spt", "funnel_parents"),
+            ("polyws.triangulate", "ear_clip"),
+            ("polyws.geodesic", "first_link")} <= names

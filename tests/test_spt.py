@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polyws.errors import PolygonInputError
@@ -279,6 +280,17 @@ def test_outside_root_rejected():
     # integer points
     poly = BasePolygon(SQUARE)
     for p in [(10, 10), (Fraction(1, 2), 1), (1, Fraction(4, 3)), (0.5, 1)]:
+        with pytest.raises(PolygonInputError):
+            spt(poly, p, 4, mode=MeterMode.PERMISSIVE)
+
+
+def test_malformed_or_out_of_range_roots_refused():
+    # a root that is neither an int vertex index nor a pair of integer
+    # coordinates, and a point beyond |x|, |y| <= 2**26, are refused
+    poly = BasePolygon(SQUARE)
+    for p in [np.int64(3), 3.0, None, "1", (1, 2, 3), True,
+              (1 << 26 | 1, 1), (1, -(1 << 26) - 1),
+              (99999999999999999999999, 5)]:
         with pytest.raises(PolygonInputError):
             spt(poly, p, 4, mode=MeterMode.PERMISSIVE)
 

@@ -10,8 +10,9 @@ from polyws import geom
 from polyws.errors import InternalInvariantError, PolygonInputError
 from polyws.oracle import generate, validate_triangulation
 from polyws.triangulate import (AdjacencySink, CollectingSink, ear_clip,
-                                find_alternating_diagonal, required_budget,
-                                triangulate_in_memory, triangulate_polygon)
+                                ear_neighbors, find_alternating_diagonal,
+                                required_budget, triangulate_in_memory,
+                                triangulate_polygon)
 from polyws.workspace import (BasePolygon, MeterMode, RunStats,
                               SubpolygonView, WorkspaceMeter)
 
@@ -158,6 +159,59 @@ def test_ear_clip_matches_brute_force(monkeypatch):
         for loop_max in splits:
             monkeypatch.setattr(tri_mod, "_EAR_LOOP_MAX", loop_max)
             assert ear_clip(view) == expect, (view.m, loop_max)
+
+
+def _side_pairing(tris):
+    """The oracle for ear_neighbors: the triangles on each side, paired
+    through a dict keyed by the side's two vertices; a side that only one
+    triangle holds must be a view edge."""
+    m = len(tris) + 2
+    by_side = {}
+    for t, (a, b, c) in enumerate(tris, 1):
+        for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+            by_side.setdefault((min(u, v), max(u, v)), []).append((t, k))
+    rows = [[0, 0, 0] for _ in tris]
+    for (u, v), held in by_side.items():
+        if len(held) == 1:
+            assert (v - u) % m in (1, m - 1), ("unpaired diagonal", u, v)
+            continue
+        (t, k), (o, j) = held
+        rows[t - 1][k] = o
+        rows[o - 1][j] = t
+    return rows
+
+
+def test_ear_neighbors_match_side_pairing():
+    # ear clips of the five generator kinds from several start vertices,
+    # and the views with one rational vertex that SPT pieces hold
+    views = []
+    for kind in ("random", "convex", "comb", "spiral", "monotone"):
+        for n in (3, 4, 5, 8, 31, 200, 1000):
+            poly = generate(kind, n, n)
+            views += [SubpolygonView.whole(poly, start=k)
+                      for k in sorted({1, 2, n // 3 + 1, n // 2 + 1, n})]
+    for kind, seed in (("random", 1), ("comb", 4), ("spiral", 5)):
+        views += one_virtual_twins(
+            SubpolygonView.whole(generate(kind, 300, seed)), seed)[0]
+    assert sum(not v.all_int for v in views) >= 15
+    for view in views:
+        tris = ear_clip(view)
+        assert ear_neighbors(tris) == _side_pairing(tris), view.m
+    # any clipping order of a ring, where every vertex is an ear: the last
+    # triangle's third side is a diagonal too, which ear_clip's own pop
+    # order has not been seen to make
+    rng = random.Random(7)
+    for m in (3, 4, 5, 9, 40):
+        for _ in range(30):
+            ring = list(range(1, m + 1))
+            tris = []
+            while True:
+                i = rng.randrange(len(ring))
+                tris.append((ring[i - 1], ring[i], ring[(i + 1) % len(ring)]))
+                if len(ring) == 3:
+                    break
+                del ring[i]
+            assert ear_neighbors(tris) == _side_pairing(tris), tris
 
 
 class _Stop(Exception):
