@@ -210,13 +210,16 @@ def ref_spt(polygon: BasePolygon, p) -> set:
     """Edge set of the shortest-path tree from p as (parent, child) pairs.
 
     p is a 1-based vertex index, or an integer point inside the polygon
-    (then parents referencing p use the sentinel 0).
+    (then parents referencing p use the sentinel 0); a point outside the
+    closed polygon is refused, as spt() refuses it.
     """
     if type(p) is int:
         if not 1 <= p <= polygon.n:
             raise PolygonInputError(f"root vertex {p} out of range")
         sp = _paths_from(polygon, p)
         return {(sp.parent[v], v) for v in range(1, polygon.n + 1) if v != p}
+    if not geom.point_in_closed(SubpolygonView.whole(polygon), p):
+        raise PolygonInputError("root point lies outside the polygon")
     vg = VisibilityGraph(polygon, extra_point=p)
     sp = _ShortestPaths(vg, polygon.n + 1)
     edges = set()

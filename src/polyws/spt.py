@@ -18,12 +18,12 @@ that created it.  That makes the exactly-once guarantee structural rather
 than bookkept.
 
 Base cases: when the piece fits the budget, the funnel of Guibas et al.
-(1987) over the dual tree of its ear clip, which the clip's pop order fixes
-(triangulate.ear_neighbors); else a constant-workspace pass that runs the
-cone search for the first link of every vertex in turn, its first shots aimed
-at the previous vertex and at that vertex's parent (boundary neighbours
-nearly always share a parent, or one is the other's).  Both produce the same
-unique tree, and the tests cross-check them.
+(1987), which undoes an ear clip that keeps the root for its last triangle
+and reads its chains from the tree it builds; else a constant-workspace pass
+that runs the cone search for the first link of every vertex in turn, its
+first shots aimed at the previous vertex and at that vertex's parent
+(boundary neighbours nearly always share a parent, or one is the other's).
+Both produce the same unique tree, and the tests cross-check them.
 """
 from __future__ import annotations
 
@@ -33,8 +33,8 @@ from typing import List, Optional, Set, Tuple
 from . import geom
 from .errors import InternalInvariantError, PolygonInputError
 from .geodesic import first_link
-from .triangulate import (AUDIT_MAX_M, Region, Run, ear_clip, ear_neighbors,
-                          in_interval, setup_budget, solve)
+from .triangulate import (AUDIT_MAX_M, Region, Run, ear_clip, in_interval,
+                          setup_budget, solve)
 from .workspace import (BasePolygon, CutVertex, MeterMode, RunStats,
                         SubpolygonView, WorkspaceMeter)
 
@@ -103,7 +103,7 @@ def spt_constant_workspace(view, root_local: int, sink: SptSink, *,
 
 
 def spt_in_memory(view, root_local: int, sink: SptSink) -> None:
-    """Funnel propagation over the dual tree of an ear-clipped triangulation."""
+    """Emit the funnel's tree (funnel_parents) in ascending child order."""
     parent = funnel_parents(view, root_local)
     for q in range(1, view.m + 1):
         if q == root_local:
@@ -112,79 +112,57 @@ def spt_in_memory(view, root_local: int, sink: SptSink) -> None:
 
 
 def funnel_parents(view, root: int) -> List[int]:
-    """parent[q] for every vertex of the view, from the root, by walking the
-    triangulation's dual tree with funnel splitting.  Strict turn tests make
-    straight vertices pass-through points, never parents.  The dual graph is
-    a tree: a triangle entered across one side goes on across the other two,
-    and a vertex's parent is set at the triangle nearest the root that holds
-    it, whatever the order."""
+    """parent[q] for every vertex of the view, from the root: the funnel of
+    Guibas et al. (1987) run over an ear clip that keeps the root for its
+    last triangle, in reverse pop order.  Each funnel chain is a path of the
+    tree being built, so `parent` holds the chains and `apex[x]` the apex of
+    the funnel on the ring edge leaving x.  Strict turn tests make straight
+    vertices pass-through points, never parents."""
+    # Undoing the clip grows a ring from the last triangle, which holds the
+    # root: ear (p, v, n) puts v back between p and n.  The triangles not yet
+    # undone tile the ring as it was when v was clipped, and a shortest path
+    # between two vertices of that ring never enters a pocket clipped before
+    # v (it would leave across the diagonal it came in by).  So every parent
+    # in the ring is final when it is set, each non-root vertex is set once,
+    # and the tree paths from p and from n up to apex[p], where they meet,
+    # are the two chains of the funnel on diagonal (p, n).  v's path bends at
+    # its tangent x to one chain, or at the apex a when there is none; then
+    # the funnels on (p, v) and (v, n) have apexes x and a when x is on p's
+    # chain, a and x when it is on n's, and a and a otherwise.
     m = view.m
+    tris = ear_clip(view, keep=root)
+    if root not in tris[-1]:
+        raise InternalInvariantError("the clip's last triangle lacks the root")
     pts = (None,) + view.scan_points()
-    tris = ear_clip(view)
-    nbrs = ear_neighbors(tris)
     parent = [0] * (m + 1)
+    apex = [root] * (m + 1)
+    for x in tris[-1]:
+        if x != root:
+            parent[x] = root
 
-    def set_parent(v, p):
-        if v != root and parent[v] == 0:
-            parent[v] = p
-
-    def chain_sign(pj_1, pj, fallback_other):
-        return -geom.orient(pts[pj_1], pts[pj], pts[fallback_other])
-
-    def attach(chain, c, diag_other):
-        """Chain index of c's tangent (0 means the apex is directly taut)."""
-        j = len(chain) - 1
-        while j >= 1:
-            if j + 1 < len(chain):
-                sign = geom.orient(pts[chain[j - 1]], pts[chain[j]],
-                                   pts[chain[j + 1]])
-                if sign == geom.COLLINEAR:
-                    sign = chain_sign(chain[j - 1], chain[j], diag_other)
-            else:
-                sign = chain_sign(chain[j - 1], chain[j], diag_other)
-            s = geom.orient(pts[chain[j - 1]], pts[chain[j]], pts[c])
-            if s == sign:
-                return j
-            j -= 1
+    def tangent(x, a, c, other):
+        """The vertex on the tree path from x up to a (a excluded) where c's
+        path bends, or 0; `other` is the diagonal's other end."""
+        below = 0
+        while x != a:
+            up = parent[x]
+            sign = geom.orient(pts[up], pts[x], pts[below]) if below \
+                else geom.COLLINEAR
+            if sign == geom.COLLINEAR:
+                sign = -geom.orient(pts[up], pts[x], pts[other])
+            if geom.orient(pts[up], pts[x], pts[c]) == sign:
+                return x
+            below, x = x, up
         return 0
 
-    stack = []
-
-    def push(t, w, u, v, cu, cv):
-        """Stack the triangle across tris[t]'s side (u, v), which faces w."""
-        nt = nbrs[t][(tris[t].index(w) + 1) % 3]
-        if nt:
-            stack.append((nt - 1, u, v, cu, cv))
-
-    start = next(t for t, tri in enumerate(tris) if root in tri)
-    u0, v0 = [x for x in tris[start] if x != root]
-    set_parent(u0, root)
-    set_parent(v0, root)
-    push(start, root, u0, v0, [root, u0], [root, v0])
-    push(start, v0, root, u0, [root], [root, u0])
-    push(start, u0, v0, root, [root, v0], [root])
-    while stack:
-        t, u, v, cu, cv = stack.pop()
-        c = next(x for x in tris[t] if x != u and x != v)
-        ju = attach(cu, c, v) if len(cu) > 1 else 0
-        if ju > 0:
-            set_parent(c, cu[ju])
-            push(t, v, u, c, cu[ju:], [cu[ju], c])
-            push(t, u, c, v, cu[:ju + 1] + [c], cv)
+    for p, v, n in reversed(tris[:-1]):
+        a = apex[p]
+        x = tangent(p, a, v, n)
+        if x:
+            parent[v], apex[p], apex[v] = x, x, a
         else:
-            jv = attach(cv, c, u) if len(cv) > 1 else 0
-            if jv > 0:
-                set_parent(c, cv[jv])
-                push(t, u, c, v, [cv[jv], c], cv[jv:])
-                push(t, v, u, c, cu, cv[:jv + 1] + [c])
-            else:
-                apex = cu[0]
-                set_parent(c, apex)
-                push(t, v, u, c, cu, [apex, c])
-                push(t, u, c, v, [apex, c], cv)
-    for q in range(1, m + 1):
-        if q != root and parent[q] == 0:
-            raise InternalInvariantError(f"funnel walk missed vertex {q}")
+            x = tangent(n, a, v, p) or a
+            parent[v], apex[p], apex[v] = x, a, x
     return parent
 
 

@@ -182,14 +182,16 @@ class AdjacencySink(TriangulationSink):
 _EAR_LOOP_MAX = 64
 
 
-def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
+def ear_clip(view, on_ear=None, keep=0) -> List[Tuple[int, int, int]]:
     """Triangles of the view as (a, b, c) local triples in pop order.
 
     `on_ear(p, v, n)`, when given, is called as each ear is clipped, so a
     callback that raises stops the clipping there (the last triangle is not
     an ear).  Only reflex (or straight) vertices can block an ear; they are
     indexed in a _BlockIndex.  Exact arithmetic throughout; straight
-    vertices are never chosen as ear apexes.
+    vertices are never chosen as ear apexes, and neither is local vertex
+    `keep`, which is therefore a corner of the last triangle: a ring of four
+    or more vertices has two ears with different apexes (Meisters 1975).
     """
     m = view.m
     if m == 3:
@@ -204,7 +206,8 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
     pts = (None,) + ring
     nxt = list(range(1, m + 1)) + [1]     # ring links, index 0 unused
     prv = [m, m] + list(range(1, m))
-    dead = [False] * (m + 1)
+    # v has been clipped exactly when nxt[prv[v]] != v: clipping v points
+    # nxt[p] past it, and no later clip points anything back at it
 
     def blocks(i):
         return geom.orient(pts[prv[i]], pts[i], pts[nxt[i]]) != geom.CLOCKWISE
@@ -221,15 +224,14 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
             if alive == alive_at_rescan:
                 raise InternalInvariantError("ear clipping stalled")
             alive_at_rescan = alive
-            stack = [v for v in range(m, 0, -1) if not dead[v]]
+            stack = [v for v in range(m, 0, -1) if nxt[prv[v]] == v]
         v = stack.pop()
-        if dead[v] or block[v] or index.blocked(prv[v], v, nxt[v]):
-            continue
         p, n = prv[v], nxt[v]
+        if nxt[p] != v or v == keep or block[v] or index.blocked(p, v, n):
+            continue
         out.append((p, v, n))
         nxt[p] = n
         prv[n] = p
-        dead[v] = True
         alive -= 1
         if on_ear is not None:
             on_ear(p, v, n)
@@ -244,7 +246,7 @@ def ear_clip(view, on_ear=None) -> List[Tuple[int, int, int]]:
                 if now or 2 * index.live < index.size:
                     index = _BlockIndex(pts, block, view.all_int)
             stack.append(u)
-    v = next(i for i in range(1, m + 1) if not dead[i])
+    v = next(i for i in range(1, m + 1) if nxt[prv[i]] == i)
     out.append((prv[v], v, nxt[v]))
     return out
 

@@ -115,12 +115,17 @@ def test_hinted_constant_workspace_takes_fewer_rounds():
 
 
 def test_funnel_matches_oracle():
-    for kind, seed in [("random", 0), ("random", 5), ("spiral", 1),
-                       ("comb", 2), ("monotone", 3)]:
-        poly = generate(kind, 60, seed)
-        parent = funnel_parents(SubpolygonView.whole(poly), 1)
-        edges = {(parent[q], q) for q in range(2, 61)}
-        assert edges == ref_spt(poly, 1), (kind, seed)
+    # the funnel's ear clip keeps the root for its last triangle, so each
+    # root has its own triangulation: every root of the five kinds
+    for kind, n, seed in [("random", 60, 0), ("random", 60, 5),
+                          ("convex", 40, 4), ("spiral", 60, 1),
+                          ("comb", 60, 2), ("monotone", 60, 3)]:
+        poly = generate(kind, n, seed)
+        view = SubpolygonView.whole(poly)
+        for root in range(1, n + 1):
+            parent = funnel_parents(view, root)
+            edges = {(parent[q], q) for q in range(1, n + 1) if q != root}
+            assert edges == ref_spt(poly, root), (kind, seed, root)
 
 
 def test_recursive_spt_matches_oracle_small_budget():

@@ -138,10 +138,10 @@ def test_ear_clip_matches_brute_force(monkeypatch):
     spt_mod = importlib.import_module("polyws.spt")
     clip = spt_mod.ear_clip
 
-    def keep_rational(view, *args):
+    def keep_rational(view, *args, **kw):
         if not view.all_int:
             views.append(view)
-        return clip(view, *args)
+        return clip(view, *args, **kw)
     monkeypatch.setattr(spt_mod, "ear_clip", keep_rational)
     spt_mod.spt(generate("spiral", 160, 0), 1, 12, mode=MeterMode.PERMISSIVE)
     monkeypatch.undo()
@@ -212,6 +212,29 @@ def test_ear_neighbors_match_side_pairing():
                     break
                 del ring[i]
             assert ear_neighbors(tris) == _side_pairing(tris), tris
+
+
+def test_ear_clip_keeps_its_vertex_for_the_last_triangle():
+    # `keep` is never an ear apex, so the last triangle holds it; the clip
+    # still makes m - 2 triangles that pair up across their diagonals.  The
+    # five generator kinds from random vertices, and views with one rational
+    # vertex from every vertex
+    rng = random.Random(3)
+    runs = []
+    for kind in ("random", "convex", "comb", "spiral", "monotone"):
+        for n in (3, 4, 5, 8, 31, 200, 1000):
+            view = SubpolygonView.whole(generate(kind, n, n))
+            runs += [(view, rng.randint(1, n)) for _ in range(3)]
+    for kind, seed in (("random", 1), ("comb", 4)):
+        for view in one_virtual_twins(
+                SubpolygonView.whole(generate(kind, 150, seed)), seed)[0]:
+            runs += [(view, keep) for keep in range(1, view.m + 1)]
+    for view, keep in runs:
+        tris = ear_clip(view, keep=keep)
+        assert len(tris) == view.m - 2, (view.m, keep)
+        assert keep not in [v for _p, v, _n in tris[:-1]], (view.m, keep)
+        assert keep in tris[-1], (view.m, keep)
+        assert ear_neighbors(tris) == _side_pairing(tris), (view.m, keep)
 
 
 class _Stop(Exception):
