@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import oracle
 from .errors import (BudgetExceededError, InternalInvariantError,
@@ -230,55 +230,76 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _pair(path: str, line: str) -> Tuple[int, int]:
+def _ints(path: str, line: str, width: int = 0) -> List[int]:
+    """The integers of one output line, `width` of them unless 0."""
     try:
-        a, b = line.split()
-        return int(a), int(b)
+        row = [int(x) for x in line.split()]
+        if width and len(row) != width:
+            raise ValueError
+        return row
     except ValueError:
         raise PolygonInputError(f"{path}: malformed line {line!r}")
 
 
-def cmd_verify(args) -> int:
-    poly = load_polygon(args.input)
-    what = args.what
-    path = args.against
+def _output_lines(path: str, what: str) -> List[str]:
+    """An output file's records as text lines ('a b' for a diagonal or a
+    tree edge, 'T id i j k  n1 n2 n3', 'P v1 v2 ...'), read from its lists
+    when it is JSON (--format json)."""
     try:
         with open(path) as fh:
-            lines = [ln.split("#", 1)[0].strip() for ln in fh]
+            text = fh.read()
+        if not text.lstrip().startswith("{"):
+            lines = (ln.split("#", 1)[0].strip() for ln in text.splitlines())
+            return [ln for ln in lines if ln]
+        doc = json.loads(text)
+        parts = (("", doc.get("edges" if what == "spt" else "diagonals", [])),
+                 ("T ", [[t["id"], *t["corners"], *t["neighbors"]]
+                         for t in doc.get("triangles", [])]),
+                 ("P ", doc.get("pieces", [])))
+        return [tag + " ".join(map(str, r)) for tag, rows in parts
+                for r in rows]
     except (OSError, UnicodeDecodeError) as exc:
         raise PolygonInputError(f"cannot read {path}: {exc}")
-    lines = [ln for ln in lines if ln]
+    except (ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise PolygonInputError(f"{path}: malformed JSON ({exc!r})")
+
+
+def cmd_verify(args) -> int:
+    poly = load_polygon(args.input)
+    n = poly.n
+    what = args.what
+    path = args.against
+    lines = _output_lines(path, what)
     if what == "triangulation":
-        diagonals = [_pair(path, ln) for ln in lines
-                     if not ln.startswith(("T ", "P "))]
-        rep = oracle.validate_triangulation(poly, diagonals)
+        tris = [_ints(path, ln[2:], 7) for ln in lines if ln[:2] == "T "]
+        pairs = [_ints(path, ln, 2) for ln in lines
+                 if ln[:2] not in ("T ", "P ")]
+        held = {(min(u, v), max(u, v)) for t in tris   # the triangles' sides
+                for u, v in ((t[1], t[2]), (t[2], t[3]), (t[3], t[1]))
+                if (v - u) % n not in (1, n - 1)}      # that are diagonals
+        rep = oracle.validate_triangulation(poly, pairs or sorted(held))
+        rep.errors += oracle.validate_adjacency(
+            poly, [(t[0], t[1:4], t[4:]) for t in tris]).errors
+        if pairs and tris and {(min(d), max(d)) for d in pairs} != held:
+            rep.fail("the triangles' diagonals differ from the diagonal list")
     elif what == "spt":
-        edges = {_pair(path, ln) for ln in lines}
+        edges = {tuple(_ints(path, ln, 2)) for ln in lines}
         r = _root(args.root) if args.root is not None else None
         if r is None:
             # infer the root: the vertex that never appears as a child
             children = {b for _a, b in edges}
-            cands = [v for v in range(1, poly.n + 1) if v not in children]
+            cands = [v for v in range(1, n + 1) if v not in children]
             if len(cands) != 1:
                 raise PolygonInputError("cannot infer the tree root; use --root")
             r = cands[0]
         rep = oracle.validate_spt(poly, r, edges)
-    elif what == "partition":
+    else:                                       # partition
         if args.s is None:
             raise PolygonInputError("verify partition needs --s")
-        diagonals = []
-        pieces = []
-        for ln in lines:
-            if ln.startswith("P "):
-                try:
-                    pieces.append([int(x) for x in ln.split()[1:]])
-                except ValueError:
-                    raise PolygonInputError(f"{path}: malformed line {ln!r}")
-            else:
-                diagonals.append(_pair(path, ln))
+        diagonals = [tuple(_ints(path, ln, 2)) for ln in lines
+                     if ln[:2] != "P "]
+        pieces = [_ints(path, ln[2:]) for ln in lines if ln[:2] == "P "]
         rep = oracle.validate_partition(poly, diagonals, pieces, args.s)
-    else:
-        raise PolygonInputError(f"unknown verification target {what!r}")
     if rep.ok:
         print("OK", file=sys.stderr)
         return 0

@@ -9,7 +9,7 @@ import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,26 +161,15 @@ class _ShortestPaths:
         return out
 
 
-def _spt_cache(polygon: BasePolygon) -> Dict:
-    cache = getattr(polygon, "_oracle_cache", None)
-    if cache is None:
-        cache = {"vg": None, "sp": {}}
-        polygon._oracle_cache = cache
-    return cache
-
-
-def _vis_graph(polygon: BasePolygon) -> VisibilityGraph:
-    cache = _spt_cache(polygon)
-    if cache["vg"] is None:
-        cache["vg"] = VisibilityGraph(polygon)
-    return cache["vg"]
-
-
 def _paths_from(polygon: BasePolygon, src: int) -> _ShortestPaths:
-    cache = _spt_cache(polygon)
-    if src not in cache["sp"]:
-        cache["sp"][src] = _ShortestPaths(_vis_graph(polygon), src)
-    return cache["sp"][src]
+    """Shortest paths from vertex src, cached on the polygon with its
+    visibility graph."""
+    cache = polygon.__dict__.setdefault("_oracle_cache", {})
+    if src not in cache:
+        if "vg" not in cache:
+            cache["vg"] = VisibilityGraph(polygon)
+        cache[src] = _ShortestPaths(cache["vg"], src)
+    return cache[src]
 
 
 def _strip_straight(polygon: BasePolygon, path: List[int]) -> List[int]:
@@ -220,13 +209,10 @@ def ref_spt(polygon: BasePolygon, p) -> set:
         return {(sp.parent[v], v) for v in range(1, polygon.n + 1) if v != p}
     if not geom.point_in_closed(SubpolygonView.whole(polygon), p):
         raise PolygonInputError("root point lies outside the polygon")
-    vg = VisibilityGraph(polygon, extra_point=p)
-    sp = _ShortestPaths(vg, polygon.n + 1)
-    edges = set()
-    for v in range(1, polygon.n + 1):
-        par = sp.parent[v]
-        edges.add((0 if par == polygon.n + 1 else par, v))
-    return edges
+    root = polygon.n + 1          # the point's node, named 0 as a parent
+    sp = _ShortestPaths(VisibilityGraph(polygon, extra_point=p), root)
+    return {(0 if sp.parent[v] == root else sp.parent[v], v)
+            for v in range(1, root)}
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +270,31 @@ def validate_triangulation(polygon: BasePolygon, diagonals) -> Report:
     return rep
 
 
+def validate_adjacency(polygon: BasePolygon, records) -> Report:
+    """Accepts triangle records (id, corners, neighbors) whose neighbor across
+    side (corners[k], corners[k+1]) is 0 exactly across a polygon edge, and
+    else a record that names this one back across the same side."""
+    rep = Report()
+    n = polygon.n
+    sides = {tid: [(min(u, v), max(u, v), nb) for u, v, nb in
+                   zip(c, c[1:] + c[:1], nbs)] for tid, c, nbs in records}
+    if len(sides) < len(records):
+        rep.fail("two triangle records share an id")
+    for tid, held in sides.items():
+        for u, v, nb in held:
+            if (nb != 0 if (v - u) % n in (1, n - 1)
+                    else (u, v, tid) not in sides.get(nb, ())):
+                rep.fail(f"triangle {tid}: neighbor {nb} across ({u}, {v})")
+    return rep
+
+
 def validate_spt(polygon: BasePolygon, p, edges) -> Report:
     rep = Report()
     expect = ref_spt(polygon, p)
     got = set(edges)
     if got != expect:
-        missing = expect - got
-        extra = got - expect
-        rep.fail(f"spt mismatch: missing {sorted(missing)[:5]}, "
-                 f"extra {sorted(extra)[:5]}")
+        rep.fail(f"spt mismatch: missing {sorted(expect - got)[:5]}, "
+                 f"extra {sorted(got - expect)[:5]}")
     return rep
 
 

@@ -116,52 +116,49 @@ def funnel_parents(view, root: int) -> List[int]:
     Guibas et al. (1987) run over an ear clip that keeps the root for its
     last triangle, in reverse pop order.  Each funnel chain is a path of the
     tree being built, so `parent` holds the chains and `apex[x]` the apex of
-    the funnel on the ring edge leaving x.  Strict turn tests make straight
-    vertices pass-through points, never parents."""
+    the funnel on the ring edge leaving x.  One strict turn test per chain
+    makes straight vertices pass-through points, never parents."""
     # Undoing the clip grows a ring from the last triangle, which holds the
-    # root: ear (p, v, n) puts v back between p and n.  The triangles not yet
-    # undone tile the ring as it was when v was clipped, and a shortest path
-    # between two vertices of that ring never enters a pocket clipped before
-    # v (it would leave across the diagonal it came in by).  So every parent
-    # in the ring is final when it is set, each non-root vertex is set once,
-    # and the tree paths from p and from n up to apex[p], where they meet,
-    # are the two chains of the funnel on diagonal (p, n).  v's path bends at
-    # its tangent x to one chain, or at the apex a when there is none; then
+    # root: ear (p, v, n) = (prv[v], v, nxt[v]) puts v back between p and n.
+    # The triangles not yet undone tile the ring as it was when v was
+    # clipped, and a shortest path between two vertices of that ring never
+    # enters a pocket clipped before v (it would leave across the diagonal it
+    # came in by).  So every parent in the ring is final when it is set, each
+    # non-root vertex is set once, and the tree paths from p and from n up to
+    # apex[p], where they meet, are the two chains of the funnel on diagonal
+    # (p, n).  v's path bends at the first x on p's chain with v strictly
+    # left of parent[x] -> x, else at the first x on n's chain with v
+    # strictly right of it (the ring is clockwise), else at the apex a; then
     # the funnels on (p, v) and (v, n) have apexes x and a when x is on p's
     # chain, a and x when it is on n's, and a and a otherwise.
     m = view.m
-    tris = ear_clip(view, keep=root)
-    if root not in tris[-1]:
+    order, prv, nxt = ear_clip(view, keep=root)
+    last = order.pop()
+    if root not in (prv[last], last, nxt[last]):
         raise InternalInvariantError("the clip's last triangle lacks the root")
     pts = (None,) + view.scan_points()
-    parent = [0] * (m + 1)
+    parent = [root] * (m + 1)     # final for the last triangle's corners
+    parent[root] = 0
     apex = [root] * (m + 1)
-    for x in tris[-1]:
-        if x != root:
-            parent[x] = root
 
-    def tangent(x, a, c, other):
-        """The vertex on the tree path from x up to a (a excluded) where c's
-        path bends, or 0; `other` is the diagonal's other end."""
-        below = 0
+    def tangent(x, a, c, turn):
+        """The first vertex on the tree path from x up to a (a excluded)
+        whose edge up turns `turn` to c, or 0."""
         while x != a:
             up = parent[x]
-            sign = geom.orient(pts[up], pts[x], pts[below]) if below \
-                else geom.COLLINEAR
-            if sign == geom.COLLINEAR:
-                sign = -geom.orient(pts[up], pts[x], pts[other])
-            if geom.orient(pts[up], pts[x], pts[c]) == sign:
+            if geom.orient(pts[up], pts[x], pts[c]) == turn:
                 return x
-            below, x = x, up
+            x = up
         return 0
 
-    for p, v, n in reversed(tris[:-1]):
+    for v in reversed(order):
+        p, n = prv[v], nxt[v]
         a = apex[p]
-        x = tangent(p, a, v, n)
+        x = tangent(p, a, v, geom.COUNTERCLOCKWISE)
         if x:
             parent[v], apex[p], apex[v] = x, x, a
         else:
-            x = tangent(n, a, v, p) or a
+            x = tangent(n, a, v, geom.CLOCKWISE) or a
             parent[v], apex[p], apex[v] = x, a, x
     return parent
 

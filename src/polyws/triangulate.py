@@ -182,8 +182,10 @@ class AdjacencySink(TriangulationSink):
 _EAR_LOOP_MAX = 64
 
 
-def ear_clip(view, on_ear=None, keep=0) -> List[Tuple[int, int, int]]:
-    """Triangles of the view as (a, b, c) local triples in pop order.
+def ear_clip(view, on_ear=None, keep=0):
+    """The ear clip of the view as (order, prv, nxt): `order` holds the ear
+    apexes in pop order, then one corner of the last triangle, and entry v
+    stands for the triangle (prv[v], v, nxt[v]) of local vertices.
 
     `on_ear(p, v, n)`, when given, is called as each ear is clipped, so a
     callback that raises stops the clipping there (the last triangle is not
@@ -194,8 +196,10 @@ def ear_clip(view, on_ear=None, keep=0) -> List[Tuple[int, int, int]]:
     or more vertices has two ears with different apexes (Meisters 1975).
     """
     m = view.m
+    nxt = list(range(1, m + 1)) + [1]     # ring links, index 0 unused
+    prv = [m, m] + list(range(1, m))
     if m == 3:
-        return [(1, 2, 3)]
+        return [2], prv, nxt
     ring = view.scan_points()
     if not view.all_int:
         # a positive scale keeps every orientation: clip the ring scaled by
@@ -204,10 +208,8 @@ def ear_clip(view, on_ear=None, keep=0) -> List[Tuple[int, int, int]]:
         ring = tuple((x.numerator * (d // x.denominator),
                       y.numerator * (d // y.denominator)) for x, y in ring)
     pts = (None,) + ring
-    nxt = list(range(1, m + 1)) + [1]     # ring links, index 0 unused
-    prv = [m, m] + list(range(1, m))
-    # v has been clipped exactly when nxt[prv[v]] != v: clipping v points
-    # nxt[p] past it, and no later clip points anything back at it
+    # clipping (p, v, n) writes nxt[p] and prv[n] and never v's links again:
+    # v is clipped exactly when nxt[prv[v]] != v, and its links name its ear
 
     def blocks(i):
         return geom.orient(pts[prv[i]], pts[i], pts[nxt[i]]) != geom.CLOCKWISE
@@ -215,7 +217,7 @@ def ear_clip(view, on_ear=None, keep=0) -> List[Tuple[int, int, int]]:
     block = [False] + [blocks(i) for i in range(1, m + 1)]
     index = _BlockIndex(pts, block, view.all_int)
 
-    out = []
+    order = []
     alive = m
     stack = list(range(m, 0, -1))
     alive_at_rescan = m + 1
@@ -229,7 +231,7 @@ def ear_clip(view, on_ear=None, keep=0) -> List[Tuple[int, int, int]]:
         p, n = prv[v], nxt[v]
         if nxt[p] != v or v == keep or block[v] or index.blocked(p, v, n):
             continue
-        out.append((p, v, n))
+        order.append(v)
         nxt[p] = n
         prv[n] = p
         alive -= 1
@@ -246,16 +248,15 @@ def ear_clip(view, on_ear=None, keep=0) -> List[Tuple[int, int, int]]:
                 if now or 2 * index.live < index.size:
                     index = _BlockIndex(pts, block, view.all_int)
             stack.append(u)
-    v = next(i for i in range(1, m + 1) if nxt[prv[i]] == i)
-    out.append((prv[v], v, nxt[v]))
-    return out
+    order.append(next(i for i in range(1, m + 1) if nxt[prv[i]] == i))
+    return order, prv, nxt
 
 
-def ear_neighbors(tris) -> List[List[int]]:
-    """The dual tree of ear_clip's triangles, read from their pop order in
-    O(m): row t holds the neighbors of tris[t] across its sides (a, b),
-    (b, c) and (c, a), each as 1 + the neighbor's position in tris, or 0
-    across a view edge."""
+def ear_neighbors(order, prv, nxt) -> List[List[int]]:
+    """The dual tree of ear_clip's (order, prv, nxt) in O(m): row t holds
+    the neighbors of triangle (a, b, c) = (prv[v], v, nxt[v]), v = order[t],
+    across its sides (a, b), (b, c) and (c, a), each as 1 + the neighbor's
+    position in `order`, or 0 across a view edge."""
     # Ear (p, v, n) is clipped with p -> v -> n on the ring, so its sides
     # (p, v) and (v, n) are ring edges: view edges, or diagonals that earlier
     # ears closed.  Its side (n, p) becomes the ring edge leaving p, closed by
@@ -263,15 +264,15 @@ def ear_neighbors(tris) -> List[List[int]]:
     # three sides are all ring edges.  closer[u] is the triangle that closed
     # the ring edge leaving u (0 while it is a view edge), so reading it pairs
     # the two triangles of each diagonal, both ways.
-    closer = [0] * (len(tris) + 3)
+    closer = [0] * (len(order) + 3)
     rows = []
-    last = len(tris)
-    for t, (p, v, n) in enumerate(tris, 1):
-        row = [closer[p], closer[v], closer[n] if t == last else 0]
+    last = len(order)
+    for t, v in enumerate(order, 1):
+        row = [closer[prv[v]], closer[v], closer[nxt[v]] if t == last else 0]
         for s in row:
             if s:
                 rows[s - 1][2] = t
-        closer[p] = t
+        closer[prv[v]] = t
         rows.append(row)
     return rows
 
@@ -359,18 +360,19 @@ def triangulate_in_memory(view, sink: TriangulationSink,
         sink.emit_diagonal(ra, rc)
 
     with meter.scoped(_in_memory_words(view.m)):
-        tris = ear_clip(view, emit_diag)
+        clip = ear_clip(view, emit_diag)
         if sink.adjacency:
-            _emit_adjacency(view, tris, sink)
+            _emit_adjacency(view, *clip, sink)
 
 
-def _emit_adjacency(view, tris, sink: TriangulationSink) -> None:
-    """Report the triangles with global ids, each side's neighbor a triangle
-    of this view, 0 across a polygon edge, or the cut diagonal that the
-    sink pairs with the neighboring piece's triangle."""
+def _emit_adjacency(view, order, prv, nxt, sink: TriangulationSink) -> None:
+    """Report the clip's triangles with global ids, each side's neighbor a
+    triangle of this view, 0 across a polygon edge, or the cut diagonal that
+    the sink pairs with the neighboring piece's triangle."""
     n = view.base.n
-    ids = [sink.alloc_id() for _ in tris]
-    for t, (tri, row) in enumerate(zip(tris, ear_neighbors(tris))):
+    ids = [sink.alloc_id() for _ in order]
+    for t, (x, row) in enumerate(zip(order, ear_neighbors(order, prv, nxt))):
+        tri = (prv[x], x, nxt[x])
         sides = []
         for u, v, nb in zip(tri, tri[1:] + tri[:1], row):
             if nb:

@@ -12,8 +12,8 @@ import pytest
 from conftest import cached_polygon, record_acceptance, separates
 from polyws import geom
 from polyws.geodesic import GeodesicCursor
-from polyws.oracle import (ref_geodesic, ref_spt, validate_partition,
-                           validate_triangulation)
+from polyws.oracle import (ref_geodesic, ref_spt, validate_adjacency,
+                           validate_partition, validate_triangulation)
 from polyws.partition import partition, piece_vertex_lists
 from polyws.spt import spt
 from polyws.triangulate import (IN_MEMORY_FACTOR, AdjacencySink,
@@ -438,23 +438,15 @@ def _check_adjacency(poly, sink):
     recs = {tid: (corners, neigh) for tid, corners, neigh in sink.records}
     assert len(recs) == n - 2, f"triangle count {len(recs)} != {n - 2}"
     assert not sink.pending.half, "pending half-records left at finish"
+    rep = validate_adjacency(poly, sink.records)
+    assert rep.ok, rep.errors[:3]
     side_count = {}
-    internal = 0
-    for tid, (corners, neigh) in recs.items():
+    for corners, _neigh in recs.values():
         for k in range(3):
             u, v = corners[k], corners[(k + 1) % 3]
             key = (min(u, v), max(u, v))
             side_count[key] = side_count.get(key, 0) + 1
-            other = neigh[k]
-            if other == 0:
-                assert (v - u) % n in (1, n - 1), f"boundary side {key}"
-            else:
-                internal += 1
-                oc, on = recs[other]
-                slot = next(j for j in range(3) if
-                            (min(oc[j], oc[(j + 1) % 3]),
-                             max(oc[j], oc[(j + 1) % 3])) == key)
-                assert on[slot] == tid, f"non-reciprocal across {key}"
+    internal = sum(x != 0 for _c, neigh in recs.values() for x in neigh)
     assert internal == 2 * (n - 3), "dual edge count"
     for key, cnt in side_count.items():
         expect = 1 if (key[1] - key[0]) % n in (1, n - 1) else 2

@@ -1,5 +1,5 @@
 """End-to-end command-line runs on temporary files."""
-import importlib
+import json
 import subprocess
 import sys
 
@@ -162,6 +162,64 @@ def test_verify_malformed_against_line(square, tmp_path, capsys):
         assert main(["verify", square, "--against", str(bad), "--what",
                      what, "--root", "1", "--s", "2"]) == 1, what
         assert "malformed line" in capsys.readouterr().err
+
+
+def test_verify_reads_every_output_format(tmp_path, capsys):
+    # every --format of triangulate, spt and partition verifies as written
+    poly = str(tmp_path / "r.poly")
+    main(["generate", "--kind", "random", "--n", "30", "--seed", "3",
+          "--out", poly])
+    runs = [("triangulate", fmt, "triangulation")
+            for fmt in ("edges", "triangles-adjacency", "json")]
+    runs += [("spt", fmt, "spt") for fmt in ("edges", "json")]
+    runs += [("partition", fmt, "partition") for fmt in ("text", "json")]
+    for cmd, fmt, what in runs:
+        out = str(tmp_path / f"{cmd}.{fmt}")
+        assert main([cmd, poly, "--s", "8", "--mode", "permissive",
+                     "--format", fmt, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["verify", poly, "--against", out, "--what", what,
+                     "--s", "8"]) == 0, (cmd, fmt)
+        assert capsys.readouterr().err == "OK\n", (cmd, fmt)
+
+
+def test_verify_checks_triangle_neighbors(tmp_path, capsys):
+    # a corrupted neighbor id, a 0 across a diagonal, and JSON whose
+    # triangles and diagonal list disagree each fail with exit 1
+    poly = str(tmp_path / "r.poly")
+    main(["generate", "--kind", "random", "--n", "30", "--seed", "3",
+          "--out", poly])
+    out = tmp_path / "tri.out"
+    main(["triangulate", poly, "--format", "triangles-adjacency",
+          "--out", str(out)])
+    good = out.read_text().splitlines()
+    t = next(k for k, ln in enumerate(good) if ln.split()[5:] != ["0"] * 3)
+    fields = good[t].split()
+    k = next(j for j in (5, 6, 7) if fields[j] != "0")
+    for bad in (str(int(fields[k]) % 28 + 1), "0", "99"):
+        fields[k] = bad
+        out.write_text("\n".join(good[:t] + [" ".join(fields)]
+                                 + good[t + 1:]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", poly, "--against", str(out)]) == 1, bad
+        assert "FAIL: triangle" in capsys.readouterr().err, bad
+    js = tmp_path / "tri.json"
+    main(["triangulate", poly, "--format", "json", "--out", str(js)])
+    doc = json.loads(js.read_text())
+    doc["triangles"] = [{"id": tid, "corners": [i, j, k], "neighbors": nb}
+                        for tid, i, j, k, *nb in
+                        (map(int, ln.split()[1:]) for ln in good)]
+    doc["diagonals"][0] = [doc["diagonals"][0][0], doc["diagonals"][0][0]]
+    js.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", poly, "--against", str(js)]) == 1
+    assert "differ from the diagonal list" in capsys.readouterr().err
+    js.write_text('{"diagonals": [[1, 3], [2]]}')
+    assert main(["verify", poly, "--against", str(js)]) == 1
+    assert "malformed line" in capsys.readouterr().err
+    js.write_text('{"diagonals": [[1, 3]')
+    assert main(["verify", poly, "--against", str(js)]) == 1
+    assert "malformed JSON" in capsys.readouterr().err
 
 
 def test_malformed_root_and_seed(square, tmp_path, capsys, monkeypatch):
@@ -466,7 +524,7 @@ def test_audit_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
     # assert, so python -O keeps them and the CLI reports a failed one with
     # exit 3 and one error line; here every piece that the shared split cuts
     # off is the whole view again, which breaks R's size bounds
-    tri_mod = importlib.import_module("polyws.triangulate")
+    from polyws import triangulate as tri_mod
     monkeypatch.setattr(tri_mod, "rooted_piece",
                         lambda view, segs, root: view)
     poly = str(tmp_path / "comb.poly")

@@ -101,7 +101,7 @@ def test_outputs_links_and_peaks_must_equal(key, value):
 
 
 def test_link_log_records_every_link_and_restores_the_bindings():
-    spt_mod = importlib.import_module("polyws.spt")
+    from polyws import spt as spt_mod
     bindings = (geodesic.first_link, spt_mod.first_link,
                 spt_mod.spt_constant_workspace)
     poly = oracle.generate("comb", 200, 1)

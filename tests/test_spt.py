@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polyws import geom
 from polyws.errors import PolygonInputError
 from polyws.oracle import generate, ref_spt
 from polyws.spt import (CollectingSptSink, _Region, funnel_parents, spt,
@@ -126,6 +127,40 @@ def test_funnel_matches_oracle():
             parent = funnel_parents(view, root)
             edges = {(parent[q], q) for q in range(1, n + 1) if q != root}
             assert edges == ref_spt(poly, root), (kind, seed, root)
+
+
+def _orthogonal_comb(k, mids):
+    """A bar with k rectangular teeth on top (4k + 4 vertices), with the
+    midpoint of every edge inserted when `mids` is set."""
+    ring = [(0, 0), (0, 8)]
+    for i in range(k):
+        x = 8 * i + 4
+        ring += [(x, 8), (x, 12), (x + 4, 12), (x + 4, 8)]
+    ring += [(8 * k + 4, 8), (8 * k + 4, 0)]
+    if mids:
+        ring = [q for a, b in zip(ring, ring[1:] + ring[:1])
+                for q in (a, ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2))]
+    return ring
+
+
+def test_funnel_edges_stay_inside_orthogonal_combs():
+    # collinear vertices everywhere: a funnel's apex, a chain's last edge
+    # and the entered diagonal can lie on one line, where a turn test that
+    # falls back to a zero sign took the apex as parent through a wall.
+    # Every root of combs with 2-8 teeth, with and without edge midpoints,
+    # mirrored, transposed and turned by 45 degrees
+    turns = (lambda p: p, lambda p: (-p[0], p[1]), lambda p: (p[1], p[0]),
+             lambda p: (p[0] - p[1], p[0] + p[1]))
+    for k in range(2, 9):
+        for mids in (False, True):
+            for turn in turns:
+                view = SubpolygonView.whole(BasePolygon.clockwise(
+                    [turn(p) for p in _orthogonal_comb(k, mids)]))
+                for root in range(1, view.m + 1):
+                    parent = funnel_parents(view, root)
+                    for q in range(1, view.m + 1):
+                        assert q == root or geom.is_visible(
+                            view, parent[q], q), (k, mids, root, q)
 
 
 def test_recursive_spt_matches_oracle_small_budget():

@@ -1,5 +1,4 @@
 """Triangulation: base case, far case, full recursion vs. the validator."""
-import importlib
 import math
 import random
 
@@ -8,7 +7,8 @@ import pytest
 from conftest import one_virtual_twins
 from polyws import geom
 from polyws.errors import InternalInvariantError, PolygonInputError
-from polyws.oracle import generate, validate_triangulation
+from polyws.oracle import (generate, validate_adjacency,
+                           validate_triangulation)
 from polyws.triangulate import (AdjacencySink, CollectingSink, ear_clip,
                                 ear_neighbors, find_alternating_diagonal,
                                 required_budget, triangulate_in_memory,
@@ -25,7 +25,7 @@ def test_ear_clip_triangle():
     sink = CollectingSink()
     triangulate_in_memory(view, sink)
     assert sink.diagonals == []
-    assert len(ear_clip(view)) == 1
+    assert _triangles(*ear_clip(view)) == [(1, 2, 3)]
 
 
 def test_ear_clip_square():
@@ -33,7 +33,7 @@ def test_ear_clip_square():
     sink = CollectingSink()
     triangulate_in_memory(view, sink)
     assert len(sink.diagonals) == 1
-    assert len(ear_clip(view)) == 2
+    assert len(ear_clip(view)[0]) == 2
 
 
 def test_ear_clip_random_views_valid():
@@ -45,6 +45,11 @@ def test_ear_clip_random_views_valid():
         triangulate_in_memory(view, sink)
         rep = validate_triangulation(poly, sink.diagonals)
         assert rep.ok, (seed, rep.errors)
+
+
+def _triangles(order, prv, nxt):
+    """An ear clip's triangles as (a, b, c) local triples in pop order."""
+    return [(prv[v], v, nxt[v]) for v in order]
 
 
 def _ear_clip_reference(view):
@@ -135,7 +140,7 @@ def test_ear_clip_matches_brute_force(monkeypatch):
         [(3, 0), (1, 3), (2, 0), (0, 3), (3, 5), (4, 2), (2, 2), (3, 3)]]
     views += [SubpolygonView.whole(BasePolygon(r)) for r in rings]
     # SPT pieces holding a virtual vertex with rational coordinates
-    spt_mod = importlib.import_module("polyws.spt")
+    from polyws import spt as spt_mod
     clip = spt_mod.ear_clip
 
     def keep_rational(view, *args, **kw):
@@ -146,7 +151,7 @@ def test_ear_clip_matches_brute_force(monkeypatch):
     spt_mod.spt(generate("spiral", 160, 0), 1, 12, mode=MeterMode.PERMISSIVE)
     monkeypatch.undo()
     assert any(not v.all_int for v in views)
-    tri_mod = importlib.import_module("polyws.triangulate")
+    from polyws import triangulate as tri_mod
     # one rational vertex with a large denominator, convex, straight or
     # reflex: the ring is clipped scaled by its common denominator
     for kind, seed in (("comb", 4), ("spiral", 5)):
@@ -158,7 +163,7 @@ def test_ear_clip_matches_brute_force(monkeypatch):
         expect = _ear_clip_reference(view)
         for loop_max in splits:
             monkeypatch.setattr(tri_mod, "_EAR_LOOP_MAX", loop_max)
-            assert ear_clip(view) == expect, (view.m, loop_max)
+            assert _triangles(*ear_clip(view)) == expect, (view.m, loop_max)
 
 
 def _side_pairing(tris):
@@ -195,23 +200,25 @@ def test_ear_neighbors_match_side_pairing():
             SubpolygonView.whole(generate(kind, 300, seed)), seed)[0]
     assert sum(not v.all_int for v in views) >= 15
     for view in views:
-        tris = ear_clip(view)
-        assert ear_neighbors(tris) == _side_pairing(tris), view.m
+        clip = ear_clip(view)
+        assert ear_neighbors(*clip) == _side_pairing(_triangles(*clip)), view.m
     # any clipping order of a ring, where every vertex is an ear: the last
     # triangle's third side is a diagonal too, which ear_clip's own pop
     # order has not been seen to make
     rng = random.Random(7)
     for m in (3, 4, 5, 9, 40):
         for _ in range(30):
-            ring = list(range(1, m + 1))
-            tris = []
-            while True:
-                i = rng.randrange(len(ring))
-                tris.append((ring[i - 1], ring[i], ring[(i + 1) % len(ring)]))
-                if len(ring) == 3:
-                    break
-                del ring[i]
-            assert ear_neighbors(tris) == _side_pairing(tris), tris
+            nxt = list(range(1, m + 1)) + [1]
+            prv = [m, m] + list(range(1, m))
+            alive = list(range(1, m + 1))
+            order = []
+            while len(alive) > 3:
+                v = alive.pop(rng.randrange(len(alive)))
+                order.append(v)
+                nxt[prv[v]], prv[nxt[v]] = nxt[v], prv[v]
+            order.append(rng.choice(alive))
+            tris = _triangles(order, prv, nxt)
+            assert ear_neighbors(order, prv, nxt) == _side_pairing(tris), tris
 
 
 def test_ear_clip_keeps_its_vertex_for_the_last_triangle():
@@ -230,11 +237,12 @@ def test_ear_clip_keeps_its_vertex_for_the_last_triangle():
                 SubpolygonView.whole(generate(kind, 150, seed)), seed)[0]:
             runs += [(view, keep) for keep in range(1, view.m + 1)]
     for view, keep in runs:
-        tris = ear_clip(view, keep=keep)
+        clip = ear_clip(view, keep=keep)
+        tris = _triangles(*clip)
         assert len(tris) == view.m - 2, (view.m, keep)
-        assert keep not in [v for _p, v, _n in tris[:-1]], (view.m, keep)
+        assert keep not in clip[0][:-1], (view.m, keep)
         assert keep in tris[-1], (view.m, keep)
-        assert ear_neighbors(tris) == _side_pairing(tris), (view.m, keep)
+        assert ear_neighbors(*clip) == _side_pairing(tris), (view.m, keep)
 
 
 class _Stop(Exception):
@@ -251,7 +259,7 @@ def _stopping(sink_cls, k):
 
 
 def test_in_memory_stream_stops_at_raising_sink(monkeypatch):
-    tri_mod = importlib.import_module("polyws.triangulate")
+    from polyws import triangulate as tri_mod
     clip = tri_mod.ear_clip
     ears = []
 
@@ -267,6 +275,8 @@ def test_in_memory_stream_stops_at_raising_sink(monkeypatch):
         triangulate_in_memory(view, full)
         full_ears = list(ears)
         assert len(full.diagonals) == len(full_ears) == view.m - 3
+        # the callback sees each ear as the clip's links name it
+        assert _triangles(*clip(view))[:-1] == full_ears
         if sink_cls is AdjacencySink:
             assert len(full.records) == view.m - 2
         for k in (1, 17, view.m // 2, view.m - 3):
@@ -479,26 +489,16 @@ def _check_adjacency_consistency(poly, sink):
     by exactly one."""
     n = poly.n
     recs = {tid: (corners, neigh) for tid, corners, neigh in sink.records}
+    rep = validate_adjacency(poly, sink.records)
+    assert rep.ok, rep.errors[:3]
     side_count = {}
-    internal = 0
-    for tid, (corners, neigh) in recs.items():
+    for corners, _neigh in recs.values():
         for k in range(3):
             u, v = corners[k], corners[(k + 1) % 3]
             key = (min(u, v), max(u, v))
             side_count[key] = side_count.get(key, 0) + 1
-            other = neigh[k]
-            if other == 0:
-                assert (v - u) % n in (1, n - 1), f"boundary side {key} not an edge"
-            else:
-                internal += 1
-                oc, on = recs[other]
-                slot = None
-                for j in range(3):
-                    ku = (min(oc[j], oc[(j + 1) % 3]), max(oc[j], oc[(j + 1) % 3]))
-                    if ku == key:
-                        slot = j
-                assert slot is not None and on[slot] == tid, "non-reciprocal"
-    assert internal == 2 * (n - 3)
+    assert sum(x != 0 for _c, neigh in recs.values() for x in neigh) \
+        == 2 * (n - 3)
     for key, cnt in side_count.items():
         if (key[1] - key[0]) % n in (1, n - 1):
             assert cnt == 1, f"edge {key} in {cnt} triangles"
