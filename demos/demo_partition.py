@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Walkthrough: balanced partitioning into same-sized pieces.
 
-Each round triangulates every oversized piece just long enough to see one
-balanced cut stream past, splits there, and discards the rest of the stream.
-Piece sizes collapse geometrically to the target window.
+A polygon that fits in memory is ear-clipped once, and one pass over the
+clip's pop order cuts its dual tree into pieces of at most t vertices; a root
+remainder below floor(t/6) is merged with a neighbour (and split at a
+balanced cut if the merge passes t).  A polygon too large to fit is first
+halved round by round, each round triangulating every oversized piece just
+long enough to see one balanced cut stream past; those sizes decay
+geometrically until the pieces fit.
 """
 import os
 

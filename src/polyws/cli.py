@@ -400,7 +400,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse has printed its message: a usage error is invalid input
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is left to devnull, so
+        # that the flush at exit cannot raise again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PolygonInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

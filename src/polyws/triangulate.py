@@ -42,6 +42,12 @@ def required_budget(n: int) -> int:
     return C0_LOG * max(1, (n - 1).bit_length())
 
 
+def fits_in_memory(m: int, tau: float) -> bool:
+    """The in-memory rule: a view of m vertices under workspace parameter
+    tau is ear-clipped whole, without a walk."""
+    return IN_MEMORY_FACTOR * tau >= m
+
+
 # ---------------------------------------------------------------------------
 # sinks
 
@@ -508,7 +514,7 @@ def setup_budget(n: int, s: int, mode: MeterMode,
     if s > n:
         s = n
     if mode is MeterMode.STRICT and s < required_budget(n) \
-            and IN_MEMORY_FACTOR * s < n:
+            and not fits_in_memory(n, s):
         raise PolygonInputError(
             f"strict mode requires s >= {required_budget(n)} for n={n}")
     if meter is None:
@@ -531,7 +537,7 @@ def _recurse(view, tau: float, run: Run, level: int) -> None:
     run.stats.depth = max(run.stats.depth, level)
     meter = run.meter
     with meter.frame():
-        if IN_MEMORY_FACTOR * tau >= m:
+        if fits_in_memory(m, tau):
             run.strategy.base(view, run)
         elif tau > TAU_FLOOR:
             _walk_level(view, int(tau), run, level)

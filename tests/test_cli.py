@@ -349,7 +349,7 @@ SVG_SHA256 = {
     "spt --root 26983,128353":
         "d7bfcd05a7bef2d6755a016c8dfbceb6944e4d5ed6cffd5a37e71bdd06b43d8f",
     "partition":
-        "6676146094aaf080079160c189cbd102ad991e7c9f4b6b63be9b2d84f7849658",
+        "52ea01bd49d2b6d536c14fb53bb2ebea41321791a9b02fc605ffc2306b0a8dc0",
 }
 
 
@@ -425,6 +425,24 @@ def test_console_entrypoint_runs():
     assert rc.stdout.splitlines()[0].strip() == "8"
 
 
+@pytest.mark.parametrize("kind, n", [("random", 300), ("comb", 3000)])
+def test_closed_stdout_exits_quietly(kind, n):
+    # the reader is gone before the first write: at n = 300 the output still
+    # sits in stdout's buffer when the command returns, at n = 3000 a write
+    # inside the command meets the closed pipe
+    import os
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        rc = subprocess.run([sys.executable, "-m", "polyws.cli", "generate",
+                             "--kind", kind, "--n", str(n), "--seed", "1"],
+                            stdout=w, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(w)
+    assert rc.returncode == 1
+    assert rc.stderr == ""
+
+
 # A fixed corpus whose CLI outputs must stay byte-identical: each polygon is
 # (kind, n, generator seed); every command runs at s = 16, permissive, with
 # run seed 11.  The interior root on random-120 reaches the reflex repair of
@@ -446,7 +464,7 @@ GOLDEN_SHA256 = {
     "random-120 spt --root 1":
         "deda737ba3a057dceccd7c272671e3be7b239e4ddecc972a59a765e7594fc9fd",
     "random-120 partition":
-        "00da28729db44e07611380ba465d0a4554412899466acc87c3ec268fa3f81936",
+        "9b6780b62f5deeb41a00fa87bf4214b2ff6c11dc55437756aa4d0f4d2536b288",
     "random-300 triangulate --format edges":
         "5f5ee43471e55eee321519c7cdae8ac99873d9f3342e0c260d8ee4e03197a545",
     "random-300 triangulate --format triangles-adjacency":
@@ -454,7 +472,7 @@ GOLDEN_SHA256 = {
     "random-300 spt --root 1":
         "3a5cadec8d4dce75147d1b3c71f3a8394e1ca3288c4d73c1f46696281e397c51",
     "random-300 partition":
-        "710d0ad25bc43d720e6918cf80a01ae1b1a015ddb8f878477fc763ec7d105143",
+        "6308f01d4d255f39d297273a5dd8432f051d12618b9cf5eb125d0b2190ab3549",
     "comb-200 triangulate --format edges":
         "56f412e4189ec23f86b2aae7954415a7347bc0d93cb43fb2757cb28c28636b64",
     "comb-200 triangulate --format triangles-adjacency":
@@ -462,7 +480,7 @@ GOLDEN_SHA256 = {
     "comb-200 spt --root 1":
         "00036614e40dda91ce46668fa68b731e6da44d38f4e41de009b65658d7e8138e",
     "comb-200 partition":
-        "93113fa95f0835973310e5d034def40c9d57c2cef74a493403dc6888aa6ebe8f",
+        "84b0d82dee6d3dfaa590854f4a7c66ea17c205099f30727feb1f2f7bc267fbe9",
     "comb-300 triangulate --format edges":
         "c4c5c7e45f160a6ea73879a8d08a1d10a2a782b2d28886993cb1ff06fa512192",
     "comb-300 triangulate --format triangles-adjacency":
@@ -470,7 +488,7 @@ GOLDEN_SHA256 = {
     "comb-300 spt --root 1":
         "7c7be764323770f70c4e1cb52e0e967e5c801ed0d16f3f8ab2e2f900f7b4bb49",
     "comb-300 partition":
-        "a8b59ac2a66e0c406a0a969a59db3ed94a78b77adb7e07d431fd6705a688560b",
+        "7a30080e36c766024345419e6e78b4f3a0e22a5e5b539301e2ce665908dd37f2",
     "spiral-150 triangulate --format edges":
         "a115831e8b09e6abab331d559126292445fe3a50b1ffad1f3abd3a8d18d72b34",
     "spiral-150 triangulate --format triangles-adjacency":
@@ -478,7 +496,7 @@ GOLDEN_SHA256 = {
     "spiral-150 spt --root 1":
         "ef7179040b84bf4824e0b47f491642b5910e9f2cb34d1219a51c96867bae69aa",
     "spiral-150 partition":
-        "876661a6b8c108dbf2e26bc509e326eae9ceca85d6a923f7dfc488680337b1eb",
+        "d055bbb3660cfd8cf31c36bb226c871a19dd034a677dd0ab7c3442b013f04ce0",
     "spiral-300 triangulate --format edges":
         "95b4ff6bb0b82a29a5646239784226bd0f681e46d46981687042db64e9e227bb",
     "spiral-300 triangulate --format triangles-adjacency":
@@ -486,7 +504,7 @@ GOLDEN_SHA256 = {
     "spiral-300 spt --root 1":
         "49c489fc8c324c49bb38bf00eb5abcd0ded9ff1e3111b2709de8eeb2f30b5b96",
     "spiral-300 partition":
-        "09e08b6d072d92da25e54aec0300ec620ef8a1ce7abc59028eda427d97799ef9",
+        "fc9539a9eb8e9b447e4376b8838d3fb600b1e3fcb6c7bb7b6f735f9c3ff374db",
     "random-120 spt --root 26983,128353":
         "bb233d4a04141c728e7c5a83d7cb5ac400e04935657bd68e2807047a8b1e7547",
 }
