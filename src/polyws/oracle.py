@@ -7,6 +7,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from itertools import accumulate
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -531,8 +532,35 @@ def generate(kind: str, n: int, seed: int) -> BasePolygon:
         if check_simple(poly.points(), general_position=True).ok:
             poly.kind = kind
             return poly
+    if kind == "convex":
+        poly = BasePolygon.clockwise(_convex_fallback(n, seed))
+        poly.kind = kind
+        return poly
     raise PolygonInputError(f"could not generate {kind} polygon n={n} "
                             f"seed={seed} after 40 attempts")
+
+
+def _convex_fallback(n: int, seed: int):
+    """A strictly convex ring for the sizes (n >= 16000 or so) where every
+    Valtr draw repeats a direction: ceil(n/2) of the shortest primitive
+    vectors and their negatives in angle order; for odd n the first two
+    merge into their sum, whose direction lies strictly between theirs."""
+    k = math.isqrt(n) + 1        # about 1.2 k*k vectors to draw from
+    pool = [(a, b) for a in range(-k, k + 1) for b in range(k + 1)
+            if (b > 0 or a > 0) and math.gcd(a, b) == 1]
+    vecs = random.Random(seed).sample(pool, -(-n // 2))
+    vecs += [(-a, -b) for a, b in vecs]
+    vecs.sort(key=lambda v: math.atan2(v[1], v[0]))
+    if n % 2:
+        (a, b), (c, d) = vecs[:2]
+        vecs[:2] = [(a + c, b + d)]
+    return _ring(vecs)
+
+
+def _ring(vecs):
+    """The ring that edge vectors summing to zero close, from (0, 0)."""
+    return list(accumulate(vecs[:-1], initial=(0, 0),
+                           func=lambda p, v: (p[0] + v[0], p[1] + v[1])))
 
 
 def _gen_convex(n: int, seed: int):
@@ -557,7 +585,7 @@ def _gen_convex(n: int, seed: int):
                 last_b = v
         out.append(hi - last_a)
         out.append(last_b - hi)
-        return out
+        return out          # runs lo..hi and back: the sum is 0
 
     vx = deltas(xs)
     vy = deltas(ys)
@@ -573,15 +601,7 @@ def _gen_convex(n: int, seed: int):
             return None  # parallel edges would create a straight vertex
         prim.add(key)
     vecs.sort(key=lambda v: math.atan2(v[1], v[0]))
-    pts = []
-    x = y = 0
-    for dx, dy in vecs:
-        pts.append((x, y))
-        x += dx
-        y += dy
-    if (x, y) != (0, 0):
-        return None
-    return pts
+    return _ring(vecs)
 
 
 def _gen_random(n: int, seed: int):

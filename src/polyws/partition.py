@@ -22,8 +22,9 @@ import random
 from typing import List, Tuple
 
 from .errors import InternalInvariantError, PolygonInputError
-from .triangulate import (TriangulationSink, _in_memory_words, ear_clip,
-                          fits_in_memory, required_budget, triangulate)
+from .triangulate import (TriangulationSink, _in_memory_words,
+                          check_workspace, ear_clip, fits_in_memory,
+                          required_budget, triangulate)
 from .workspace import (BUDGET_L, BasePolygon, MeterMode, RunStats,
                         SubpolygonView, WorkspaceMeter, component_sizes)
 
@@ -216,6 +217,7 @@ def partition(polygon: BasePolygon, s: int, *,
     accepted; each piece is handled at workspace parameter max(s,
     required_budget(m), 10) for its own size m.
     """
+    check_workspace(s)
     n = polygon.n
     if not 1 <= s <= n:
         raise PolygonInputError("partition needs 1 <= s <= n")

@@ -42,6 +42,12 @@ def required_budget(n: int) -> int:
     return C0_LOG * max(1, (n - 1).bit_length())
 
 
+def check_workspace(s) -> None:
+    """Refuse a workspace parameter s that is not an int (a bool is not)."""
+    if type(s) is not int:
+        raise PolygonInputError(f"s must be an int, not {type(s).__name__}")
+
+
 def fits_in_memory(m: int, tau: float) -> bool:
     """The in-memory rule: a view of m vertices under workspace parameter
     tau is ear-clipped whole, without a walk."""
@@ -55,10 +61,13 @@ class TriangulationSink:
     """Write-only consumer of triangulation output.  Emitted records are never
     read back by the algorithm."""
 
-    adjacency = False
-
     def emit_diagonal(self, a: int, b: int) -> None:
         raise NotImplementedError
+
+    def add_clip(self, view, order, prv, nxt, meter: WorkspaceMeter) -> None:
+        """The in-memory base case's finished ear clip of `view` (see
+        ear_clip), after its diagonals; a sink that reports triangles reads
+        them here and charges what it keeps to `meter`, the run's."""
 
     def finish(self) -> None:
         pass
@@ -74,95 +83,74 @@ class CollectingSink(TriangulationSink):
         self.diagonals.append((min(a, b), max(a, b)))
 
 
-class Triangle:
-    __slots__ = ("tid", "corners", "neighbors", "missing")
-
-    def __init__(self, tid, corners):
-        self.tid = tid
-        self.corners = corners            # base indices, boundary order
-        self.neighbors = [None, None, None]  # tid | 0 (polygon boundary)
-        self.missing = 0
-
-
 class PendingAdjacency:
-    """Half-records for diagonals whose second side has not been built yet.
-
-    One constant-size entry per live delimiting diagonal, pointing at the
-    triangle that waits for it; entries die when the neighboring subproblem
-    reports its triangle.
-    """
+    """Half-records for diagonals whose second side has not been built yet:
+    one constant-size entry per live delimiting diagonal, holding the
+    waiting triangle's record and the slot its partner fills."""
 
     ENTRY_WORDS = 5
 
-    def __init__(self, meter: WorkspaceMeter):
-        self.meter = meter
-        self.half: Dict[Tuple[int, int], Tuple[Triangle, int]] = {}
+    def __init__(self):
+        self.half: Dict[Tuple[int, int], Tuple[tuple, int]] = {}
         self.peak = 0
 
-    def deposit_or_join(self, key, tri: Triangle, slot: int):
-        """Returns the waiting partner (triangle, slot) when this completes
-        the pair."""
-        if key in self.half:
-            other = self.half.pop(key)
-            self.meter.release(self.ENTRY_WORDS, level=0)
-            if other[0] is tri:
-                raise InternalInvariantError(
-                    f"diagonal {key} deposited twice by one triangle")
-            return other
-        self.half[key] = (tri, slot)
-        self.meter.alloc(self.ENTRY_WORDS, level=0)
-        self.peak = max(self.peak, len(self.half))
-        return None
 
-
-class AdjacencySink(TriangulationSink):
-    """Collects triangles with neighbor references; a record is released as
-    soon as every neighbor id is known.  Cross-subproblem sides wait in a
-    PendingAdjacency keyed by the shared diagonal, whose entry holds the
-    waiting triangle."""
+class AdjacencySink(CollectingSink):
+    """Collects triangles with neighbor ids as well as the diagonals; a
+    record is released as soon as every neighbor id is known.  The pending
+    entries and the records still waiting are charged to level 0 of the
+    meter that comes with each clip, the run's."""
 
     RECORD_WORDS = 8
-    adjacency = True
 
-    def __init__(self, meter: Optional[WorkspaceMeter] = None):
-        self.meter = meter if meter is not None else null_meter()
-        self.pending = PendingAdjacency(self.meter)
+    def __init__(self):
+        super().__init__()
+        self.pending = PendingAdjacency()
         self.records: List[Tuple] = []      # (tid, corners, neighbors)
-        self.diagonals: List[Tuple[int, int]] = []
         self._next = 1
 
-    def emit_diagonal(self, a: int, b: int) -> None:
-        self.diagonals.append((min(a, b), max(a, b)))
-
-    def alloc_id(self) -> int:
-        tid = self._next
-        self._next += 1
-        return tid
-
-    def add_triangle(self, tid: int, corners, sides) -> None:
-        """sides[k] covers (corners[k], corners[k+1]): an int neighbor tid,
-        0 for a polygon edge, or ('cut', key) for a shared diagonal."""
-        tri = Triangle(tid, corners)
-        for k, side in enumerate(sides):
-            if isinstance(side, int):
-                tri.neighbors[k] = side
-                continue
-            other = self.pending.deposit_or_join(side[1], tri, k)
-            if other is None:
-                tri.missing += 1
-                continue
-            holder, oslot = other
-            tri.neighbors[k] = holder.tid
-            holder.neighbors[oslot] = tid
-            holder.missing -= 1
-            if holder.missing == 0:
-                self.meter.release(self.RECORD_WORDS, level=0)
-                self.records.append((holder.tid, holder.corners,
-                                     tuple(holder.neighbors)))
-        if tri.missing == 0:
-            self.records.append((tid, corners, tuple(tri.neighbors)))
-        else:
-            self.meter.alloc(self.RECORD_WORDS, level=0)
+    def add_clip(self, view, order, prv, nxt, meter: WorkspaceMeter) -> None:
+        """Triangle t, (prv[v], v, nxt[v]) for v = order[t], gets the t-th
+        id not yet given out.  Its neighbor across a side is a triangle of
+        this clip (its ear_neighbors row), 0 across a polygon edge, or else
+        the triangle across a cut diagonal, joined in the pending table."""
+        n = view.base.n
+        half = self.pending.half
+        first = self._next
+        self._next += len(order)
+        rows = ear_neighbors(order, prv, nxt)
+        for t, (v, row) in enumerate(zip(order, rows)):
+            tid = first + t
+            corners = tuple(map(view.base_ref, (prv[v], v, nxt[v])))
+            # None marks a side that waits for its partner
+            nbs = [first + nb - 1 if nb else None for nb in row]
+            rec = (tid, corners, nbs)
+            for k in range(3):
+                if nbs[k] is not None:
+                    continue
+                ru, rv = corners[k], corners[(k + 1) % 3]
+                key = (min(ru, rv), max(ru, rv))
+                if (rv - ru) % n in (1, n - 1):       # polygon edge
+                    nbs[k] = 0
+                elif key not in half:
+                    half[key] = (rec, k)
+                    meter.alloc(PendingAdjacency.ENTRY_WORDS, level=0)
+                    self.pending.peak = max(self.pending.peak, len(half))
+                else:
+                    other, slot = half.pop(key)
+                    meter.release(PendingAdjacency.ENTRY_WORDS, level=0)
+                    if other is rec:
+                        raise InternalInvariantError(
+                            f"diagonal {key} deposited twice by one triangle")
+                    nbs[k], other[2][slot] = other[0], tid
+                    if None not in other[2]:
+                        meter.release(self.RECORD_WORDS, level=0)
+                        self.records.append(
+                            (other[0], other[1], tuple(other[2])))
+            if None in nbs:
+                meter.alloc(self.RECORD_WORDS, level=0)
+            else:
+                self.records.append((tid, corners, tuple(nbs)))
 
     def finish(self) -> None:
         if self.pending.half:
@@ -188,18 +176,18 @@ class AdjacencySink(TriangulationSink):
 _EAR_LOOP_MAX = 64
 
 
-def ear_clip(view, on_ear=None, keep=0):
+def ear_clip(view, keep=0):
     """The ear clip of the view as (order, prv, nxt): `order` holds the ear
     apexes in pop order, then one corner of the last triangle, and entry v
-    stands for the triangle (prv[v], v, nxt[v]) of local vertices.
+    stands for the triangle (prv[v], v, nxt[v]) of local vertices.  Clipping
+    an ear never writes its apex's links again, so for v in order[:-1],
+    (prv[v], nxt[v]) is the diagonal that ear cut off, in the order cut.
 
-    `on_ear(p, v, n)`, when given, is called as each ear is clipped, so a
-    callback that raises stops the clipping there (the last triangle is not
-    an ear).  Only reflex (or straight) vertices can block an ear; they are
-    indexed in a _BlockIndex.  Exact arithmetic throughout; straight
-    vertices are never chosen as ear apexes, and neither is local vertex
-    `keep`, which is therefore a corner of the last triangle: a ring of four
-    or more vertices has two ears with different apexes (Meisters 1975).
+    Only reflex (or straight) vertices can block an ear; they are indexed in
+    a _BlockIndex.  Exact arithmetic throughout; straight vertices are never
+    chosen as ear apexes, and neither is local vertex `keep`, which is
+    therefore a corner of the last triangle: a ring of four or more vertices
+    has two ears with different apexes (Meisters 1975).
     """
     m = view.m
     nxt = list(range(1, m + 1)) + [1]     # ring links, index 0 unused
@@ -241,8 +229,6 @@ def ear_clip(view, on_ear=None, keep=0):
         nxt[p] = n
         prv[n] = p
         alive -= 1
-        if on_ear is not None:
-            on_ear(p, v, n)
         for u in (p, n):
             now = blocks(u)
             if now != block[u]:
@@ -354,40 +340,18 @@ def _in_memory_words(m: int) -> int:
 
 def triangulate_in_memory(view, sink: TriangulationSink,
                           meter: Optional[WorkspaceMeter] = None) -> None:
-    """Ear-clip the view, emitting each diagonal as its ear is clipped (a
-    sink that raises stops the clipping there), then the triangles with
-    adjacency when the sink collects them."""
+    """Ear-clip the view, then emit each ear's diagonal in pop order (a sink
+    that raises stops the emission there) and hand the finished clip to the
+    sink's add_clip."""
     meter = meter if meter is not None else null_meter()
-
-    def emit_diag(a, _v, c):   # an ear's (a, c) is never a view edge
-        ra, rc = view.base_ref(a), view.base_ref(c)
-        if ra is None or rc is None:
-            raise InternalInvariantError("virtual vertex in a diagonal")
-        sink.emit_diagonal(ra, rc)
-
     with meter.scoped(_in_memory_words(view.m)):
-        clip = ear_clip(view, emit_diag)
-        if sink.adjacency:
-            _emit_adjacency(view, *clip, sink)
-
-
-def _emit_adjacency(view, order, prv, nxt, sink: TriangulationSink) -> None:
-    """Report the clip's triangles with global ids, each side's neighbor a
-    triangle of this view, 0 across a polygon edge, or the cut diagonal that
-    the sink pairs with the neighboring piece's triangle."""
-    n = view.base.n
-    ids = [sink.alloc_id() for _ in order]
-    for t, (x, row) in enumerate(zip(order, ear_neighbors(order, prv, nxt))):
-        tri = (prv[x], x, nxt[x])
-        sides = []
-        for u, v, nb in zip(tri, tri[1:] + tri[:1], row):
-            if nb:
-                sides.append(ids[nb - 1])
-                continue
-            ru, rv = view.base_ref(u), view.base_ref(v)
-            sides.append(0 if (rv - ru) % n in (1, n - 1)     # polygon edge
-                         else ("cut", (min(ru, rv), max(ru, rv))))
-        sink.add_triangle(ids[t], tuple(map(view.base_ref, tri)), sides)
+        order, prv, nxt = ear_clip(view)
+        for v in order[:-1]:     # an ear's diagonal is never a view edge
+            ra, rc = view.base_ref(prv[v]), view.base_ref(nxt[v])
+            if ra is None or rc is None:
+                raise InternalInvariantError("virtual vertex in a diagonal")
+            sink.emit_diagonal(ra, rc)
+        sink.add_clip(view, order, prv, nxt, meter)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +475,7 @@ def setup_budget(n: int, s: int, mode: MeterMode,
     """Clamp s to n, enforce the strict-mode precondition s >= 8*ceil(log2 n)
     (waived when the polygon fits in memory), and make the meter (L*s words)
     and counters the caller did not pass.  Returns (tau, meter, stats)."""
+    check_workspace(s)
     if s > n:
         s = n
     if mode is MeterMode.STRICT and s < required_budget(n) \

@@ -102,6 +102,35 @@ def test_convex_has_no_reflex():
     assert not any(geom.is_reflex(v, i) for i in range(1, 9))
 
 
+def _strictly_convex(pts, n):
+    return len(pts) == n and all(
+        geom.orient(pts[i - 1], pts[i], pts[(i + 1) % n]) == geom.CLOCKWISE
+        for i in range(n))
+
+
+@pytest.mark.parametrize("n", [16000, 20000])
+def test_large_convex_rings_are_strictly_convex(n):
+    # every random draw at these sizes repeats an edge direction, so the
+    # ring comes from the deterministic fallback
+    pts = generate("convex", n, 1).points()
+    assert _strictly_convex(pts, n)
+    assert all(abs(c) <= geom.COORD_LIMIT for p in pts for c in p)
+    assert check_simple(pts).ok
+
+
+def test_convex_fallback_rings_of_every_parity():
+    from polyws.oracle import _convex_fallback
+    for n in (3, 4, 7, 50, 501):
+        pts = BasePolygon.clockwise(_convex_fallback(n, n)).points()
+        assert _strictly_convex(pts, n), n
+
+
+def test_convex_rings_below_the_fallback_are_unchanged():
+    pts = generate("convex", 1000, 1).points()
+    assert hashlib.sha256(repr(pts).encode()).hexdigest() == \
+        "a691fea44eaafe385faaa864a1838d7f04cc68ec3644adea4c2916e50091423f"
+
+
 def test_comb_reflex_count_formula():
     for k, seed in [(3, 0), (5, 1), (10, 2)]:
         n = 4 * k + 2

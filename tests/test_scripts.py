@@ -3,6 +3,8 @@ returns the rows its script writes, and the shared harness alternates the
 sides, takes the medians of the times and holds one equality rule against
 the parent."""
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -139,3 +141,16 @@ def test_tracer_wraps_and_restores_every_library_name(monkeypatch):
     assert {("polyws.spt", "ear_clip"), ("polyws.spt", "funnel_parents"),
             ("polyws.triangulate", "ear_clip"),
             ("polyws.geodesic", "first_link")} <= names
+
+
+@pytest.mark.parametrize("workload, trace", [
+    ("small", 0), ("walk", 0), ("inmem", 0), ("small", 1)])
+def test_benchmark_smoke_runs_correct(workload, trace):
+    # the benchmark reads attributes of library results (an adjacency
+    # sink's pending.peak among them) that the tracer test does not touch
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         workload, "--smoke", "--seconds", "0", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

@@ -9,10 +9,10 @@ from polyws import geom
 from polyws.errors import InternalInvariantError, PolygonInputError
 from polyws.oracle import (generate, validate_adjacency,
                            validate_triangulation)
-from polyws.triangulate import (AdjacencySink, CollectingSink, ear_clip,
-                                ear_neighbors, find_alternating_diagonal,
-                                required_budget, triangulate_in_memory,
-                                triangulate_polygon)
+from polyws.triangulate import (AdjacencySink, CollectingSink,
+                                PendingAdjacency, ear_clip, ear_neighbors,
+                                find_alternating_diagonal, required_budget,
+                                triangulate_in_memory, triangulate_polygon)
 from polyws.workspace import (BasePolygon, MeterMode, RunStats,
                               SubpolygonView, WorkspaceMeter)
 
@@ -258,37 +258,25 @@ def _stopping(sink_cls, k):
     return Stopping()
 
 
-def test_in_memory_stream_stops_at_raising_sink(monkeypatch):
-    from polyws import triangulate as tri_mod
-    clip = tri_mod.ear_clip
-    ears = []
-
-    def counting(view, on_ear):
-        def count(p, v, n):
-            ears.append((p, v, n))
-            on_ear(p, v, n)
-        return clip(view, count)
-    monkeypatch.setattr(tri_mod, "ear_clip", counting)
+def test_in_memory_stream_stops_at_raising_sink():
     view = SubpolygonView.whole(generate("comb", 302, 4))
+    ears = _triangles(*ear_clip(view))[:-1]
     for sink_cls in (CollectingSink, AdjacencySink):
         full = sink_cls()
         triangulate_in_memory(view, full)
-        full_ears = list(ears)
-        assert len(full.diagonals) == len(full_ears) == view.m - 3
-        # the callback sees each ear as the clip's links name it
-        assert _triangles(*clip(view))[:-1] == full_ears
+        # each ear's diagonal, in pop order
+        assert full.diagonals == [
+            tuple(sorted((view.base_ref(p), view.base_ref(n))))
+            for p, _v, n in ears]
         if sink_cls is AdjacencySink:
             assert len(full.records) == view.m - 2
         for k in (1, 17, view.m // 2, view.m - 3):
-            ears.clear()
             sink = _stopping(sink_cls, k)
             with pytest.raises(_Stop):
                 triangulate_in_memory(view, sink)
             assert sink.diagonals == full.diagonals[:k]
-            assert ears == full_ears[:k]
             if sink_cls is AdjacencySink:
                 assert sink.records == []
-        ears.clear()
 
 
 def test_square_any_tau():
@@ -420,6 +408,32 @@ def test_adjacency_mode_strict_budget():
     assert meter.current_words == 0
     assert stats.depth >= 1
     _check_adjacency_consistency(poly, sink)
+
+
+def test_adjacency_words_reach_the_run_meter():
+    # pending entries and waiting records are charged to level 0 of the
+    # run's meter, on top of what a diagonal-only run holds there
+    poly = generate("random", 1000, 1)
+    _, plain, _ = triangulate_polygon(poly, 80, seed=1)
+    sink, meter, _ = triangulate_polygon(poly, 80, sink=AdjacencySink(),
+                                         seed=1)
+    assert sink.pending.peak > 0
+    assert meter.level_peaks[0] >= plain.level_peaks[0] \
+        + PendingAdjacency.ENTRY_WORDS * sink.pending.peak
+    assert meter.peak_words <= meter.budget_words
+    assert meter.current_words == 0
+
+
+@pytest.mark.parametrize("s", ["80", None, 72.5, True])
+def test_workspace_parameter_must_be_an_int(s):
+    from polyws.partition import partition
+    from polyws.spt import spt
+    poly = generate("random", 120, 1)
+    for solve in (lambda: triangulate_polygon(poly, s),
+                  lambda: spt(poly, 1, s),
+                  lambda: partition(poly, s)):
+        with pytest.raises(PolygonInputError, match="s must be an int"):
+            solve()
 
 
 def test_strict_partition_budget():
